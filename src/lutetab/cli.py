@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 to stderr with a caret excerpt of the offending line; output files are
 written atomically (temp file, then rename) so an error never leaves a
 half-written file behind.
+
+Each selected PARS is emitted as XML before any file is written, whatever
+the flags, so ``--check`` covers scanning, the model and XML emission.
+The SVG graphic is rendered only when ``--svg`` asks for it to be written.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -123,7 +127,11 @@ def run(options: RunOptions) -> int:
     stem = Path(path).stem
     try:
         documents = [(pars, emit_pars(pars)) for pars in partes]
-        graphics = [(pars, render_pars(pars, options.render_config)) for pars in partes]
+        graphics = (
+            [(pars, render_pars(pars, options.render_config)) for pars in partes]
+            if options.svg_out_dir is not None and not options.check_only
+            else []
+        )
     except CompileError as err:
         print(format_diagnostic(err, path), file=sys.stderr)
         return 1
@@ -154,14 +162,14 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.xml or args.svg or args.dtd or args.check):
         parser.error("nothing to do: pass at least one of --xml, --svg, --dtd, --check")
 
-    defaults = RenderConfig()
-    config = RenderConfig(
-        column_spacing=args.col_spacing if args.col_spacing is not None else defaults.column_spacing,
-        row_spacing=args.row_spacing if args.row_spacing is not None else defaults.row_spacing,
-        stem_height=args.stem_height if args.stem_height is not None else defaults.stem_height,
-        font_size=args.font_size if args.font_size is not None else defaults.font_size,
-        margin=args.margin if args.margin is not None else defaults.margin,
-    )
+    geometry = {
+        "column_spacing": args.col_spacing,
+        "row_spacing": args.row_spacing,
+        "stem_height": args.stem_height,
+        "font_size": args.font_size,
+        "margin": args.margin,
+    }
+    config = replace(RenderConfig(), **{k: v for k, v in geometry.items() if v is not None})
     options = RunOptions(
         input_path=args.input,
         xml_out_dir=args.xml,

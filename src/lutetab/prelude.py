@@ -195,7 +195,7 @@ def _parse_table(
     seen: dict[str, tuple[int, int]] = {}  # symbol -> (line, column) of first sighting
     level = 0
     current: list[str] | None = None
-    for atom, a_line, a_col, a_raw in _table_atoms(collected, lines):
+    for atom, a_line, a_col, a_raw in _table_atoms(collected, lines[idx:j]):
         if atom == "(":
             level += 1
             if level == 2:
@@ -242,7 +242,10 @@ def _parse_table(
 
 
 def _table_atoms(tokens: list[Token], lines: list[SourceLine]):
-    """Re-lex table tokens: parens separate even when glued to symbols."""
+    """Re-lex table tokens: parens separate even when glued to symbols.
+
+    ``lines`` are the source lines the table spans, for diagnostics.
+    """
     raw_by_line = {ln.line_number: ln.raw for ln in lines}
     for tok in tokens:
         raw = raw_by_line.get(tok.line_number, tok.text)

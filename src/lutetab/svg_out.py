@@ -77,16 +77,13 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             return band_top + cfg.stem_height + r * cfg.row_spacing
 
         xs = [cfg.margin + j * cfg.column_spacing for j in range(len(cols))]
-        stem_tops: dict[int, float] = {}
-        beamed: set[int] = set()
         groups = _beam_groups(cols)
+        # per column, the height its stem reaches when a beam replaces the
+        # flags: the top of the highest stem in the column's group
+        beam_tops: list[float | None] = [None] * len(cols)
         for g0, g1 in groups:
-            beamed.update(range(g0, g1 + 1))
-
-        for j, col in enumerate(cols):
-            klass = col.duration.klass
-            if klass in STEM_FLAGS:
-                stem_tops[j] = row_y(col.duration_ypos) - cfg.stem_height
+            top = row_y(min(c.duration_ypos for c in cols[g0 : g1 + 1])) - cfg.stem_height
+            beam_tops[g0 : g1 + 1] = [top] * (g1 + 1 - g0)
 
         shapes: list[str] = []
         texts: list[str] = []
@@ -95,16 +92,13 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             klass = col.duration.klass
             base = row_y(col.duration_ypos)
             if klass in STEM_FLAGS:
-                top = stem_tops[j]
-                if j in beamed:
-                    # beam replaces the flags; stem reaches the group's beam height
-                    group = next(g for g in groups if g[0] <= j <= g[1])
-                    top = min(stem_tops[k] for k in range(group[0], group[1] + 1))
+                beam_top = beam_tops[j]
+                top = base - cfg.stem_height if beam_top is None else beam_top
                 shapes.append(
                     f"<line x1='{_fmt(x)}' y1='{_fmt(base)}' x2='{_fmt(x)}' "
                     f"y2='{_fmt(top)}' stroke='black' />"
                 )
-                if j not in beamed:
+                if beam_top is None:
                     for k in range(STEM_FLAGS[klass]):
                         fy = top + k * 4.0
                         shapes.append(
@@ -139,10 +133,10 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             )
 
         for g0, g1 in groups:
-            beam_y = min(stem_tops[k] for k in range(g0, g1 + 1))
+            beam_y = _fmt(beam_tops[g0])
             shapes.append(
-                f"<line x1='{_fmt(xs[g0])}' y1='{_fmt(beam_y)}' x2='{_fmt(xs[g1])}' "
-                f"y2='{_fmt(beam_y)}' stroke='black' stroke-width='2.5' />"
+                f"<line x1='{_fmt(xs[g0])}' y1='{beam_y}' x2='{_fmt(xs[g1])}' "
+                f"y2='{beam_y}' stroke='black' stroke-width='2.5' />"
             )
 
         out.extend(shapes)

@@ -136,10 +136,19 @@ def validate_beams(tokens: list[DurationToken]) -> None:
     """Check beam markers pair up left to right within one system.
 
     A beam end is matched before a beam begin on the same token, so
-    ``_X_`` closes the open group and starts a new one.
+    ``_X_`` closes the open group and starts a new one. Beams replace the
+    flags of stems, so a dot group or a carry token, which have none, may
+    not sit inside a beam group.
     """
     open_at: DurationToken | None = None
     for tok in tokens:
+        if open_at is not None and tok.klass not in STEM_FLAGS:
+            raise ModelError(
+                f"'{tok.source_text}' inside the beam group begun at "
+                f"'{open_at.source_text}'; beams join stems only",
+                line=tok.line_number,
+                column=tok.start_column,
+            )
         if tok.beam_end:
             if open_at is None:
                 raise ModelError(

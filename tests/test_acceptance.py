@@ -139,7 +139,8 @@ def _generate_duration_tokens(rng: random.Random, min_len: int = 1) -> list[str]
         open_beam = False
         for i in range(n):
             roll = rng.random()
-            if i > 0 and roll < 0.12:
+            # beams join stems only: no carry or dot group inside an open beam
+            if i > 0 and roll < 0.12 and not open_beam:
                 tokens.append("-")
                 continue
             if roll < 0.22 and not open_beam:

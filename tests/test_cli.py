@@ -57,6 +57,30 @@ def test_check_only_writes_nothing(newsidler_file, tmp_path, capsys):
     assert set(os.listdir(tmp_path)) == before
 
 
+def test_unrequested_svg_is_not_rendered(newsidler_file, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("render_pars called although no SVG is written")
+
+    monkeypatch.setattr("lutetab.cli.render_pars", refuse)
+    assert main([str(newsidler_file), "--check"]) == 0
+    assert main([str(newsidler_file), "--check", "--svg", str(tmp_path / "svg")]) == 0
+    assert not (tmp_path / "svg").exists()
+    out = tmp_path / "xml"
+    assert main([str(newsidler_file), "--xml", str(out)]) == 0
+    assert (out / "newsidler.sola.xml").exists()
+
+
+def test_beam_over_dot_group_is_located_error(tmp_path, capsys):
+    head = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
+    t_line, vox_line = helpers.system_lines(["E_", ".", "_E"], {0: "a", 1: "f", 2: "1"})
+    path = tmp_path / "dotbeam.tab"
+    path.write_text(head + t_line + "\n" + vox_line + "\n", encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"dotbeam.tab:4:{helpers.grid_cols(3)[1] + 1}: error:" in err
+    assert "Traceback" not in err
+
+
 def test_pars_filter_hits(newsidler_file, tmp_path):
     out = tmp_path / "xml"
     assert main([str(newsidler_file), "--xml", str(out), "--pars", "sola"]) == 0

@@ -6,6 +6,8 @@ from lutetab import RenderConfig, compile_source, render_pars
 from lutetab.model import ParsModel
 from lutetab.prelude import Parameters
 
+import helpers
+
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 
@@ -52,6 +54,43 @@ def test_deterministic_output(newsidler_text):
 def test_beam_segments_drawn(newsidler_svg):
     # five beam groups in the fixture, one thick segment each
     assert newsidler_svg.count("stroke-width='2.5'") == 5
+
+
+def test_beamed_stems_reach_their_own_group_top():
+    # with duratioCadens each duration sits on the free row above its
+    # topmost grip, so stems of one system start at different heights
+    head = "duratioCadens = est\ntbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
+    durations = ["E_", "F", "_E", "T", "T_", "_F", "E"]
+    v1 = {6: "a"}
+    v2 = {1: "f"}
+    v3 = {0: "1", 1: "a", 2: "f", 3: "1", 4: "a", 5: "f"}
+    lines = helpers.system_lines(durations, v1, v2, v3)
+    svg = render_pars(compile_source(head + "\n".join(lines) + "\n").partes[0])
+
+    cfg = RenderConfig()
+
+    def top(row: int) -> float:  # stem top for a duration on ``row``, one band
+        return cfg.margin + row * cfg.row_spacing
+
+    def x(j: int) -> float:
+        return cfg.margin + j * cfg.column_spacing
+
+    segments = [
+        (*(float(el.get(k)) for k in ("x1", "y1", "x2", "y2")), el.get("stroke-width"))
+        for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}line")
+    ]
+    stems = {x1: y2 for x1, _, x2, y2, _ in segments if x1 == x2}
+    beams = sorted((x1, x2, y1, y2) for x1, y1, x2, y2, width in segments if width == "2.5")
+    flags = sorted(x1 for x1, _, x2, _, _ in segments if x2 == x1 + 6.0)
+
+    # group 0-2: duration rows 2, 1, 2; group 4-5: rows 2, 2
+    assert top(1) != top(2)
+    assert [stems[x(j)] for j in (0, 1, 2)] == [top(1)] * 3
+    assert [stems[x(j)] for j in (4, 5)] == [top(2)] * 2
+    assert beams == [(x(0), x(2), top(1), top(1)), (x(4), x(5), top(2), top(2))]
+    # unbeamed stems keep their own tops and flags: T has one, E three
+    assert stems[x(3)] == top(2) and stems[x(6)] == top(0)
+    assert flags == [x(3)] + [x(6)] * 3
 
 
 def test_carry_columns_render_placeholder(schlick_score):

@@ -139,6 +139,7 @@ def test_validate_beams_accepts_matched():
     validate_beams(parse_line("T  E_ E _E"))
     validate_beams(parse_line("T  I F_ _F I E_ _E"))
     validate_beams(parse_line("T  E_ _E_ _E"))  # close-and-reopen marker
+    validate_beams(parse_line("T  E_ _E - .. T_ F _T -", MANET))  # carry, dots between groups
 
 
 def test_validate_beams_unclosed():
@@ -158,6 +159,15 @@ def test_validate_beams_end_without_begin():
 def test_validate_beams_nested_begin():
     with pytest.raises(ModelError, match="inside an open beam group"):
         validate_beams(parse_line("T  E_ E_ _E"))
+
+
+@pytest.mark.parametrize("inner", [".", "..", "...", "-"])
+def test_validate_beams_rejects_dots_and_carry_inside_group(inner):
+    # beams replace flags; dot groups and the carry token have none
+    tokens = parse_line(f"T  I E_ {inner} _E", MANET)
+    with pytest.raises(ModelError, match="beams join stems only") as exc:
+        validate_beams(tokens)
+    assert (exc.value.line, exc.value.column) == (1, tokens[2].start_column)
 
 
 # --- grammar fuzz ------------------------------------------------------
