@@ -80,16 +80,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _write_atomic(path: Path, data: str) -> None:
-    fd = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
-    )
+    """Write ``data`` to a fresh randomly named temp file, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with fd:
-            fd.write(data)
-        os.replace(fd.name, path)
+        try:
+            view = memoryview(data.encode("utf-8"))
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(fd.name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise

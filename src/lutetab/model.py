@@ -31,8 +31,12 @@ from .vox import Annotation, GripToken, parse_param_track, parse_vox_line
 TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
 
+# The time position a column holds until compute_summa sets it; Fractions
+# are immutable, so all columns share this one.
+_ZERO = Fraction(0)
 
-@dataclass
+
+@dataclass(slots=True)
 class Sonum:
     """One grip: stop `string` at `fret`, pluck."""
 
@@ -44,7 +48,7 @@ class Sonum:
     annotations: list[Annotation] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Columna:
     """One score column: a duration and the grips sounding under it."""
 
@@ -56,7 +60,7 @@ class Columna:
     sona: list[Sonum]
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsModel:
     name: str
     columns: list[Columna]
@@ -66,7 +70,7 @@ class ParsModel:
     line_number: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreModel:
     partes: list[ParsModel]
     warnings: list[str] = field(default_factory=list)
@@ -79,15 +83,10 @@ class _System:
 
 
 def assign_trabes(token: DurationToken) -> str | None:
-    """Map beam markers to the single-valued output attribute."""
-    if token.beam_begin and token.beam_end:
-        raise ModelError(
-            f"'{token.source_text}' both ends and begins a beam group; the output "
-            "format records only one marker per stem, so write the boundary on two "
-            "neighboring stems instead",
-            line=token.line_number,
-            column=token.start_column,
-        )
+    """Map beam markers to the single-valued output attribute.
+
+    ``validate_beams`` has already rejected a stem that carries both.
+    """
     if token.beam_begin:
         return TRABES_INITIALIS
     if token.beam_end:
@@ -160,7 +159,7 @@ def build_system(
                 duration=token,
                 duration_ypos=0,
                 trabes=assign_trabes(token),
-                summa_praecedentium=Fraction(0),
+                summa_praecedentium=_ZERO,
                 sona=sona,
             )
         )
@@ -169,7 +168,7 @@ def build_system(
 
 def compute_summa(columns: list[Columna]) -> list[Columna]:
     """Assign each column the exact sum of all preceding durations."""
-    total = Fraction(0)
+    total = _ZERO
     for col in columns:
         col.summa_praecedentium = total
         total += col.duration.value

@@ -9,8 +9,10 @@ silently shifted column would corrupt the score.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ScanError
 
@@ -25,8 +27,7 @@ class LineKind(Enum):
     PARAM_TRACK = "paramTrackLine"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start_column: int  # 0-based scalar offset from line start
     line_number: int  # 1-based
@@ -55,6 +56,13 @@ def strip_comments(raw_line: str) -> str:
     return raw_line if i < 0 else raw_line[:i]
 
 
+# A quoted run (to the closing quote, plus any attached suffix) or a plain
+# non-whitespace run; ``\s`` matches exactly the characters ``str.isspace``
+# accepts. A match opening with ``"`` but without group 1 is a quote that
+# never closes.
+_TOKEN_RE = re.compile(r'("[^"]*"\S*)|\S+')
+
+
 def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) -> list[Token]:
     """Split into maximal non-whitespace runs annotated with start columns.
 
@@ -64,36 +72,28 @@ def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) ->
     token. The opening quote's column is the token's column.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        if text[i] == '"':
-            close = text.find('"', i + 1)
-            if close < 0:
-                raise ScanError(
-                    "unterminated quote",
-                    line=line_number,
-                    column=start,
-                    source_line=raw if raw is not None else text,
-                )
-            i = close + 1
-        while i < n and not text[i].isspace():
-            i += 1
-        tokens.append(Token(text[start:i], start, line_number))
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok[0] == '"' and m.lastindex is None:
+            raise ScanError(
+                "unterminated quote",
+                line=line_number,
+                column=m.start(),
+                source_line=raw if raw is not None else text,
+            )
+        tokens.append(Token(tok, m.start(), line_number))
     return tokens
 
 
-def classify_line(text: str, state: ScannerState) -> LineKind:
+def classify_line(text: str, state: ScannerState, line_number: int, raw: str) -> LineKind:
     """Decide a comment-stripped line's kind, given the scanner state.
 
     Deterministic in (text, state): open parenthesis groups turn any line
     into a table continuation; otherwise the first token decides; a lone
     identifier starts an assignment whose ``= value`` follows on the next
     line; an indented identifier line directly below a voice line is a
-    parameter track.
+    parameter track. An unclassifiable line is reported at ``line_number``
+    with the ``raw`` line as read.
     """
     parts = text.split()
     if not parts:
@@ -120,9 +120,9 @@ def classify_line(text: str, state: ScannerState) -> LineKind:
         return LineKind.ASSIGNMENT
     raise ScanError(
         f"cannot classify line starting with {first!r}",
-        line=0,
+        line=line_number,
         column=len(text) - len(text.lstrip()),
-        source_line=text,
+        source_line=raw,
     )
 
 
@@ -146,12 +146,7 @@ def scan_text(text: str) -> list[SourceLine]:
                 source_line=raw,
             )
         stripped = strip_comments(raw)
-        try:
-            kind = classify_line(stripped, state)
-        except ScanError as err:
-            err.line = idx
-            err.source_line = raw
-            raise
+        kind = classify_line(stripped, state, idx, raw)
         tokens = [] if kind is LineKind.BLANK else tokenize_columns(stripped, idx, raw)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
             state.paren_depth += stripped.count("(") - stripped.count(")")

@@ -24,14 +24,14 @@ KLASS_CARRY = "carry"
 STEM_FLAGS = {"I": 0, "T": 1, "F": 2, "E": 3}
 
 _STEM_VALUES = {k: Fraction(1, 4) / 2**f for k, f in STEM_FLAGS.items()}
+_DOTTED_STEM_VALUES = {k: v * Fraction(3, 2) for k, v in _STEM_VALUES.items()}
 _DOT_GROUP_VALUES = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: Fraction(1, 1)}
-_DOT_FACTOR = Fraction(3, 2)
 
 _STEM_RE = re.compile(r"^(_?)([ITFE])(\.?)(_?)$")
 _DOT_GROUP_RE = re.compile(r"^\.{1,3}$")
 
 
-@dataclass
+@dataclass(slots=True)
 class DurationToken:
     source_text: str
     klass: str  # "I" | "T" | "F" | "E" | "dots" | "carry"
@@ -88,16 +88,13 @@ def parse_duration_token(
         raise ParseError(msg, line=token.line_number, column=token.start_column)
 
     end_mark, letter, dot, begin_mark = m.groups()
-    value = _STEM_VALUES[letter]
-    if dot:
-        value = value * _DOT_FACTOR
     return DurationToken(
         text,
         letter,
         1 if dot else 0,
         bool(begin_mark),
         bool(end_mark),
-        value,
+        (_DOTTED_STEM_VALUES if dot else _STEM_VALUES)[letter],
         token.start_column,
         token.line_number,
     )
@@ -135,10 +132,11 @@ def parse_tempus_line(
 def validate_beams(tokens: list[DurationToken]) -> None:
     """Check beam markers pair up left to right within one system.
 
-    A beam end is matched before a beam begin on the same token, so
-    ``_X_`` closes the open group and starts a new one. Beams replace the
-    flags of stems, so a dot group or a carry token, which have none, may
-    not sit inside a beam group.
+    Each stem carries at most one marker: the output records one ``trabes``
+    value per stem, so ``_X_`` (closing one group and opening the next on
+    the same stem) is rejected. Beams replace the flags of stems, so a dot
+    group or a carry token, which have none, may not sit inside a beam
+    group.
     """
     open_at: DurationToken | None = None
     for tok in tokens:
@@ -153,6 +151,14 @@ def validate_beams(tokens: list[DurationToken]) -> None:
             if open_at is None:
                 raise ModelError(
                     f"beam end without a beam begin: '{tok.source_text}'",
+                    line=tok.line_number,
+                    column=tok.start_column,
+                )
+            if tok.beam_begin:
+                raise ModelError(
+                    f"'{tok.source_text}' both ends and begins a beam group; the output "
+                    "format records only one marker per stem, so write the boundary on "
+                    "two neighboring stems instead",
                     line=tok.line_number,
                     column=tok.start_column,
                 )

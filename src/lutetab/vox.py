@@ -22,7 +22,7 @@ from .scanner import SourceLine
 PROLONGATE_SUFFIX = "+"
 
 
-@dataclass
+@dataclass(slots=True)
 class GripToken:
     symbol: str  # suffix stripped
     prolongate: bool
@@ -31,7 +31,7 @@ class GripToken:
     voice_name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotation:
     track: str
     text: str  # quote content plus any attached suffix, verbatim

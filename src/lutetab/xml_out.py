@@ -5,6 +5,12 @@ line, 2-space indentation, single-quoted attributes in a fixed order, so
 that diffs against golden files stay readable. Attribute order is
 cosmetic; validation happens on parsed attribute maps.
 
+Each ``duratio`` and ``sonum`` element is written by one f-string in that
+order. Integer attributes are formatted directly once their range or
+denominator is checked; only the text attributes (``source``, ``trabes``,
+``edit``) are escaped, through a per-document memo, since grip and
+duration spellings repeat.
+
 The document type mixes graphical and temporal properties (ypos next to
 exact rational positions) and is meant as an intermediate model for
 further transformation, not as an edition format. The ``edit`` attribute
@@ -14,13 +20,15 @@ remarks; the DTD below declares it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import EmitError
-from .model import Columna, ParsModel, Sonum
+from .model import Columna, ParsModel
+from .prelude import MAX_POSITION
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
 
 _LEGAL_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
-_MAX_POSITION = 12
 _EDIT_TRACK = "edit"
 
 DTD_TEXT = """\
@@ -61,71 +69,68 @@ def escape_attr(value: str) -> str:
     )
 
 
+class _EscapedAttrs(dict):
+    """``escape_attr`` memoised per document: grip, duration and beam texts repeat."""
+
+    def __missing__(self, value: str) -> str:
+        escaped = self[value] = escape_attr(value)
+        return escaped
+
+
 def _check_position(value: int, what: str, col: Columna) -> int:
-    if not 0 <= value <= _MAX_POSITION:
+    if not 0 <= value <= MAX_POSITION:
         raise EmitError(
-            f"{what} {value} of column {col.numerus} is outside 0..{_MAX_POSITION}",
+            f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
             line=col.duration.line_number,
             column=col.duration.start_column,
         )
     return value
 
 
-def _rational_attrs(prefix: str, value, col: Columna) -> list[tuple[str, str]]:
+def _check_denominator(what: str, value: Fraction, col: Columna) -> int:
     if value.denominator not in _LEGAL_DENOMINATORS:
         raise EmitError(
-            f"{prefix} denominator {value.denominator} of column {col.numerus} is "
+            f"{what} denominator {value.denominator} of column {col.numerus} is "
             f"not one of {'|'.join(map(str, _LEGAL_DENOMINATORS))}",
             line=col.duration.line_number,
             column=col.duration.start_column,
         )
-    return [(f"{prefix}.num", str(value.numerator)), (f"{prefix}.den", str(value.denominator))]
-
-
-def _format_element(name: str, attrs: list[tuple[str, str]], indent: int) -> str:
-    body = "".join(f" {k}='{escape_attr(v)}'" for k, v in attrs)
-    return f"{'  ' * indent}<{name}{body} />"
-
-
-def _duratio_line(col: Columna) -> str:
-    attrs: list[tuple[str, str]] = [
-        ("source", col.duration.source_text),
-        ("numerus", str(col.numerus)),
-        ("ypos", str(_check_position(col.duration_ypos, "duration ypos", col))),
-    ]
-    if col.trabes is not None:
-        attrs.append(("trabes", col.trabes))
-    attrs += _rational_attrs("summaPraecedentium", col.summa_praecedentium, col)
-    attrs += _rational_attrs("duratio", col.duration.value, col)
-    return _format_element("duratio", attrs, 2)
-
-
-def _sonum_line(sonum: Sonum, col: Columna) -> str:
-    attrs: list[tuple[str, str]] = [
-        ("source", sonum.source),
-        ("fret", str(_check_position(sonum.fret, "fret", col))),
-        ("string", str(_check_position(sonum.string, "string", col))),
-    ]
-    if sonum.prolongate:
-        attrs.append(("prolongate", "yes"))
-    attrs.append(("ypos", str(_check_position(sonum.ypos, "grip ypos", col))))
-    edits = [a.text for a in sonum.annotations if a.track == _EDIT_TRACK]
-    if edits:
-        attrs.append(("edit", "; ".join(edits)))
-    return _format_element("sonum", attrs, 2)
+    return value.denominator
 
 
 def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
-    lines = [_XML_DECLARATION, "<tabulatura>"]
+    esc = _EscapedAttrs()
+    out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
+    append = out.append
     for col in pars.columns:
-        lines.append("  <columna>")
-        lines.append(_duratio_line(col))
+        duration = col.duration
+        ypos = _check_position(col.duration_ypos, "duration ypos", col)
+        trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
+        summa = col.summa_praecedentium
+        summa_den = _check_denominator("summaPraecedentium", summa, col)
+        value = duration.value
+        value_den = _check_denominator("duratio", value, col)
+        append(
+            f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
+            f"numerus='{col.numerus}' ypos='{ypos}'{trabes} "
+            f"summaPraecedentium.num='{summa.numerator}' summaPraecedentium.den='{summa_den}' "
+            f"duratio.num='{value.numerator}' duratio.den='{value_den}' />\n"
+        )
         for sonum in col.sona:
-            lines.append(_sonum_line(sonum, col))
-        lines.append("  </columna>")
-    lines.append("</tabulatura>")
-    return "\n".join(lines) + "\n"
+            fret = _check_position(sonum.fret, "fret", col)
+            string = _check_position(sonum.string, "string", col)
+            prolongate = " prolongate='yes'" if sonum.prolongate else ""
+            ypos = _check_position(sonum.ypos, "grip ypos", col)
+            edits = [a.text for a in sonum.annotations if a.track == _EDIT_TRACK]
+            edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
+            append(
+                f"    <sonum source='{esc[sonum.source]}' fret='{fret}' string='{string}'"
+                f"{prolongate} ypos='{ypos}'{edit} />\n"
+            )
+        append("  </columna>\n")
+    append("</tabulatura>\n")
+    return "".join(out)
 
 
 def emit_dtd() -> str:

@@ -178,3 +178,28 @@ def test_same_invocation_is_deterministic(newsidler_file, tmp_path):
     assert main([str(newsidler_file), "--xml", str(out_b), "--svg", str(out_b)]) == 0
     for name in ("newsidler.sola.xml", "newsidler.sola.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_close_and_reopen_beam_marker_diagnostic(tmp_path, capsys):
+    head = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
+    t_line, vox_line = helpers.system_lines(["E_", "_E_", "_E"], {0: "a", 1: "f", 2: "1"})
+    path = tmp_path / "reopen.tab"
+    path.write_text(head + t_line + "\n" + vox_line + "\n", encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    column = t_line.index("_E_")
+    assert capsys.readouterr().err == (
+        f"{path}:4:{column + 1}: error: '_E_' both ends and begins a beam group; the output "
+        "format records only one marker per stem, so write the boundary on two neighboring "
+        f"stems instead\n  {t_line}\n  {' ' * column}^\n"
+    )
+
+
+def test_failed_rename_leaves_no_temp_file(newsidler_file, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("lutetab.cli.os.replace", refuse)
+    out = tmp_path / "xml"
+    with pytest.raises(OSError, match="rename refused"):
+        main([str(newsidler_file), "--xml", str(out)])
+    assert list(out.iterdir()) == []

@@ -4,10 +4,8 @@ import pytest
 
 from lutetab import compile_source
 from lutetab.errors import ModelError, ParseError
-from lutetab.model import assign_trabes, compute_summa
-from lutetab.prelude import Parameters
-from lutetab.scanner import Token
-from lutetab.tempus import KLASS_CARRY, parse_duration_token
+from lutetab.model import compute_summa
+from lutetab.tempus import KLASS_CARRY
 
 import helpers
 from helpers import grid_cols, lay, system_lines
@@ -171,13 +169,13 @@ def test_assign_trabes_values():
     assert [c.trabes for c in pars.columns] == ["initialis", None, "terminalis"]
 
 
-def test_assign_trabes_rejects_double_marker():
-    token = parse_duration_token(Token("_E_", 5, 2), Parameters(), None)
-    with pytest.raises(ModelError, match="both ends and begins"):
-        assign_trabes(token)
+def test_double_beam_marker_rejected():
     source = make_source(*system_lines(["E_", "_E_", "_E"], {0: "1", 1: "a", 2: "f"}))
-    with pytest.raises(ModelError, match="both ends and begins"):
+    with pytest.raises(ModelError, match="both ends and begins") as exc:
         compile_source(source)
+    t_line = source.split("\n")[5]
+    assert (exc.value.line, exc.value.column) == (6, t_line.index("_E_"))
+    assert exc.value.source_line == t_line
 
 
 # --- alignment and column integrity --------------------------------------

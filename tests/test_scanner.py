@@ -78,25 +78,30 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(text, ScannerState()) is kind
+    assert classify_line(text, ScannerState(), 1, text) is kind
 
 
 def test_classify_param_track_needs_preceding_vox():
     after_vox = ScannerState(prev_kind=LineKind.VOX)
-    assert classify_line('    edit  "x"! \\\\', after_vox) is LineKind.PARAM_TRACK
+    line = '    edit  "x"! \\\\'
+    assert classify_line(line, after_vox, 2, line) is LineKind.PARAM_TRACK
     # a second track line may follow the first
     after_track = ScannerState(prev_kind=LineKind.PARAM_TRACK)
-    assert classify_line('    fing  "y"', after_track) is LineKind.PARAM_TRACK
+    line = '    fing  "y"'
+    assert classify_line(line, after_track, 3, line) is LineKind.PARAM_TRACK
 
 
 def test_classify_table_continuation():
     inside = ScannerState(paren_depth=1)
-    assert classify_line("       (2 b  g  m  r  y  bb)", inside) is LineKind.TABLE_CONTINUATION
+    line = "       (2 b  g  m  r  y  bb)"
+    assert classify_line(line, inside, 2, line) is LineKind.TABLE_CONTINUATION
 
 
 def test_classify_rejects_unknown_shape():
-    with pytest.raises(ScanError):
-        classify_line("what is this", ScannerState())
+    raw = "  what is this // a comment"
+    with pytest.raises(ScanError) as exc:
+        classify_line(strip_comments(raw), ScannerState(), 7, raw)
+    assert (exc.value.line, exc.value.column, exc.value.source_line) == (7, 2, raw)
 
 
 def test_scan_rejects_tabs():
@@ -153,3 +158,47 @@ def test_tokenize_round_trip(layout):
     for tok in tokens:
         rebuilt[tok.start_column : tok.start_column + len(tok.text)] = tok.text
     assert "".join(rebuilt) == line
+
+
+def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int, int]]:
+    """Reference tokenizer: a character loop over ``str.isspace``.
+
+    Returns ``(text, start_column, line_number)`` triples; raises ScanError
+    at the opening quote of a quote that never closes.
+    """
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        start = i
+        if text[i] == '"':
+            close = text.find('"', i + 1)
+            if close < 0:
+                raise ScanError("unterminated quote", line=line_number, column=start)
+            i = close + 1
+        while i < n and not text[i].isspace():
+            i += 1
+        tokens.append((text[start:i], start, line_number))
+    return tokens
+
+
+# the format's own characters, quotes, and whitespace beyond ASCII space
+_SOURCE_CHARS = st.sampled_from(
+    list('ITFE_.-+!=()\\/abcfgz019&C\u00fc"')
+    + [" ", "\u00a0", "\u2003", "\u3000", "\x0b", "\x1c", "\x85", "\u2028", "\r"]
+)
+
+
+@given(st.text(alphabet=st.one_of(_SOURCE_CHARS, st.characters()), max_size=40))
+def test_tokenize_matches_character_loop(text):
+    try:
+        expected = _tokenize_by_characters(text, 5)
+    except ScanError as err:
+        with pytest.raises(ScanError) as exc:
+            tokenize_columns(text, 5)
+        assert (exc.value.line, exc.value.column) == (5, err.column)
+        return
+    got = tokenize_columns(text, 5)
+    assert [(t.text, t.start_column, t.line_number) for t in got] == expected

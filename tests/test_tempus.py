@@ -138,7 +138,6 @@ def test_carry_threads_across_lines():
 def test_validate_beams_accepts_matched():
     validate_beams(parse_line("T  E_ E _E"))
     validate_beams(parse_line("T  I F_ _F I E_ _E"))
-    validate_beams(parse_line("T  E_ _E_ _E"))  # close-and-reopen marker
     validate_beams(parse_line("T  E_ _E - .. T_ F _T -", MANET))  # carry, dots between groups
 
 
@@ -154,6 +153,14 @@ def test_validate_beams_end_without_begin():
     with pytest.raises(ModelError, match="without a beam begin") as exc:
         validate_beams(tokens)
     assert exc.value.column == tokens[0].start_column
+
+
+def test_validate_beams_rejects_close_and_reopen_marker():
+    # the output records one trabes value per stem
+    tokens = parse_line("T  E_ _E_ _E")
+    with pytest.raises(ModelError, match="'_E_' both ends and begins a beam group") as exc:
+        validate_beams(tokens)
+    assert (exc.value.line, exc.value.column) == (1, tokens[1].start_column)
 
 
 def test_validate_beams_nested_begin():

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from lutetab.errors import EmitError
 
 import dtd_validator
 import helpers
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +21,11 @@ def newsidler_xml(newsidler_score):
 @pytest.fixture(scope="module")
 def schlick_xml(schlick_score):
     return emit_pars(schlick_score.partes[0])
+
+
+def test_documents_match_golden_files(newsidler_xml, schlick_xml):
+    for name, xml in (("newsidler", newsidler_xml), ("schlick", schlick_xml)):
+        assert xml.encode("utf-8") == (FIXTURES / f"{name}.xml").read_bytes()
 
 
 def test_documents_are_well_formed(newsidler_xml, schlick_xml):
