@@ -3,6 +3,11 @@
 Every error that stems from the user's source text carries a 1-based line
 number, a 0-based column and the offending line, so the CLI can print a
 caret excerpt. Column numbers are shown 1-based in rendered diagnostics.
+
+The excerpt has two owners. The scanner, which holds the raw text, sets
+``source_line`` when it raises. The later stages raise errors located by
+line and column only, and ``model.build_score`` fills in the raw text of
+the line such an error names.
 """
 
 from __future__ import annotations

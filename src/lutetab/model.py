@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ModelError, ParseError
+from .errors import CompileError, ModelError, ParseError
 from .prelude import (
     GripTable,
     Parameters,
@@ -110,11 +110,10 @@ def build_system(
             f"more than {MAX_POSITION} voices in one system; row positions beyond "
             f"{MAX_POSITION} are not encodable",
             line=over[3].line_number,
-            source_line=over[3].raw,
         )
 
     sona_by_column: dict[int, list[Sonum]] = {t.start_column: [] for t in tempus_tokens}
-    for voice_index, (voice_name, grips, annotations, vox_line) in enumerate(voices):
+    for voice_index, (voice_name, grips, annotations, _) in enumerate(voices):
         ypos = voice_index + 1
         by_column: dict[int, Sonum] = {}
         for grip in grips:
@@ -124,10 +123,9 @@ def build_system(
                     "under any duration symbol of its system",
                     line=grip.line_number,
                     column=grip.start_column,
-                    source_line=vox_line.raw,
                 )
             string_index, fret = lookup_grip(
-                symbol_map, grip.symbol, grip.line_number, grip.start_column, vox_line.raw
+                symbol_map, grip.symbol, grip.line_number, grip.start_column
             )
             sonum = Sonum(grip.symbol, string_index, fret, grip.prolongate, ypos)
             sona_by_column[grip.start_column].append(sonum)
@@ -191,7 +189,24 @@ def assign_duration_ypos(columns: list[Columna], params: Parameters) -> list[Col
 
 
 def build_score(lines: list[SourceLine]) -> ScoreModel:
-    """Build the full score model from scanned lines."""
+    """Build the full score model from scanned lines.
+
+    The scanner sets the excerpt of its own errors when it raises them. The
+    later stages raise errors located by line and column only; this is the
+    one place that attaches their excerpt, the raw text of the scanned line
+    the error names.
+    """
+    try:
+        return _build_score(lines)
+    except CompileError as err:
+        if err.line is not None and err.source_line is None:
+            err.source_line = next(
+                (line.raw for line in lines if line.line_number == err.line), None
+            )
+        raise
+
+
+def _build_score(lines: list[SourceLine]) -> ScoreModel:
     warnings: list[str] = []
     tables: dict[str, GripTable] = {}
     file_params = Parameters()
@@ -212,7 +227,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 f"{line.kind.value} outside of any PARS section",
                 line=line.line_number,
                 column=line.tokens[0].start_column if line.tokens else 0,
-                source_line=line.raw,
             )
 
     while i < n:
@@ -222,14 +236,12 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 "PARS header needs a name",
                 line=header.line_number,
                 column=header.tokens[0].start_column + len("PARS"),
-                source_line=header.raw,
             )
         if len(header.tokens) > 2:
             raise ParseError(
                 f"unexpected tokens after PARS name '{header.tokens[1].text}'",
                 line=header.line_number,
                 column=header.tokens[2].start_column,
-                source_line=header.raw,
             )
         name = header.tokens[1].text
         if name in seen_names:
@@ -237,7 +249,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 f"duplicate PARS name '{name}' (first at line {seen_names[name]})",
                 line=header.line_number,
                 column=header.tokens[1].start_column,
-                source_line=header.raw,
             )
         seen_names[name] = header.line_number
         i += 1
@@ -259,7 +270,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                     raise ModelError(
                         f"voice line before any time line in PARS '{name}'",
                         line=line.line_number,
-                        source_line=line.raw,
                     )
                 systems[-1].voices.append((line, []))
                 i += 1
@@ -268,7 +278,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                     raise ModelError(
                         "parameter track without a preceding voice line",
                         line=line.line_number,
-                        source_line=line.raw,
                     )
                 systems[-1].voices[-1][1].append(line)
                 i += 1
@@ -276,7 +285,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 raise ParseError(
                     "table continuation outside a table assignment",
                     line=line.line_number,
-                    source_line=line.raw,
                 )
         partes.append(_build_pars(name, header, systems, pars_params, tables, warnings))
 
@@ -295,20 +303,17 @@ def _build_pars(
         raise ModelError(
             f"PARS '{name}' contains no system (it needs at least one time line)",
             line=header.line_number,
-            source_line=header.raw,
         )
     if params.table_name is None:
         raise ModelError(
             f"PARS '{name}' selects no grip table (missing '{TABLE_PARAM}' assignment)",
             line=header.line_number,
-            source_line=header.raw,
         )
     table = tables.get(params.table_name)
     if table is None:
         raise ModelError(
             f"PARS '{name}' selects undefined grip table '{params.table_name}'",
             line=header.line_number,
-            source_line=header.raw,
         )
     symbol_map = build_symbol_map(table)
 
@@ -327,13 +332,8 @@ def _build_pars(
                 annotations.extend(track_annotations)
             voices.append((voice_name, grips, annotations, vox_line))
         start = len(columns)
-        try:
-            validate_beams(tokens)
-            columns.extend(build_system(tokens, voices, symbol_map))
-        except ModelError as err:
-            if err.source_line is None and err.line == system.tempus.line_number:
-                err.source_line = system.tempus.raw
-            raise
+        validate_beams(tokens)
+        columns.extend(build_system(tokens, voices, symbol_map))
         system_ranges.append((start, len(columns)))
 
     for numerus, col in enumerate(columns):

@@ -47,7 +47,6 @@ class ScalarAssignment:
     value: str
     line_number: int
     column: int
-    source_line: str
 
 
 @dataclass
@@ -93,7 +92,6 @@ def parse_assignment(
                 f"expected '= value' after parameter name '{name_tok.text}'",
                 line=line.line_number,
                 column=name_tok.start_column,
-                source_line=line.raw,
             )
         idx = j
         line = follower
@@ -103,7 +101,6 @@ def parse_assignment(
             "assignment value without a preceding name",
             line=line.line_number,
             column=tokens[0].start_column,
-            source_line=line.raw,
         )
     elif tokens and "=" in tokens[0].text and tokens[0].text != "=":
         # compact "name=value" form
@@ -120,7 +117,6 @@ def parse_assignment(
                 "malformed assignment (expected 'name = value')",
                 line=line.line_number,
                 column=tokens[0].start_column if tokens else 0,
-                source_line=line.raw,
             )
         name_tok = tokens[0]
         tokens = tokens[2:]
@@ -130,14 +126,12 @@ def parse_assignment(
             f"'{name_tok.text}' is not a valid parameter name",
             line=name_tok.line_number,
             column=name_tok.start_column,
-            source_line=line.raw,
         )
     if not tokens:
         raise ParseError(
             f"missing value in assignment of '{name_tok.text}'",
             line=line.line_number,
             column=len(line.text),
-            source_line=line.raw,
         )
 
     if tokens[0].text.startswith("("):
@@ -148,18 +142,9 @@ def parse_assignment(
             f"expected a single value for '{name_tok.text}'",
             line=tokens[1].line_number,
             column=tokens[1].start_column,
-            source_line=line.raw,
         )
-    return (
-        ScalarAssignment(
-            name_tok.text,
-            tokens[0].text,
-            line.line_number,
-            name_tok.start_column,
-            line.raw,
-        ),
-        idx + 1,
-    )
+    item = ScalarAssignment(name_tok.text, tokens[0].text, line.line_number, name_tok.start_column)
+    return item, idx + 1
 
 
 def _parse_table(
@@ -188,14 +173,13 @@ def _parse_table(
             f"unbalanced parentheses in table '{name_tok.text}'",
             line=first_line.line_number,
             column=value_tokens[0].start_column,
-            source_line=first_line.raw,
         )
 
     rows: list[list[str]] = []
     seen: dict[str, tuple[int, int]] = {}  # symbol -> (line, column) of first sighting
     level = 0
     current: list[str] | None = None
-    for atom, a_line, a_col, a_raw in _table_atoms(collected, lines[idx:j]):
+    for atom, a_line, a_col in _table_atoms(collected):
         if atom == "(":
             level += 1
             if level == 2:
@@ -205,7 +189,6 @@ def _parse_table(
                     f"table '{name_tok.text}' nests deeper than rows of symbols",
                     line=a_line,
                     column=a_col,
-                    source_line=a_raw,
                 )
         elif atom == ")":
             if level == 2:
@@ -218,7 +201,6 @@ def _parse_table(
                     f"symbol '{atom}' outside a table row",
                     line=a_line,
                     column=a_col,
-                    source_line=a_raw,
                 )
             if atom in seen:
                 f_line, f_col = seen[atom]
@@ -227,7 +209,6 @@ def _parse_table(
                     f"'{name_tok.text}' (first at line {f_line}, column {f_col + 1})",
                     line=a_line,
                     column=a_col,
-                    source_line=a_raw,
                 )
             seen[atom] = (a_line, a_col)
             current.append(atom)
@@ -236,30 +217,27 @@ def _parse_table(
             f"table '{name_tok.text}' has no rows",
             line=first_line.line_number,
             column=value_tokens[0].start_column,
-            source_line=first_line.raw,
         )
     return GripTable(name_tok.text, rows, name_tok.line_number), j
 
 
-def _table_atoms(tokens: list[Token], lines: list[SourceLine]):
+def _table_atoms(tokens: list[Token]):
     """Re-lex table tokens: parens separate even when glued to symbols.
 
-    ``lines`` are the source lines the table spans, for diagnostics.
+    Yields ``(atom, line, column)``.
     """
-    raw_by_line = {ln.line_number: ln.raw for ln in lines}
     for tok in tokens:
-        raw = raw_by_line.get(tok.line_number, tok.text)
         run_start: int | None = None
         for i, ch in enumerate(tok.text):
             if ch in "()":
                 if run_start is not None:
-                    yield tok.text[run_start:i], tok.line_number, tok.start_column + run_start, raw
+                    yield tok.text[run_start:i], tok.line_number, tok.start_column + run_start
                     run_start = None
-                yield ch, tok.line_number, tok.start_column + i, raw
+                yield ch, tok.line_number, tok.start_column + i
             elif run_start is None:
                 run_start = i
         if run_start is not None:
-            yield tok.text[run_start:], tok.line_number, tok.start_column + run_start, raw
+            yield tok.text[run_start:], tok.line_number, tok.start_column + run_start
 
 
 def apply_assignment(
@@ -278,7 +256,6 @@ def apply_assignment(
                 f"parameter '{item.name}' expects 'est' or 'nonEst', got '{item.value}'",
                 line=item.line_number,
                 column=item.column,
-                source_line=item.source_line,
             )
         flag = _FLAG_VALUES[item.value]
         if item.name == "duratioManet":
@@ -321,7 +298,6 @@ def lookup_grip(
     symbol: str,
     line: int | None = None,
     column: int | None = None,
-    source_line: str | None = None,
 ) -> tuple[int, int]:
     try:
         return symbol_map.entries[symbol]
@@ -330,5 +306,4 @@ def lookup_grip(
             f"unknown grip symbol '{symbol}' (not in table '{symbol_map.table_name}')",
             line=line,
             column=column,
-            source_line=source_line,
         ) from None

@@ -115,17 +115,11 @@ def parse_tempus_line(
             "time line has no duration symbols",
             line=line.line_number,
             column=line.tokens[0].start_column,
-            source_line=line.raw,
         )
     out: list[DurationToken] = []
     for tok in body:
-        try:
-            parsed = parse_duration_token(tok, params, prev)
-        except ParseError as err:
-            err.source_line = line.raw
-            raise
-        out.append(parsed)
-        prev = parsed
+        prev = parse_duration_token(tok, params, prev)
+        out.append(prev)
     return out
 
 

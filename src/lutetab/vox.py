@@ -46,7 +46,6 @@ def parse_vox_line(line: SourceLine) -> tuple[str, list[GripToken]]:
             "VOX line is missing a voice name",
             line=line.line_number,
             column=line.tokens[0].start_column + len("VOX"),
-            source_line=line.raw,
         )
     voice_name = line.tokens[1].text
     grips: list[GripToken] = []
@@ -59,14 +58,12 @@ def parse_vox_line(line: SourceLine) -> tuple[str, list[GripToken]]:
                 "bare '+' is not a grip (the marker suffixes a symbol)",
                 line=tok.line_number,
                 column=tok.start_column,
-                source_line=line.raw,
             )
         if PROLONGATE_SUFFIX in symbol:
             raise ParseError(
                 f"misplaced '+' in grip token '{text}' (only one, at the end)",
                 line=tok.line_number,
                 column=tok.start_column,
-                source_line=line.raw,
             )
         grips.append(
             GripToken(symbol, prolongate, tok.start_column, tok.line_number, voice_name)
@@ -91,7 +88,6 @@ def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
                 f"parameter track '{track}' payload must be quoted, got '{tok.text}'",
                 line=tok.line_number,
                 column=tok.start_column,
-                source_line=line.raw,
             )
         close = tok.text.index('"', 1)  # guaranteed by the scanner
         text = tok.text[1:close] + tok.text[close + 1 :]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmitError
-from .model import Columna, ParsModel
+from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel
 from .prelude import MAX_POSITION
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
@@ -31,7 +31,14 @@ _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
 _LEGAL_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
 _EDIT_TRACK = "edit"
 
-DTD_TEXT = """\
+# The DTD's enumerations, each built from the one constant that owns it;
+# only the fingering letters are known nowhere else.
+_POSITIONS = "|".join(map(str, range(MAX_POSITION + 1)))
+_DENOMINATORS = "|".join(map(str, _LEGAL_DENOMINATORS))
+_TRABES = f"{TRABES_INITIALIS}|{TRABES_TERMINALIS}"
+
+# The trabes line ends with a space; tests/fixtures/tabulatura.dtd pins it.
+DTD_TEXT = f"""\
 <!ELEMENT tabulatura (columna)*  >
 
 <!ELEMENT columna (duratio, sonum+) >
@@ -39,20 +46,20 @@ DTD_TEXT = """\
 <!ELEMENT duratio EMPTY>
 <!ATTLIST duratio source CDATA                          #REQUIRED
                   numerus CDATA                         #REQUIRED
-                  ypos   (0|1|2|3|4|5|6|7|8|9|10|11|12) #REQUIRED
-                  trabes (initialis|terminalis)         #IMPLIED 
+                  ypos   ({_POSITIONS}) #REQUIRED
+                  trabes ({_TRABES})         #IMPLIED 
                   duratio.num    CDATA                  #REQUIRED
-                  duratio.den    (1|2|4|8|16|32|64)     #REQUIRED
+                  duratio.den    ({_DENOMINATORS})     #REQUIRED
                   summaPraecedentium.num  CDATA         #REQUIRED
-                  summaPraecedentium.den  (1|2|4|8|16|32|64) #REQUIRED
+                  summaPraecedentium.den  ({_DENOMINATORS}) #REQUIRED
 >
 
 <!ELEMENT sonum EMPTY>
 <!ATTLIST sonum source CDATA  #REQUIRED
-                  fret   (0|1|2|3|4|5|6|7|8|9|10|11|12) #REQUIRED
-                  string (0|1|2|3|4|5|6|7|8|9|10|11|12) #REQUIRED
+                  fret   ({_POSITIONS}) #REQUIRED
+                  string ({_POSITIONS}) #REQUIRED
                   prolongate (yes)                      #IMPLIED
-                  ypos   (0|1|2|3|4|5|6|7|8|9|10|11|12) #REQUIRED
+                  ypos   ({_POSITIONS}) #REQUIRED
                   finger  (p|i|m|a|o)                   #IMPLIED
                   edit    CDATA                         #IMPLIED
 >
@@ -91,7 +98,7 @@ def _check_denominator(what: str, value: Fraction, col: Columna) -> int:
     if value.denominator not in _LEGAL_DENOMINATORS:
         raise EmitError(
             f"{what} denominator {value.denominator} of column {col.numerus} is "
-            f"not one of {'|'.join(map(str, _LEGAL_DENOMINATORS))}",
+            f"not one of {_DENOMINATORS}",
             line=col.duration.line_number,
             column=col.duration.start_column,
         )

@@ -203,3 +203,31 @@ def test_failed_rename_leaves_no_temp_file(newsidler_file, tmp_path, monkeypatch
     with pytest.raises(OSError, match="rename refused"):
         main([str(newsidler_file), "--xml", str(out)])
     assert list(out.iterdir()) == []
+
+
+def test_misaligned_annotation_diagnostic(tmp_path, capsys):
+    track = '    edit    "late"'
+    path = tmp_path / "annotation.tab"
+    path.write_text(
+        "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT       I  I\nVOX v   a  f\n" + track + "\n",
+        encoding="utf-8",
+    )
+    assert main([str(path), "--check"]) == 1
+    column = track.index('"')
+    assert capsys.readouterr().err == (
+        f"{path}:6:{column + 1}: error: annotation in track 'edit' does not start under any "
+        f"event of voice 'v'\n  {track}\n  {' ' * column}^\n"
+    )
+
+
+def test_oversized_table_diagnostic(tmp_path, capsys):
+    rows = "\n".join(f"        ({chr(ord('a') + i)})" for i in range(1, 14))
+    path = tmp_path / "table.tab"
+    path.write_text(
+        f"tbl = ( (a)\n{rows} )\nPARS p\nbünde = tbl\nT  I\nVOX v  a\n", encoding="utf-8"
+    )
+    assert main([str(path), "--check"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1: error: table 'tbl' has more than 13 rows; string indexes beyond 12 "
+        "are not encodable\n  tbl = ( (a)\n"
+    )

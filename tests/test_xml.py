@@ -95,6 +95,10 @@ def test_semantic_round_trip(newsidler_score, schlick_score, newsidler_xml, schl
         assert helpers.read_pars_xml(xml) == helpers.model_as_dicts(score.partes[0])
 
 
+def test_dtd_matches_golden_file():
+    assert emit_dtd().encode("utf-8") == (FIXTURES / "tabulatura.dtd").read_bytes()
+
+
 def test_dtd_contains_expected_lines():
     dtd = emit_dtd()
     assert "<!ELEMENT tabulatura (columna)*  >" in dtd.split("\n")
