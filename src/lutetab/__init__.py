@@ -1,9 +1,9 @@
 """Compiler for plain-text German lute tablature.
 
 Parses the column-aligned source format (duration lines, voice lines,
-grip tables in the prelude) into a score model with exact rational time
-positions, and emits an XML document per PARS plus an SVG control
-graphic.
+grip tables in the prelude) into a score model whose time positions are
+exact integer ticks of 1/64 whole note, and emits an XML document per
+PARS plus an SVG control graphic.
 """
 
 from __future__ import annotations

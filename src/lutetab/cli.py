@@ -9,11 +9,15 @@ half-written file behind.
 Each selected PARS is emitted as XML before any file is written, whatever
 the flags, so ``--check`` covers scanning, the model and XML emission.
 The SVG graphic is rendered only when ``--svg`` asks for it to be written.
+
+``run`` pauses the cyclic garbage collector: the score model holds no
+reference cycles, yet the collector would walk all its objects in vain.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -99,6 +103,16 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def run(options: RunOptions) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(options)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(options: RunOptions) -> int:
     path = options.input_path
     try:
         text = Path(path).read_text(encoding="utf-8")

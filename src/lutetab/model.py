@@ -3,14 +3,14 @@
 A system is one T line plus the voice lines below it; a PARS concatenates
 its systems into one ordered column list. Every grip event must start in
 the same column as a duration symbol of its system, and every column must
-hold at least one grip. Temporal positions are exact rational sums of all
-preceding durations and do not reset at system boundaries.
+hold at least one grip. Temporal positions are integer ticks of 1/64 whole
+note, the exact sums of all preceding durations, and do not reset at
+system boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import CompileError, ModelError, ParseError
 from .prelude import (
@@ -30,11 +30,6 @@ from .vox import Annotation, GripToken, parse_param_track, parse_vox_line
 
 TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
-
-# The time position a column holds until compute_summa sets it; Fractions
-# are immutable, so all columns share this one.
-_ZERO = Fraction(0)
-
 
 @dataclass(slots=True)
 class Sonum:
@@ -56,7 +51,7 @@ class Columna:
     duration: DurationToken
     duration_ypos: int
     trabes: str | None
-    summa_praecedentium: Fraction
+    summa_praecedentium: int  # in ticks of 1/64 whole note
     sona: list[Sonum]
 
 
@@ -157,7 +152,7 @@ def build_system(
                 duration=token,
                 duration_ypos=0,
                 trabes=assign_trabes(token),
-                summa_praecedentium=_ZERO,
+                summa_praecedentium=0,  # set by compute_summa
                 sona=sona,
             )
         )
@@ -165,8 +160,8 @@ def build_system(
 
 
 def compute_summa(columns: list[Columna]) -> list[Columna]:
-    """Assign each column the exact sum of all preceding durations."""
-    total = _ZERO
+    """Assign each column the sum of all preceding durations, in ticks."""
+    total = 0
     for col in columns:
         col.summa_praecedentium = total
         total += col.duration.value

@@ -6,14 +6,14 @@ I, T, F, E mean zero to three flags and are read the modern way as 1/4,
 are the longer values 1/2, 3/4 and 1/1. Underscores replace flags with
 beams: a trailing ``_`` opens a beam group, a leading one closes it. The
 carry token ``-`` repeats the previous duration and is only legal when the
-prelude enables it with ``duratioManet = est``.
+prelude enables it with ``duratioManet = est``. All these values, and so
+all their sums, are exact integer ticks of 1/64 whole note.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ModelError, ParseError
 from .prelude import Parameters
@@ -23,12 +23,12 @@ KLASS_DOTS = "dots"
 KLASS_CARRY = "carry"
 STEM_FLAGS = {"I": 0, "T": 1, "F": 2, "E": 3}
 
-_STEM_VALUES = {k: Fraction(1, 4) / 2**f for k, f in STEM_FLAGS.items()}
-_DOTTED_STEM_VALUES = {k: v * Fraction(3, 2) for k, v in _STEM_VALUES.items()}
-_DOT_GROUP_VALUES = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: Fraction(1, 1)}
+TICKS_PER_WHOLE = 64
+_STEM_VALUES = {k: TICKS_PER_WHOLE // (4 << f) for k, f in STEM_FLAGS.items()}
+_DOTTED_STEM_VALUES = {k: v * 3 // 2 for k, v in _STEM_VALUES.items()}
+_DOT_GROUP_VALUES = {"." * n: TICKS_PER_WHOLE * (n + 1) // 4 for n in (1, 2, 3)}  # 1/2, 3/4, 1/1
 
 _STEM_RE = re.compile(r"^(_?)([ITFE])(\.?)(_?)$")
-_DOT_GROUP_RE = re.compile(r"^\.{1,3}$")
 
 
 @dataclass(slots=True)
@@ -38,7 +38,7 @@ class DurationToken:
     dot_count: int
     beam_begin: bool
     beam_end: bool
-    value: Fraction
+    value: int  # in ticks of 1/64 whole note
     start_column: int
     line_number: int
 
@@ -46,7 +46,7 @@ class DurationToken:
 def parse_duration_token(
     token: Token, params: Parameters, prev: DurationToken | None
 ) -> DurationToken:
-    """Parse one symbol of a T line, resolving its exact rational value."""
+    """Parse one symbol of a T line, resolving its value in ticks."""
     text = token.text
 
     if text == "-":
@@ -66,17 +66,10 @@ def parse_duration_token(
             text, KLASS_CARRY, 0, False, False, prev.value, token.start_column, token.line_number
         )
 
-    if _DOT_GROUP_RE.match(text):
-        count = len(text)
+    value = _DOT_GROUP_VALUES.get(text)
+    if value is not None:
         return DurationToken(
-            text,
-            KLASS_DOTS,
-            count,
-            False,
-            False,
-            _DOT_GROUP_VALUES[count],
-            token.start_column,
-            token.line_number,
+            text, KLASS_DOTS, len(text), False, False, value, token.start_column, token.line_number
         )
 
     m = _STEM_RE.match(text)

@@ -6,13 +6,15 @@ that diffs against golden files stay readable. Attribute order is
 cosmetic; validation happens on parsed attribute maps.
 
 Each ``duratio`` and ``sonum`` element is written by one f-string in that
-order. Integer attributes are formatted directly once their range or
-denominator is checked; only the text attributes (``source``, ``trabes``,
-``edit``) are escaped, through a per-document memo, since grip and
-duration spellings repeat.
+order. Integer attributes are formatted directly once their range is
+checked. Times, integer ticks of 1/64 whole note, become reduced fractions
+through a denominator table whose values the DTD enumerates, so they need
+no check. Only the text attributes (``source``, ``trabes``, ``edit``) are
+escaped, through a per-document memo, since grip and duration spellings
+repeat.
 
 The document type mixes graphical and temporal properties (ypos next to
-exact rational positions) and is meant as an intermediate model for
+exact time positions) and is meant as an intermediate model for
 further transformation, not as an edition format. The ``edit`` attribute
 on ``sonum`` is this program's documented extension for editorial
 remarks; the DTD below declares it.
@@ -20,15 +22,18 @@ remarks; the DTD below declares it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import EmitError
 from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel
 from .prelude import MAX_POSITION
+from .tempus import TICKS_PER_WHOLE
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
 
-_LEGAL_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64)
+# _DENOMINATOR[t % TICKS_PER_WHOLE] is the reduced denominator of t/TICKS_PER_WHOLE.
+_DENOMINATOR = tuple(TICKS_PER_WHOLE // gcd(t, TICKS_PER_WHOLE) for t in range(TICKS_PER_WHOLE))
+_LEGAL_DENOMINATORS = tuple(sorted(set(_DENOMINATOR)))
 _EDIT_TRACK = "edit"
 
 # The DTD's enumerations, each built from the one constant that owns it;
@@ -94,17 +99,6 @@ def _check_position(value: int, what: str, col: Columna) -> int:
     return value
 
 
-def _check_denominator(what: str, value: Fraction, col: Columna) -> int:
-    if value.denominator not in _LEGAL_DENOMINATORS:
-        raise EmitError(
-            f"{what} denominator {value.denominator} of column {col.numerus} is "
-            f"not one of {_DENOMINATORS}",
-            line=col.duration.line_number,
-            column=col.duration.start_column,
-        )
-    return value.denominator
-
-
 def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
     esc = _EscapedAttrs()
@@ -114,15 +108,15 @@ def emit_pars(pars: ParsModel) -> str:
         duration = col.duration
         ypos = _check_position(col.duration_ypos, "duration ypos", col)
         trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
-        summa = col.summa_praecedentium
-        summa_den = _check_denominator("summaPraecedentium", summa, col)
-        value = duration.value
-        value_den = _check_denominator("duratio", value, col)
+        summa, value = col.summa_praecedentium, duration.value
+        summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
+        value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
         append(
             f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
             f"numerus='{col.numerus}' ypos='{ypos}'{trabes} "
-            f"summaPraecedentium.num='{summa.numerator}' summaPraecedentium.den='{summa_den}' "
-            f"duratio.num='{value.numerator}' duratio.den='{value_den}' />\n"
+            f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
+            f"summaPraecedentium.den='{summa_den}' "
+            f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
         )
         for sonum in col.sona:
             fret = _check_position(sonum.fret, "fret", col)

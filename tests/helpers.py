@@ -8,6 +8,10 @@ import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from lutetab.tempus import TICKS_PER_WHOLE
+
 
 def count_t_line_tokens(source: str) -> int:
     """Whitespace-token count over all T lines, minus the leading T each.
@@ -57,6 +61,11 @@ def read_pars_xml(text: str) -> list[dict]:
     return columns
 
 
+def as_fraction(ticks: int) -> Fraction:
+    """A model time value (integer ticks) as a fraction of a whole note."""
+    return Fraction(ticks, TICKS_PER_WHOLE)
+
+
 def model_as_dicts(pars) -> list[dict]:
     """The same shape as read_pars_xml, taken from the in-memory model."""
     return [
@@ -65,8 +74,8 @@ def model_as_dicts(pars) -> list[dict]:
             "source": col.duration.source_text,
             "ypos": col.duration_ypos,
             "trabes": col.trabes,
-            "duration": col.duration.value,
-            "summa": col.summa_praecedentium,
+            "duration": as_fraction(col.duration.value),
+            "summa": as_fraction(col.summa_praecedentium),
             "sona": [
                 {
                     "source": s.source,
@@ -132,3 +141,36 @@ def drop_table_selection(source: str) -> str:
     kept = [ln for ln in source.split("\n") if not ln.split("//")[0].strip().startswith("bünde")]
     assert len(kept) < len(source.split("\n"))
     return "\n".join(kept)
+
+
+# The format's alphabet: duration and structure characters, grip letters,
+# digits, line breaks and the two line openers.
+_PIECES = (
+    list('ITFE._-+"()= ')
+    + list("abcdefghiklmnopqrstvxyz&C")
+    + list("0123456789")
+    + ["\n", "\r\n", "VOX ", "T "]
+)
+
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace")),
+        st.integers(min_value=0, max_value=2000),
+        st.sampled_from(_PIECES),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(text: str, mutations) -> str:
+    """Apply ``(op, index, piece)`` mutations in order; indices wrap around the text."""
+    for op, at, piece in mutations:
+        at %= len(text) + 1
+        if op == "insert":
+            text = text[:at] + piece + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + piece + text[at + 1 :]
+    return text

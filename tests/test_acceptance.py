@@ -207,7 +207,7 @@ def test_criterion_04_telescoping_sum():
                 total = (total[0] * prev[1] + prev[0] * total[1], total[1] * prev[1])
 
             last = columns[-1]
-            final = last.summa_praecedentium + last.duration.value
+            final = helpers.as_fraction(last.summa_praecedentium + last.duration.value)
             if total[0] * final.denominator != final.numerator * total[1]:
                 failures += 1
         assert failures == 0

@@ -1,10 +1,22 @@
+import contextlib
+import gc
+import io
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lutetab
+from lutetab import cli
 from lutetab.cli import main
 
 import helpers
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -231,3 +243,77 @@ def test_oversized_table_diagnostic(tmp_path, capsys):
         f"{path}:1: error: table 'tbl' has more than 13 rows; string indexes beyond 12 "
         "are not encodable\n  tbl = ( (a)\n"
     )
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_before(request):
+    """Set the collector's state before a run; restore the test run's own after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_gc_paused_during_run_and_restored(newsidler_file, gc_before, monkeypatch):
+    seen = []
+    build_score = cli.build_score
+
+    def spy(lines):
+        seen.append(gc.isenabled())
+        return build_score(lines)
+
+    monkeypatch.setattr("lutetab.cli.build_score", spy)
+    assert main([str(newsidler_file), "--check"]) == 0
+    assert seen == [False]
+    assert gc.isenabled() is gc_before
+
+
+def test_gc_restored_after_compile_error(tmp_path, newsidler_text, gc_before, capsys):
+    mutated, _, _ = helpers.shift_last_vox_token(newsidler_text)
+    path = tmp_path / "shifted.tab"
+    path.write_text(mutated, encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    assert gc.isenabled() is gc_before
+
+
+def test_gc_restored_after_failed_write(newsidler_file, tmp_path, gc_before, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("lutetab.cli.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        main([str(newsidler_file), "--xml", str(tmp_path / "xml")])
+    assert gc.isenabled() is gc_before
+
+
+def test_cli_import_loads_no_fractions():
+    probe = (
+        "import sys, lutetab.cli; "
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lutetab.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def mutated_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "mutated.tab"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("newsidler", "schlick")), helpers.MUTATIONS)
+def test_mutated_sources_exit_cleanly(mutated_file, name, mutations):
+    """The CLI is total: exit 0, or exit 1 with a diagnostic located by line."""
+    source = (FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
+    mutated_file.write_text(helpers.mutate(source, mutations), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([str(mutated_file), "--check"])
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert re.match(re.escape(f"{mutated_file}:") + r"\d+", err), err

@@ -8,7 +8,7 @@ from lutetab.model import compute_summa
 from lutetab.tempus import KLASS_CARRY
 
 import helpers
-from helpers import grid_cols, lay, system_lines
+from helpers import as_fraction, grid_cols, lay, system_lines
 
 
 def make_source(*body: str, manet: str = "nonEst", cadens: str = "nonEst") -> str:
@@ -45,7 +45,7 @@ def test_newsidler_column_count_matches_t_line(newsidler_text, newsidler_score):
 def test_newsidler_first_column(newsidler_score):
     col = newsidler_score.partes[0].columns[0]
     assert col.duration.source_text == "I"
-    assert col.duration.value == Fraction(1, 4)
+    assert as_fraction(col.duration.value) == Fraction(1, 4)
     assert len(col.sona) == 1
     sonum = col.sona[0]
     assert (sonum.source, sonum.string, sonum.fret, sonum.ypos) == ("f", 0, 2, 2)
@@ -53,14 +53,14 @@ def test_newsidler_first_column(newsidler_score):
 
 def test_newsidler_first_five_summas(newsidler_score):
     cols = newsidler_score.partes[0].columns[:5]
-    assert [c.duration.value for c in cols] == [
+    assert [as_fraction(c.duration.value) for c in cols] == [
         Fraction(1, 4),
         Fraction(1, 4),
         Fraction(1, 8),
         Fraction(1, 32),
         Fraction(1, 32),
     ]
-    assert [c.summa_praecedentium for c in cols] == [
+    assert [as_fraction(c.summa_praecedentium) for c in cols] == [
         Fraction(0),
         Fraction(1, 4),
         Fraction(1, 2),
@@ -129,9 +129,9 @@ def test_telescoping_against_independent_fold(schlick_score):
     # brute force: unreduced integer pairs, compared by cross-multiplication
     num, den = 0, 1
     for col in pars.columns:
-        v = col.duration.value
+        v = as_fraction(col.duration.value)
         num, den = num * v.denominator + v.numerator * den, den * v.denominator
-    final = last.summa_praecedentium + last.duration.value
+    final = as_fraction(last.summa_praecedentium + last.duration.value)
     assert num * final.denominator == final.numerator * den
 
 
@@ -203,8 +203,11 @@ def test_column_without_grips_rejected():
 def test_compute_summa_spec_sequence():
     # durations [1/2, 3/4] -> summas [0/1, 1/2]
     pars = compile_one(*system_lines([".", ".."], {0: "1", 1: "a"}))
-    assert [c.summa_praecedentium for c in pars.columns] == [Fraction(0), Fraction(1, 2)]
-    assert compute_summa(pars.columns)[-1].summa_praecedentium == Fraction(1, 2)
+    assert [as_fraction(c.summa_praecedentium) for c in pars.columns] == [
+        Fraction(0),
+        Fraction(1, 2),
+    ]
+    assert as_fraction(compute_summa(pars.columns)[-1].summa_praecedentium) == Fraction(1, 2)
 
 
 # --- PARS-level structure -------------------------------------------------
@@ -326,7 +329,7 @@ def test_carry_may_open_a_later_system():
     pars = compile_one(*first, "", *second, manet="est")
     assert pars.system_ranges == [(0, 1), (1, 3)]
     assert pars.columns[1].duration.klass == KLASS_CARRY
-    assert pars.columns[1].duration.value == Fraction(1, 16)
+    assert as_fraction(pars.columns[1].duration.value) == Fraction(1, 16)
 
 
 def test_beam_groups_do_not_span_systems():

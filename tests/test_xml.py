@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lutetab import compile_source, emit_dtd, emit_pars
 from lutetab.errors import EmitError
@@ -126,12 +127,51 @@ def test_validator_rejects_broken_documents(newsidler_xml):
     assert dtd_validator.validate(broken, dtd)
 
 
-def test_emit_rejects_denominator_outside_enumeration(newsidler_text):
-    score = compile_source(newsidler_text)
-    pars = score.partes[0]
-    pars.columns[2].duration.value = Fraction(1, 3)
-    with pytest.raises(EmitError, match="denominator 3"):
-        emit_pars(pars)
+# An independent reading of each T-line token, in whole notes.
+_TOKEN_VALUES = {
+    **{letter: Fraction(1, 4 << flags) for flags, letter in enumerate("ITFE")},
+    **{letter + ".": Fraction(3, 8 << flags) for flags, letter in enumerate("ITFE")},
+    ".": Fraction(1, 2),
+    "..": Fraction(3, 4),
+    "...": Fraction(1, 1),
+}
+_DTD_DENOMINATORS = dtd_validator.parse_dtd(emit_dtd()).attlists["duratio"]["duratio.den"].enum
+
+
+def _emitted_time_pairs(tokens: list[str]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """``((duratio.num, .den), (summaPraecedentium.num, .den))`` per emitted column."""
+    source = "duratioManet = est\ntbl = ( (a) )\nPARS p\nbünde = tbl\n"
+    source += "\n".join(helpers.system_lines(tokens, dict.fromkeys(range(len(tokens)), "a")))
+    root = ET.fromstring(emit_pars(compile_source(source + "\n").partes[0]))
+    return [
+        tuple(
+            (int(duratio.get(f"{name}.num")), int(duratio.get(f"{name}.den")))
+            for name in ("duratio", "summaPraecedentium")
+        )
+        for duratio in root.iter("duratio")
+    ]
+
+
+@given(
+    st.tuples(
+        st.sampled_from(sorted(_TOKEN_VALUES)),  # a carry needs a duration before it
+        st.lists(st.sampled_from(sorted([*_TOKEN_VALUES, "-"])), max_size=60),
+    ).map(lambda first_rest: [first_rest[0], *first_rest[1]])
+)
+# running sums of 0, 64 and 96 ticks: 0/1, 1/1 and 3/2
+@example(["...", ".", "I"])
+def test_time_pairs_equal_reduced_fraction_fold(tokens):
+    summa, value = Fraction(0), None
+    expected = []
+    for text in tokens:
+        value = value if text == "-" else _TOKEN_VALUES[text]
+        expected.append(
+            ((value.numerator, value.denominator), (summa.numerator, summa.denominator))
+        )
+        summa += value
+    got = _emitted_time_pairs(tokens)
+    assert got == expected
+    assert {str(den) for pairs in got for _, den in pairs} <= _DTD_DENOMINATORS
 
 
 def test_emit_rejects_ypos_out_of_range(newsidler_text):
