@@ -1,10 +1,10 @@
 """Command-line driver: scan, parse, build, emit.
 
 Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
-2 for unusable invocations (unreadable input, bad flags). Diagnostics go
-to stderr with a caret excerpt of the offending line; output files are
-written atomically (temp file, then rename) so an error never leaves a
-half-written file behind.
+2 for unusable invocations (unreadable input, bad flags, an output that
+cannot be written). Diagnostics go to stderr with a caret excerpt of the
+offending line; output files are written atomically (temp file, then
+rename) so an error never leaves a half-written file behind.
 
 Each selected PARS is emitted as XML before any file is written, whatever
 the flags, so ``--check`` covers scanning, the model and XML emission.
@@ -21,7 +21,7 @@ import gc
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -32,17 +32,6 @@ from .svg_out import RenderConfig, render_pars
 from .xml_out import emit_dtd, emit_pars
 
 DTD_FILENAME = "tabulatura.dtd"
-
-
-@dataclass
-class RunOptions:
-    input_path: str
-    xml_out_dir: str | None = None
-    svg_out_dir: str | None = None
-    emit_dtd: bool = False
-    pars_filter: str | None = None
-    check_only: bool = False
-    render_config: RenderConfig = field(default_factory=RenderConfig)
 
 
 def _positive_float(text: str) -> float:
@@ -102,18 +91,30 @@ def _write_atomic(path: Path, data: str) -> None:
         raise
 
 
-def run(options: RunOptions) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Compile ``args.input`` and write what the parsed flags ask for."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(options)
+        return _run(args)
     finally:
         if enabled:
             gc.enable()
 
 
-def _run(options: RunOptions) -> int:
-    path = options.input_path
+def _render_config(args: argparse.Namespace) -> RenderConfig:
+    geometry = {
+        "column_spacing": args.col_spacing,
+        "row_spacing": args.row_spacing,
+        "stem_height": args.stem_height,
+        "font_size": args.font_size,
+        "margin": args.margin,
+    }
+    return replace(RenderConfig(), **{k: v for k, v in geometry.items() if v is not None})
+
+
+def _run(args: argparse.Namespace) -> int:
+    path = args.input
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -130,12 +131,12 @@ def _run(options: RunOptions) -> int:
         print(f"{path}: warning: {warning}", file=sys.stderr)
 
     partes = score.partes
-    if options.pars_filter is not None:
-        partes = [p for p in partes if p.name == options.pars_filter]
+    if args.pars is not None:
+        partes = [p for p in partes if p.name == args.pars]
         if not partes:
             available = ", ".join(p.name for p in score.partes) or "none"
             print(
-                f"{path}: error: no PARS named '{options.pars_filter}' "
+                f"{path}: error: no PARS named '{args.pars}' "
                 f"(available: {available})",
                 file=sys.stderr,
             )
@@ -144,32 +145,37 @@ def _run(options: RunOptions) -> int:
     stem = Path(path).stem
     try:
         documents = [(pars, emit_pars(pars)) for pars in partes]
-        graphics = (
-            [(pars, render_pars(pars, options.render_config)) for pars in partes]
-            if options.svg_out_dir is not None and not options.check_only
-            else []
-        )
+        graphics = []
+        if args.svg is not None and not args.check:
+            config = _render_config(args)
+            graphics = [(pars, render_pars(pars, config)) for pars in partes]
     except CompileError as err:
         print(format_diagnostic(err, path), file=sys.stderr)
         return 1
 
-    if options.check_only:
+    if args.check:
         return 0
 
-    if options.xml_out_dir is not None:
-        out = Path(options.xml_out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for pars, doc in documents:
-            _write_atomic(out / f"{stem}.{pars.name}.xml", doc)
-    if options.svg_out_dir is not None:
-        out = Path(options.svg_out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for pars, svg in graphics:
-            _write_atomic(out / f"{stem}.{pars.name}.svg", svg)
-    if options.emit_dtd:
-        out = Path(options.xml_out_dir) if options.xml_out_dir is not None else Path(".")
-        out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out / DTD_FILENAME, emit_dtd())
+    outputs = []  # (directory as given, [(file name, text)])
+    if args.xml is not None:
+        outputs.append((args.xml, [(f"{stem}.{pars.name}.xml", doc) for pars, doc in documents]))
+    if args.svg is not None:
+        outputs.append((args.svg, [(f"{stem}.{pars.name}.svg", svg) for pars, svg in graphics]))
+    if args.dtd:
+        outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
+    for directory, files in outputs:
+        target = out = Path(directory)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, data in files:
+                target = out / name
+                _write_atomic(target, data)
+        except OSError as err:
+            print(
+                f"{directory}: error: cannot write {target}: {err.strerror or err}",
+                file=sys.stderr,
+            )
+            return 2
     return 0
 
 
@@ -178,25 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.xml or args.svg or args.dtd or args.check):
         parser.error("nothing to do: pass at least one of --xml, --svg, --dtd, --check")
-
-    geometry = {
-        "column_spacing": args.col_spacing,
-        "row_spacing": args.row_spacing,
-        "stem_height": args.stem_height,
-        "font_size": args.font_size,
-        "margin": args.margin,
-    }
-    config = replace(RenderConfig(), **{k: v for k, v in geometry.items() if v is not None})
-    options = RunOptions(
-        input_path=args.input,
-        xml_out_dir=args.xml,
-        svg_out_dir=args.svg,
-        emit_dtd=args.dtd,
-        pars_filter=args.pars,
-        check_only=args.check,
-        render_config=config,
-    )
-    return run(options)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -10,13 +10,12 @@ system boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CompileError, ModelError, ParseError
 from .prelude import (
     GripTable,
     Parameters,
-    SymbolMap,
     apply_assignment,
     build_symbol_map,
     lookup_grip,
@@ -24,9 +23,9 @@ from .prelude import (
     MAX_POSITION,
     TABLE_PARAM,
 )
-from .scanner import LineKind, SourceLine
+from .scanner import LineKind, SourceLine, Token
 from .tempus import DurationToken, parse_tempus_line, validate_beams
-from .vox import Annotation, GripToken, parse_param_track, parse_vox_line
+from .vox import EDIT_TRACK, PROLONGATE_SUFFIX, Annotation, parse_param_track, parse_vox_line
 
 TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
@@ -91,13 +90,15 @@ def assign_trabes(token: DurationToken) -> str | None:
 
 def build_system(
     tempus_tokens: list[DurationToken],
-    voices: list[tuple[str, list[GripToken], list[Annotation], SourceLine]],
-    symbol_map: SymbolMap,
+    voices: list[tuple[str, list[Token], list[Annotation], SourceLine]],
+    symbol_map: dict[str, tuple[int, int]],
+    table_name: str,
 ) -> list[Columna]:
     """Assemble one system's columns from its duration and voice tokens.
 
-    Grips attach to the duration token sharing their start column; voice
-    order gives the vertical position (the T line is row 0).
+    Each grip token becomes a ``Sonum`` attached to the duration token
+    sharing its start column; voice order gives the vertical position (the
+    T line is row 0).
     """
     if len(voices) > MAX_POSITION:
         over = voices[MAX_POSITION]
@@ -112,17 +113,19 @@ def build_system(
         ypos = voice_index + 1
         by_column: dict[int, Sonum] = {}
         for grip in grips:
+            prolongate = grip.text.endswith(PROLONGATE_SUFFIX)
+            symbol = grip.text[:-1] if prolongate else grip.text
             if grip.start_column not in sona_by_column:
                 raise ModelError(
-                    f"grip '{grip.symbol}' in voice '{voice_name}' does not start "
+                    f"grip '{symbol}' in voice '{voice_name}' does not start "
                     "under any duration symbol of its system",
                     line=grip.line_number,
                     column=grip.start_column,
                 )
             string_index, fret = lookup_grip(
-                symbol_map, grip.symbol, grip.line_number, grip.start_column
+                symbol_map, table_name, symbol, grip.line_number, grip.start_column
             )
-            sonum = Sonum(grip.symbol, string_index, fret, grip.prolongate, ypos)
+            sonum = Sonum(symbol, string_index, fret, prolongate, ypos)
             sona_by_column[grip.start_column].append(sonum)
             by_column[grip.start_column] = sonum
         for ann in annotations:
@@ -159,16 +162,15 @@ def build_system(
     return columns
 
 
-def compute_summa(columns: list[Columna]) -> list[Columna]:
+def compute_summa(columns: list[Columna]) -> None:
     """Assign each column the sum of all preceding durations, in ticks."""
     total = 0
     for col in columns:
         col.summa_praecedentium = total
         total += col.duration.value
-    return columns
 
 
-def assign_duration_ypos(columns: list[Columna], params: Parameters) -> list[Columna]:
+def assign_duration_ypos(columns: list[Columna], params: Parameters) -> None:
     """Place duration symbols vertically.
 
     By default they sit on the top row (0). With ``duratioCadens = est``
@@ -180,7 +182,6 @@ def assign_duration_ypos(columns: list[Columna], params: Parameters) -> list[Col
             col.duration_ypos = max(min(s.ypos for s in col.sona) - 1, 0)
         else:
             col.duration_ypos = 0
-    return columns
 
 
 def build_score(lines: list[SourceLine]) -> ScoreModel:
@@ -248,7 +249,7 @@ def _build_score(lines: list[SourceLine]) -> ScoreModel:
         seen_names[name] = header.line_number
         i += 1
 
-        pars_params = file_params.copy()
+        pars_params = replace(file_params)
         systems: list[_System] = []
         while i < n and lines[i].kind is not LineKind.PARS_HEADER:
             line = lines[i]
@@ -323,12 +324,17 @@ def _build_pars(
             voice_name, grips = parse_vox_line(vox_line)
             annotations: list[Annotation] = []
             for track_line in track_lines:
-                _, track_annotations = parse_param_track(track_line)
+                track, track_annotations = parse_param_track(track_line)
+                if track != EDIT_TRACK:
+                    warnings.append(
+                        f"unrecognized parameter track '{track}' at line "
+                        f"{track_line.line_number} (not emitted)"
+                    )
                 annotations.extend(track_annotations)
             voices.append((voice_name, grips, annotations, vox_line))
         start = len(columns)
         validate_beams(tokens)
-        columns.extend(build_system(tokens, voices, symbol_map))
+        columns.extend(build_system(tokens, voices, symbol_map, table.name))
         system_ranges.append((start, len(columns)))
 
     for numerus, col in enumerate(columns):

@@ -9,12 +9,14 @@ text, not of this program: a table assignment like
 
 defines one symbol per cell; row index is the string, column index the
 fret (column 0 holds the open-string digits). A PARS selects its table
-with a ``bünde`` assignment.
+with a ``bünde`` assignment, and ``build_symbol_map`` turns the table
+into a plain ``{symbol: (string, fret)}`` dict. An unrecognized parameter
+only warns; its value is not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelError, ParseError
 from .scanner import LineKind, SourceLine, Token
@@ -33,12 +35,6 @@ class Parameters:
     duratio_manet: bool = False
     duratio_cadens: bool = False
     table_name: str | None = None
-    extra: dict[str, str] = field(default_factory=dict)
-
-    def copy(self) -> "Parameters":
-        return Parameters(
-            self.duratio_manet, self.duratio_cadens, self.table_name, dict(self.extra)
-        )
 
 
 @dataclass
@@ -54,12 +50,6 @@ class GripTable:
     name: str
     rows: list[list[str]]
     line_number: int
-
-
-@dataclass
-class SymbolMap:
-    table_name: str
-    entries: dict[str, tuple[int, int]]  # symbol -> (string, fret)
 
 
 def parse_assignment(
@@ -265,13 +255,12 @@ def apply_assignment(
     elif item.name == TABLE_PARAM:
         params.table_name = item.value
     else:
-        params.extra[item.name] = item.value
         warnings.append(
             f"unrecognized parameter '{item.name}' at line {item.line_number} (kept as-is)"
         )
 
 
-def build_symbol_map(table: GripTable) -> SymbolMap:
+def build_symbol_map(table: GripTable) -> dict[str, tuple[int, int]]:
     """Turn table coordinates into the symbol -> (string, fret) map."""
     entries: dict[str, tuple[int, int]] = {}
     for string_index, row in enumerate(table.rows):
@@ -290,20 +279,21 @@ def build_symbol_map(table: GripTable) -> SymbolMap:
                     line=table.line_number,
                 )
             entries[symbol] = (string_index, fret)
-    return SymbolMap(table.name, entries)
+    return entries
 
 
 def lookup_grip(
-    symbol_map: SymbolMap,
+    symbol_map: dict[str, tuple[int, int]],
+    table_name: str,
     symbol: str,
     line: int | None = None,
     column: int | None = None,
 ) -> tuple[int, int]:
     try:
-        return symbol_map.entries[symbol]
+        return symbol_map[symbol]
     except KeyError:
         raise ModelError(
-            f"unknown grip symbol '{symbol}' (not in table '{symbol_map.table_name}')",
+            f"unknown grip symbol '{symbol}' (not in table '{table_name}')",
             line=line,
             column=column,
         ) from None

@@ -5,12 +5,17 @@ columns carries the meaning, so the scanner's one hard job is to preserve
 exact 0-based start columns (counted in Unicode scalars). TAB characters
 are rejected outright because their expansion width is ambiguous and a
 silently shifted column would corrupt the score.
+
+Each line is lexed once: ``tokenize_columns`` splits it, and
+``classify_line`` decides its kind from those tokens, so a quoted token
+is one token whatever it contains (an ``=`` inside quotes makes no
+assignment). ``//`` starts a comment everywhere, inside quotes too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,15 +44,7 @@ class SourceLine:
     text: str  # comment-stripped
     raw: str  # as read, for diagnostics
     kind: LineKind
-    tokens: list[Token] = field(default_factory=list)
-
-
-@dataclass
-class ScannerState:
-    """Carries the little context classification needs between lines."""
-
-    paren_depth: int = 0
-    prev_kind: LineKind = LineKind.BLANK
+    tokens: list[Token]
 
 
 def strip_comments(raw_line: str) -> str:
@@ -85,43 +82,42 @@ def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) ->
     return tokens
 
 
-def classify_line(text: str, state: ScannerState, line_number: int, raw: str) -> LineKind:
-    """Decide a comment-stripped line's kind, given the scanner state.
+def classify_line(
+    tokens: list[Token], paren_depth: int, prev_kind: LineKind, raw: str
+) -> LineKind:
+    """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
 
-    Deterministic in (text, state): open parenthesis groups turn any line
-    into a table continuation; otherwise the first token decides; a lone
-    identifier starts an assignment whose ``= value`` follows on the next
-    line; an indented identifier line directly below a voice line is a
-    parameter track. An unclassifiable line is reported at ``line_number``
+    Open parenthesis groups turn any line into a table continuation;
+    otherwise the first token decides; an unquoted ``=`` makes an
+    assignment; a lone identifier starts an assignment whose ``= value``
+    follows on the next line; an indented identifier line directly below
+    a voice line is a parameter track. An unclassifiable line is reported
     with the ``raw`` line as read.
     """
-    parts = text.split()
-    if not parts:
+    if not tokens:
         return LineKind.BLANK
-    if state.paren_depth > 0:
+    if paren_depth > 0:
         return LineKind.TABLE_CONTINUATION
-    first = parts[0]
+    head = tokens[0]
+    first = head.text
     if first == "PARS":
         return LineKind.PARS_HEADER
     if first == "T":
         return LineKind.TEMPUS
     if first == "VOX":
         return LineKind.VOX
-    if "=" in parts or "=" in first:
+    if (first[0] != '"' and "=" in first) or any(t.text == "=" for t in tokens):
         return LineKind.ASSIGNMENT
-    if (
-        state.prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK)
-        and text[0].isspace()
-        and first.isidentifier()
-    ):
-        return LineKind.PARAM_TRACK
-    if len(parts) == 1 and first.isidentifier():
-        # Bare name; the prelude expects "= value" on a following line.
-        return LineKind.ASSIGNMENT
+    if first.isidentifier():
+        if prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and head.start_column > 0:
+            return LineKind.PARAM_TRACK
+        if len(tokens) == 1:
+            # Bare name; the prelude expects "= value" on a following line.
+            return LineKind.ASSIGNMENT
     raise ScanError(
         f"cannot classify line starting with {first!r}",
-        line=line_number,
-        column=len(text) - len(text.lstrip()),
+        line=head.line_number,
+        column=head.start_column,
         source_line=raw,
     )
 
@@ -132,7 +128,8 @@ def scan_text(text: str) -> list[SourceLine]:
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
 
-    state = ScannerState()
+    paren_depth = 0
+    kind = LineKind.BLANK
     lines: list[SourceLine] = []
     for idx, raw in enumerate(raw_lines, start=1):
         if raw.endswith("\r"):
@@ -146,17 +143,16 @@ def scan_text(text: str) -> list[SourceLine]:
                 source_line=raw,
             )
         stripped = strip_comments(raw)
-        kind = classify_line(stripped, state, idx, raw)
-        tokens = [] if kind is LineKind.BLANK else tokenize_columns(stripped, idx, raw)
+        tokens = tokenize_columns(stripped, idx, raw)
+        kind = classify_line(tokens, paren_depth, kind, raw)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
-            state.paren_depth += stripped.count("(") - stripped.count(")")
-            if state.paren_depth < 0:
+            paren_depth += stripped.count("(") - stripped.count(")")
+            if paren_depth < 0:
                 raise ScanError(
                     "unmatched ')'",
                     line=idx,
                     column=stripped.rfind(")"),
                     source_line=raw,
                 )
-        state.prev_kind = kind
         lines.append(SourceLine(idx, stripped, raw, kind, tokens))
     return lines

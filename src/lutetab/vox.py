@@ -9,7 +9,13 @@ editorial remarks:
         edit              "hardly readable, could be a '1'"!
 
 Track payloads are quoted and attach to the event of the preceding voice
-line that starts in the same column.
+line that starts in the same column. A payload may hold any text but a
+double quote or ``//``, which starts a comment even inside quotes. Only
+the ``edit`` track is emitted; the model warns about any other.
+
+A grip stays the scanner's ``Token``: ``parse_vox_line`` only checks the
+``+`` suffix, and ``model.build_system`` turns each token into its
+``Sonum``.
 """
 
 from __future__ import annotations
@@ -17,18 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .scanner import SourceLine
+from .scanner import SourceLine, Token
 
 PROLONGATE_SUFFIX = "+"
-
-
-@dataclass(slots=True)
-class GripToken:
-    symbol: str  # suffix stripped
-    prolongate: bool
-    start_column: int
-    line_number: int
-    voice_name: str
+EDIT_TRACK = "edit"
 
 
 @dataclass(slots=True)
@@ -39,7 +37,8 @@ class Annotation:
     line_number: int
 
 
-def parse_vox_line(line: SourceLine) -> tuple[str, list[GripToken]]:
+def parse_vox_line(line: SourceLine) -> tuple[str, list[Token]]:
+    """Return the voice name and its grip tokens, whose ``+`` suffix is checked."""
     assert line.tokens and line.tokens[0].text == "VOX"
     if len(line.tokens) < 2:
         raise ParseError(
@@ -47,12 +46,9 @@ def parse_vox_line(line: SourceLine) -> tuple[str, list[GripToken]]:
             line=line.line_number,
             column=line.tokens[0].start_column + len("VOX"),
         )
-    voice_name = line.tokens[1].text
-    grips: list[GripToken] = []
-    for tok in line.tokens[2:]:
-        text = tok.text
-        prolongate = text.endswith(PROLONGATE_SUFFIX)
-        symbol = text[:-1] if prolongate else text
+    grips = line.tokens[2:]
+    for tok in grips:
+        symbol = tok.text.removesuffix(PROLONGATE_SUFFIX)
         if not symbol:
             raise ParseError(
                 "bare '+' is not a grip (the marker suffixes a symbol)",
@@ -61,14 +57,11 @@ def parse_vox_line(line: SourceLine) -> tuple[str, list[GripToken]]:
             )
         if PROLONGATE_SUFFIX in symbol:
             raise ParseError(
-                f"misplaced '+' in grip token '{text}' (only one, at the end)",
+                f"misplaced '+' in grip token '{tok.text}' (only one, at the end)",
                 line=tok.line_number,
                 column=tok.start_column,
             )
-        grips.append(
-            GripToken(symbol, prolongate, tok.start_column, tok.line_number, voice_name)
-        )
-    return voice_name, grips
+    return line.tokens[1].text, grips
 
 
 def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:

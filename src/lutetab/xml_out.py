@@ -13,6 +13,12 @@ no check. Only the text attributes (``source``, ``trabes``, ``edit``) are
 escaped, through a per-document memo, since grip and duration spellings
 repeat.
 
+The model owns every position bound: ``build_score`` rejects more than
+``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
+below the voice count, so no compiled model reaches ``EmitError``.
+``_check_position`` stays deliberately as the library's guard for models
+built or changed by hand.
+
 The document type mixes graphical and temporal properties (ypos next to
 exact time positions) and is meant as an intermediate model for
 further transformation, not as an edition format. The ``edit`` attribute
@@ -28,13 +34,13 @@ from .errors import EmitError
 from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel
 from .prelude import MAX_POSITION
 from .tempus import TICKS_PER_WHOLE
+from .vox import EDIT_TRACK
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
 
 # _DENOMINATOR[t % TICKS_PER_WHOLE] is the reduced denominator of t/TICKS_PER_WHOLE.
 _DENOMINATOR = tuple(TICKS_PER_WHOLE // gcd(t, TICKS_PER_WHOLE) for t in range(TICKS_PER_WHOLE))
 _LEGAL_DENOMINATORS = tuple(sorted(set(_DENOMINATOR)))
-_EDIT_TRACK = "edit"
 
 # The DTD's enumerations, each built from the one constant that owns it;
 # only the fingering letters are known nowhere else.
@@ -123,7 +129,7 @@ def emit_pars(pars: ParsModel) -> str:
             string = _check_position(sonum.string, "string", col)
             prolongate = " prolongate='yes'" if sonum.prolongate else ""
             ypos = _check_position(sonum.ypos, "grip ypos", col)
-            edits = [a.text for a in sonum.annotations if a.track == _EDIT_TRACK]
+            edits = [a.text for a in sonum.annotations if a.track == EDIT_TRACK]
             edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
             append(
                 f"    <sonum source='{esc[sonum.source]}' fret='{fret}' string='{string}'"

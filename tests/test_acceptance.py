@@ -291,23 +291,23 @@ def test_criterion_06_grip_table(newsidler_text):
                 i += 1
         assert table is not None
         symbol_map = build_symbol_map(table)
-        assert len(symbol_map.entries) == 35
+        assert len(symbol_map) == 35
         for row_index, row in enumerate(table.rows):
             for col_index, symbol in enumerate(row):
-                assert symbol_map.entries[symbol] == (row_index, col_index)
+                assert symbol_map[symbol] == (row_index, col_index)
 
         rng = random.Random(0x9219)
         alphabet = "abcdefghijklmnopqrstuvwxyz0123456789&C"
         tried = 0
         while tried < 20:
             probe = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
-            if probe in symbol_map.entries:
+            if probe in symbol_map:
                 continue
             tried += 1
             with pytest.raises(ModelError):
                 from lutetab.prelude import lookup_grip
 
-                lookup_grip(symbol_map, probe)
+                lookup_grip(symbol_map, table.name, probe)
 
 
 # --- 7: semantic XML round trip ----------------------------------------------

@@ -206,15 +206,48 @@ def test_close_and_reopen_beam_marker_diagnostic(tmp_path, capsys):
     )
 
 
-def test_failed_rename_leaves_no_temp_file(newsidler_file, tmp_path, monkeypatch):
+def test_failed_rename_leaves_no_temp_file(newsidler_file, tmp_path, monkeypatch, capsys):
     def refuse(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr("lutetab.cli.os.replace", refuse)
     out = tmp_path / "xml"
-    with pytest.raises(OSError, match="rename refused"):
-        main([str(newsidler_file), "--xml", str(out)])
+    assert main([str(newsidler_file), "--xml", str(out)]) == 2
     assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == (
+        f"{out}: error: cannot write {out / 'newsidler.sola.xml'}: rename refused\n"
+    )
+
+
+@pytest.mark.parametrize("subdir", ["", "sub"], ids=["dir-is-file", "parent-is-file"])
+def test_unwritable_output_directory_exits_2(newsidler_file, tmp_path, capsys, subdir):
+    blocker = tmp_path / "notadir"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / subdir if subdir else blocker
+    strerror = "Not a directory" if subdir else "File exists"
+    assert main([str(newsidler_file), "--xml", str(out), "--dtd"]) == 2
+    assert capsys.readouterr().err == f"{out}: error: cannot write {out}: {strerror}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_non_edit_track_warns(tmp_path, capsys):
+    path = tmp_path / "tracks.tab"
+    path.write_text(
+        "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT       I  I\nVOX v   a  f\n"
+        '    edit   "x"\n    fg     "p"\n    fg\n',
+        encoding="utf-8",
+    )
+    assert main([str(path), "--check"]) == 0
+    assert capsys.readouterr().err == (
+        f"{path}: warning: unrecognized parameter track 'fg' at line 7 (not emitted)\n"
+        f"{path}: warning: unrecognized parameter track 'fg' at line 8 (not emitted)\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["newsidler", "schlick"])
+def test_fixtures_warn_nothing(name, capsys):
+    assert main([str(FIXTURES / f"{name}.tab"), "--check"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_misaligned_annotation_diagnostic(tmp_path, capsys):
@@ -281,8 +314,7 @@ def test_gc_restored_after_failed_write(newsidler_file, tmp_path, gc_before, mon
         raise OSError("rename refused")
 
     monkeypatch.setattr("lutetab.cli.os.replace", refuse)
-    with pytest.raises(OSError, match="rename refused"):
-        main([str(newsidler_file), "--xml", str(tmp_path / "xml")])
+    assert main([str(newsidler_file), "--xml", str(tmp_path / "xml")]) == 2
     assert gc.isenabled() is gc_before
 
 

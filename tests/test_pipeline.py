@@ -1,12 +1,14 @@
-"""Whole-pipeline property: mutated sources compile, emit, render and
-validate, or fail with a located ``CompileError`` whose excerpt is the
-line it names."""
+"""Whole-pipeline properties: mutated sources compile, emit, render and
+validate, or fail to compile with a located ``CompileError`` whose excerpt
+is the line it names; and the model owns every emitted bound, so
+``emit_pars`` never raises on a compiled model."""
 
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from lutetab import CompileError, RenderConfig, compile_source, emit_dtd, emit_pars, render_pars
+from lutetab.prelude import MAX_POSITION
 
 import dtd_validator
 import helpers
@@ -31,15 +33,52 @@ def _line(text: str, number: int) -> str:
 # an annotation moved one column left of its grip
 @example("newsidler", [("delete", _EDIT_QUOTE - 1, " ")])
 def test_mutated_sources_validate_or_fail_located(name, mutations):
-    text = helpers.mutate(SOURCES[name], mutations)
+    partes = _compile_or_locate(helpers.mutate(SOURCES[name], mutations))
+    for pars in partes:
+        assert dtd_validator.validate(emit_pars(pars), DTD) == []
+        render_pars(pars, RenderConfig())
+
+
+def _compile_or_locate(text: str) -> list:
+    """The compiled PARS, or none after checking that the error is located."""
     try:
-        partes = compile_source(text).partes
-        documents = [emit_pars(pars) for pars in partes]
-        for pars in partes:
-            render_pars(pars, RenderConfig())
+        return compile_source(text).partes
     except CompileError as err:
         assert err.line is not None, err.message
         assert err.source_line == _line(text, err.line), err.message
-        return
-    for document in documents:
-        assert dtd_validator.validate(document, DTD) == []
+        return []
+
+
+@st.composite
+def _edge_sources(draw) -> str:
+    """Sources at the position bounds: up to 14x14 tables and 13 voices."""
+    rows, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    symbols = [[f"{chr(ord('a') + r)}{c}" for c in range(width)] for r in range(rows)]
+    table = " ".join(f"({' '.join(row)})" for row in symbols)
+    n_columns = draw(st.integers(1, 3))
+    cell = st.one_of(st.none(), st.sampled_from([s for row in symbols for s in row]))
+    voices = []
+    for _ in range(draw(st.integers(1, MAX_POSITION + 1))):
+        grips = draw(st.lists(cell, min_size=n_columns, max_size=n_columns))
+        voices.append({j: symbol for j, symbol in enumerate(grips) if symbol})
+    cadens = draw(st.sampled_from(["est", "nonEst"]))
+    lines = helpers.system_lines(["I"] * n_columns, *voices, names="abcdefghijklm")
+    head = f"tbl = ( {table} )\nduratioCadens = {cadens}\nPARS p\nbünde = tbl\n"
+    return head + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS).map(
+        lambda case: helpers.mutate(SOURCES[case[0]], case[1])
+    ),
+    _edge_sources(),
+))
+def test_compiled_models_hold_every_emit_bound(text):
+    for pars in _compile_or_locate(text):
+        for col in pars.columns:
+            positions = [col.duration_ypos]
+            for sonum in col.sona:
+                positions += [sonum.string, sonum.fret, sonum.ypos]
+            assert all(0 <= p <= MAX_POSITION for p in positions)
+        emit_pars(pars)

@@ -60,8 +60,8 @@ def test_bool_param_rejects_other_values():
 
 def test_unrecognized_parameter_warns_and_keeps():
     params, _, warnings = apply_source("tonus = d\n")
-    assert params.extra == {"tonus": "d"}
-    assert len(warnings) == 1 and "tonus" in warnings[0]
+    assert params == Parameters()
+    assert warnings == ["unrecognized parameter 'tonus' at line 1 (kept as-is)"]
 
 
 def test_table_selection():
@@ -121,29 +121,29 @@ def test_last_assignment_wins():
 def test_symbol_map_coordinates():
     table, _ = parse_first(STANDARD_TABLE)
     symbol_map = build_symbol_map(table)
-    assert len(symbol_map.entries) == 35
-    assert lookup_grip(symbol_map, "f") == (0, 2)
-    assert lookup_grip(symbol_map, "e") == (4, 1)
-    assert lookup_grip(symbol_map, "3") == (2, 0)
-    assert lookup_grip(symbol_map, "aa") == (0, 6)
-    assert lookup_grip(symbol_map, "&") == (3, 5)
-    assert lookup_grip(symbol_map, "t") == (3, 4)
+    assert len(symbol_map) == 35
+    assert symbol_map["f"] == (0, 2)
+    assert symbol_map["e"] == (4, 1)
+    assert symbol_map["3"] == (2, 0)
+    assert symbol_map["aa"] == (0, 6)
+    assert symbol_map["&"] == (3, 5)
+    assert symbol_map["t"] == (3, 4)
 
 
 def test_symbol_map_matches_every_cell():
     table, _ = parse_first(STANDARD_TABLE)
     symbol_map = build_symbol_map(table)
-    assert len(symbol_map.entries) == sum(len(row) for row in table.rows)
+    assert len(symbol_map) == sum(len(row) for row in table.rows)
     for i, row in enumerate(table.rows):
         for j, symbol in enumerate(row):
-            assert lookup_grip(symbol_map, symbol) == (i, j)
+            assert lookup_grip(symbol_map, table.name, symbol) == (i, j)
 
 
 def test_lookup_unknown_symbol():
     table, _ = parse_first(STANDARD_TABLE)
     symbol_map = build_symbol_map(table)
     with pytest.raises(ModelError) as exc:
-        lookup_grip(symbol_map, "zz", line=7, column=3)
+        lookup_grip(symbol_map, table.name, "zz", line=7, column=3)
     assert "zz" in exc.value.message
     assert "Standard_1531_Newsidler_etAlii" in exc.value.message
     assert (exc.value.line, exc.value.column) == (7, 3)

@@ -1,10 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import xml.etree.ElementTree as ET
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from lutetab import compile_source, emit_pars
 from lutetab.errors import ScanError
 from lutetab.scanner import (
     LineKind,
-    ScannerState,
     classify_line,
     scan_text,
     strip_comments,
@@ -78,30 +80,54 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(text, ScannerState(), 1, text) is kind
+    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, text) is kind
+
+
+def classify(line: str, paren_depth: int = 0, prev_kind: LineKind = LineKind.BLANK):
+    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, line)
 
 
 def test_classify_param_track_needs_preceding_vox():
-    after_vox = ScannerState(prev_kind=LineKind.VOX)
     line = '    edit  "x"! \\\\'
-    assert classify_line(line, after_vox, 2, line) is LineKind.PARAM_TRACK
+    assert classify(line, prev_kind=LineKind.VOX) is LineKind.PARAM_TRACK
     # a second track line may follow the first
-    after_track = ScannerState(prev_kind=LineKind.PARAM_TRACK)
-    line = '    fing  "y"'
-    assert classify_line(line, after_track, 3, line) is LineKind.PARAM_TRACK
+    assert classify('    fing  "y"', prev_kind=LineKind.PARAM_TRACK) is LineKind.PARAM_TRACK
+    with pytest.raises(ScanError, match="cannot classify"):
+        classify(line)
 
 
 def test_classify_table_continuation():
-    inside = ScannerState(paren_depth=1)
     line = "       (2 b  g  m  r  y  bb)"
-    assert classify_line(line, inside, 2, line) is LineKind.TABLE_CONTINUATION
+    assert classify(line, paren_depth=1) is LineKind.TABLE_CONTINUATION
 
 
 def test_classify_rejects_unknown_shape():
     raw = "  what is this // a comment"
     with pytest.raises(ScanError) as exc:
-        classify_line(strip_comments(raw), ScannerState(), 7, raw)
+        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK, raw)
     assert (exc.value.line, exc.value.column, exc.value.source_line) == (7, 2, raw)
+
+
+@pytest.mark.parametrize("payload", ['"a = f?"', '"="', '"x=y"!', '"a" "b = c"'])
+def test_classify_quoted_equals_is_no_assignment(payload):
+    line = f"    edit  {payload}"
+    assert classify(line, prev_kind=LineKind.VOX) is LineKind.PARAM_TRACK
+
+
+def test_classify_names_whole_quoted_first_token():
+    raw = '  "a = b" c'
+    with pytest.raises(ScanError) as exc:
+        classify(raw)
+    assert exc.value.message == "cannot classify line starting with '\"a = b\"'"
+    assert (exc.value.line, exc.value.column, exc.value.source_line) == (2, 2, raw)
+
+
+def test_scan_reports_unterminated_quote_at_its_column():
+    # lexed before it is classified: the quote, not the line, is the error
+    with pytest.raises(ScanError) as exc:
+        scan_text('PARS a\nfoo "bar\n')
+    assert exc.value.message == "unterminated quote"
+    assert (exc.value.line, exc.value.column, exc.value.source_line) == (2, 4, 'foo "bar')
 
 
 def test_scan_rejects_tabs():
@@ -202,3 +228,26 @@ def test_tokenize_matches_character_loop(text):
         return
     got = tokenize_columns(text, 5)
     assert [(t.text, t.start_column, t.line_number) for t in got] == expected
+
+
+# Quote-free annotation text that survives an XML attribute round trip:
+# no control characters, and no "//", which starts a comment even inside
+# quotes.
+_ANNOTATION_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=("Cc", "Cs"), exclude_characters='"')),
+    st.from_regex(r"[A-Za-z_]\w* *= *[^\"\x00-\x1f/]*", fullmatch=True),
+).filter(lambda s: "//" not in s)
+
+
+@given(_ANNOTATION_TEXT)
+@example("=")
+@example("a = f?")
+@example("duratioManet = est")
+def test_quoted_edit_text_compiles_verbatim(text):
+    source = (
+        "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT         I\nVOX v     a\n"
+        f'    edit  "{text}"\n'
+    )
+    (pars,) = compile_source(source).partes
+    (sonum,) = ET.fromstring(emit_pars(pars)).iter("sonum")
+    assert sonum.get("edit") == text

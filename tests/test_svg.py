@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from lutetab.prelude import Parameters
 import helpers
 
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def texts(svg: str) -> list[ET.Element]:
@@ -18,6 +20,12 @@ def texts(svg: str) -> list[ET.Element]:
 @pytest.fixture(scope="module")
 def newsidler_svg(newsidler_score):
     return render_pars(newsidler_score.partes[0])
+
+
+def test_graphics_match_golden_files(newsidler_svg, schlick_score):
+    schlick_svg = render_pars(schlick_score.partes[0])
+    for name, svg in (("newsidler", newsidler_svg), ("schlick", schlick_svg)):
+        assert svg.encode("utf-8") == (FIXTURES / f"{name}.svg").read_bytes()
 
 
 def test_well_formed_with_namespace(newsidler_svg, schlick_score):

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lutetab import compile_source
 from lutetab.errors import ParseError
-from lutetab.scanner import LineKind, SourceLine, scan_text, tokenize_columns
+from lutetab.scanner import LineKind, SourceLine, Token, scan_text, tokenize_columns
 from lutetab.vox import parse_param_track, parse_vox_line
+
+import helpers
 
 
 def vox_line(text: str) -> SourceLine:
@@ -17,30 +20,30 @@ def track_line(text: str) -> SourceLine:
     return SourceLine(1, text, text, LineKind.PARAM_TRACK, tokens)
 
 
+def voice_sona(*grips: str) -> list[tuple[str, bool]]:
+    """Compile one voice holding ``grips`` and return each Sonum's (source, prolongate)."""
+    cells = " ".join(sorted({g.removesuffix("+") for g in grips}))
+    head = f"tbl = ( ({cells}) )\nPARS p\nbünde = tbl\n"
+    lines = helpers.system_lines(["I"] * len(grips), dict(enumerate(grips)))
+    (pars,) = compile_source(head + "\n".join(lines) + "\n").partes
+    return [(sonum.source, sonum.prolongate) for col in pars.columns for sonum in col.sona]
+
+
 def test_parse_vox_basic():
-    name, grips = parse_vox_line(vox_line("VOX v2  f f f e"))
+    line = vox_line("VOX v2  f f f e+")
+    name, grips = parse_vox_line(line)
     assert name == "v2"
-    assert [(g.symbol, g.start_column) for g in grips] == [
-        ("f", 8),
-        ("f", 10),
-        ("f", 12),
-        ("e", 14),
-    ]
-    assert not any(g.prolongate for g in grips)
+    # the grips are the scanner's own tokens, suffix and all
+    assert grips == line.tokens[2:]
+    assert grips == [Token("f", 8, 1), Token("f", 10, 1), Token("f", 12, 1), Token("e+", 14, 1)]
 
 
 def test_parse_vox_prolongate():
-    _, grips = parse_vox_line(vox_line("VOX v1  & 4 4+"))
-    assert [(g.symbol, g.prolongate) for g in grips] == [
-        ("&", False),
-        ("4", False),
-        ("4", True),
-    ]
+    assert voice_sona("&", "4", "4+") == [("&", False), ("4", False), ("4", True)]
 
 
 def test_parse_vox_prolongate_letter():
-    _, grips = parse_vox_line(vox_line("VOX v1 n+"))
-    assert grips[0].symbol == "n" and grips[0].prolongate
+    assert voice_sona("n+") == [("n", True)]
 
 
 def test_vox_missing_name():
@@ -64,8 +67,8 @@ def test_internal_plus_rejected():
 )
 def test_suffix_stripping_is_reversible(symbol, prolongate):
     text = symbol + ("+" if prolongate else "")
-    _, (grip,) = parse_vox_line(vox_line(f"VOX v {text}"))
-    assert grip.symbol + ("+" if grip.prolongate else "") == text
+    ((source, prolongated),) = voice_sona(text)
+    assert source + ("+" if prolongated else "") == text
 
 
 def test_param_track_fig_line():
