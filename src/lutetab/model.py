@@ -6,6 +6,12 @@ the same column as a duration symbol of its system, and every column must
 hold at least one grip. Temporal positions are integer ticks of 1/64 whole
 note, the exact sums of all preceding durations, and do not reset at
 system boundaries.
+
+``build_score`` walks the scanned lines once, by their scanner kinds. An
+assignment sets the file's parameters before the first ``PARS`` header and
+the current PARS's after it; each PARS starts from a copy of the file's.
+A PARS is built from its final parameters, so an assignment below its
+first system applies to all its systems and to no other PARS.
 """
 
 from __future__ import annotations
@@ -76,29 +82,23 @@ class _System:
     voices: list[tuple[SourceLine, list[SourceLine]]] = field(default_factory=list)
 
 
-def assign_trabes(token: DurationToken) -> str | None:
-    """Map beam markers to the single-valued output attribute.
-
-    ``validate_beams`` has already rejected a stem that carries both.
-    """
-    if token.beam_begin:
-        return TRABES_INITIALIS
-    if token.beam_end:
-        return TRABES_TERMINALIS
-    return None
-
-
 def build_system(
     tempus_tokens: list[DurationToken],
     voices: list[tuple[str, list[Token], list[Annotation], SourceLine]],
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
+    first_numerus: int,
+    cadens: bool,
 ) -> list[Columna]:
     """Assemble one system's columns from its duration and voice tokens.
 
     Each grip token becomes a ``Sonum`` attached to the duration token
     sharing its start column; voice order gives the vertical position (the
-    T line is row 0).
+    T line is row 0). Columns are numbered on from ``first_numerus``.
+
+    A duration symbol sits on the top row (0). With ``duratioCadens = est``
+    (``cadens``) it drops to the free row directly above its column's
+    topmost grip, mirroring the jumping duration signs of the originals.
     """
     if len(voices) > MAX_POSITION:
         over = voices[MAX_POSITION]
@@ -140,7 +140,7 @@ def build_system(
             target.annotations.append(ann)
 
     columns: list[Columna] = []
-    for token in tempus_tokens:
+    for numerus, token in enumerate(tempus_tokens, first_numerus):
         sona = sona_by_column[token.start_column]
         if not sona:
             raise ModelError(
@@ -151,10 +151,12 @@ def build_system(
             )
         columns.append(
             Columna(
-                numerus=0,  # assigned per PARS
+                numerus=numerus,
                 duration=token,
-                duration_ypos=0,
-                trabes=assign_trabes(token),
+                duration_ypos=sona[0].ypos - 1 if cadens else 0,  # sona run top down
+                # validate_beams has rejected a stem with both markers
+                trabes=TRABES_INITIALIS if token.beam_begin
+                else TRABES_TERMINALIS if token.beam_end else None,
                 summa_praecedentium=0,  # set by compute_summa
                 sona=sona,
             )
@@ -168,20 +170,6 @@ def compute_summa(columns: list[Columna]) -> None:
     for col in columns:
         col.summa_praecedentium = total
         total += col.duration.value
-
-
-def assign_duration_ypos(columns: list[Columna], params: Parameters) -> None:
-    """Place duration symbols vertically.
-
-    By default they sit on the top row (0). With ``duratioCadens = est``
-    each symbol drops to the free row directly above its column's topmost
-    grip, mirroring the jumping duration signs of the originals.
-    """
-    for col in columns:
-        if params.duratio_cadens:
-            col.duration_ypos = max(min(s.ypos for s in col.sona) - 1, 0)
-        else:
-            col.duration_ypos = 0
 
 
 def build_score(lines: list[SourceLine]) -> ScoreModel:
@@ -205,96 +193,93 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
 def _build_score(lines: list[SourceLine]) -> ScoreModel:
     warnings: list[str] = []
     tables: dict[str, GripTable] = {}
-    file_params = Parameters()
+    file_params = params = Parameters()
     partes: list[ParsModel] = []
     seen_names: dict[str, int] = {}
+    header: SourceLine | None = None
+    systems: list[_System] = []
 
     i = 0
     n = len(lines)
-    while i < n and lines[i].kind is not LineKind.PARS_HEADER:
-        line = lines[i]
-        if line.kind is LineKind.BLANK:
-            i += 1
-        elif line.kind is LineKind.ASSIGNMENT:
-            item, i = parse_assignment(lines, i)
-            apply_assignment(item, file_params, tables, warnings)
-        else:
-            raise ModelError(
-                f"{line.kind.value} outside of any PARS section",
-                line=line.line_number,
-                column=line.tokens[0].start_column if line.tokens else 0,
-            )
-
     while i < n:
-        header = lines[i]
-        if len(header.tokens) < 2:
-            raise ParseError(
-                "PARS header needs a name",
-                line=header.line_number,
-                column=header.tokens[0].start_column + len("PARS"),
-            )
-        if len(header.tokens) > 2:
-            raise ParseError(
-                f"unexpected tokens after PARS name '{header.tokens[1].text}'",
-                line=header.line_number,
-                column=header.tokens[2].start_column,
-            )
-        name = header.tokens[1].text
-        if name in seen_names:
-            raise ModelError(
-                f"duplicate PARS name '{name}' (first at line {seen_names[name]})",
-                line=header.line_number,
-                column=header.tokens[1].start_column,
-            )
-        seen_names[name] = header.line_number
+        line = lines[i]
+        kind = line.kind
+        if kind is LineKind.ASSIGNMENT:
+            item, i = parse_assignment(lines, i)
+            apply_assignment(item, params, tables, warnings)
+            continue
         i += 1
-
-        pars_params = replace(file_params)
-        systems: list[_System] = []
-        while i < n and lines[i].kind is not LineKind.PARS_HEADER:
-            line = lines[i]
-            if line.kind is LineKind.BLANK:
-                i += 1
-            elif line.kind is LineKind.ASSIGNMENT:
-                item, i = parse_assignment(lines, i)
-                apply_assignment(item, pars_params, tables, warnings)
-            elif line.kind is LineKind.TEMPUS:
-                systems.append(_System(line))
-                i += 1
-            elif line.kind is LineKind.VOX:
-                if not systems:
-                    raise ModelError(
-                        f"voice line before any time line in PARS '{name}'",
-                        line=line.line_number,
-                    )
-                systems[-1].voices.append((line, []))
-                i += 1
-            elif line.kind is LineKind.PARAM_TRACK:
-                if not systems or not systems[-1].voices:
-                    raise ModelError(
-                        "parameter track without a preceding voice line",
-                        line=line.line_number,
-                    )
-                systems[-1].voices[-1][1].append(line)
-                i += 1
-            else:
-                raise ParseError(
-                    "table continuation outside a table assignment",
+        if kind is LineKind.BLANK:
+            continue
+        if kind is LineKind.PARS_HEADER:
+            if header is not None:
+                partes.append(_build_pars(header, systems, params, tables, warnings))
+            header = line
+            _check_header(header, seen_names)
+            params = replace(file_params)
+            systems = []
+        elif header is None:
+            raise ModelError(
+                f"{kind.value} outside of any PARS section",
+                line=line.line_number,
+                column=line.tokens[0].start_column,
+            )
+        elif kind is LineKind.TEMPUS:
+            systems.append(_System(line))
+        elif kind is LineKind.VOX:
+            if not systems:
+                raise ModelError(
+                    f"voice line before any time line in PARS '{header.tokens[1].text}'",
                     line=line.line_number,
                 )
-        partes.append(_build_pars(name, header, systems, pars_params, tables, warnings))
-
+            systems[-1].voices.append((line, []))
+        elif kind is LineKind.PARAM_TRACK:
+            # The scanner makes a track only of a line directly below a
+            # voice or track line, and that line has just been added.
+            systems[-1].voices[-1][1].append(line)
+        else:
+            raise ParseError(
+                "table continuation outside a table assignment",
+                line=line.line_number,
+            )
+    if header is not None:
+        partes.append(_build_pars(header, systems, params, tables, warnings))
     return ScoreModel(partes, warnings)
 
 
+def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
+    """Check a ``PARS`` header's shape and that its name is new; record the name."""
+    tokens = header.tokens
+    if len(tokens) < 2:
+        raise ParseError(
+            "PARS header needs a name",
+            line=header.line_number,
+            column=tokens[0].start_column + len("PARS"),
+        )
+    if len(tokens) > 2:
+        raise ParseError(
+            f"unexpected tokens after PARS name '{tokens[1].text}'",
+            line=header.line_number,
+            column=tokens[2].start_column,
+        )
+    name = tokens[1].text
+    if name in seen_names:
+        raise ModelError(
+            f"duplicate PARS name '{name}' (first at line {seen_names[name]})",
+            line=header.line_number,
+            column=tokens[1].start_column,
+        )
+    seen_names[name] = header.line_number
+
+
 def _build_pars(
-    name: str,
     header: SourceLine,
     systems: list[_System],
     params: Parameters,
     tables: dict[str, GripTable],
     warnings: list[str],
 ) -> ParsModel:
+    name = header.tokens[1].text
     if not systems:
         raise ModelError(
             f"PARS '{name}' contains no system (it needs at least one time line)",
@@ -334,11 +319,10 @@ def _build_pars(
             voices.append((voice_name, grips, annotations, vox_line))
         start = len(columns)
         validate_beams(tokens)
-        columns.extend(build_system(tokens, voices, symbol_map, table.name))
+        columns.extend(
+            build_system(tokens, voices, symbol_map, table.name, start, params.duratio_cadens)
+        )
         system_ranges.append((start, len(columns)))
 
-    for numerus, col in enumerate(columns):
-        col.numerus = numerus
     compute_summa(columns)
-    assign_duration_ypos(columns, params)
     return ParsModel(name, columns, params, table.name, system_ranges, header.line_number)

@@ -8,10 +8,12 @@ text, not of this program: a table assignment like
          (2 b  g  m  r  y  bb) ... )
 
 defines one symbol per cell; row index is the string, column index the
-fret (column 0 holds the open-string digits). A PARS selects its table
-with a ``bünde`` assignment, and ``build_symbol_map`` turns the table
-into a plain ``{symbol: (string, fret)}`` dict. An unrecognized parameter
-only warns; its value is not kept.
+fret (column 0 holds the open-string digits). The table's lines are the
+ones the scanner marked as its continuation, and a quoted cell is one
+symbol. A PARS selects its table with a ``bünde`` assignment, and
+``build_symbol_map`` turns the table into a plain
+``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
+with a warning.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModelError, ParseError
-from .scanner import LineKind, SourceLine, Token
+from .scanner import LineKind, SourceLine, Token, paren_balance
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 
 _FLAG_VALUES = {"est": True, "nonEst": False}
 _BOOL_PARAMS = ("duratioManet", "duratioCadens")
 TABLE_PARAM = "bünde"
+_TABLE_BODY = (LineKind.TABLE_CONTINUATION, LineKind.BLANK)
 
 
 @dataclass
@@ -144,21 +147,17 @@ def _parse_table(
     idx: int,
     first_line: SourceLine,
 ) -> tuple[GripTable, int]:
-    """Collect a parenthesized table value across continuation lines."""
+    """Collect a table value and the continuation and blank lines the scanner marked below it.
+
+    Those lines run while the value's parentheses stay open, so only a file
+    ending inside the table leaves them unbalanced.
+    """
     collected = list(value_tokens)
-    depth = sum(t.text.count("(") - t.text.count(")") for t in value_tokens)
     j = idx + 1
-    while depth > 0 and j < len(lines):
-        nxt = lines[j]
-        if nxt.kind is LineKind.BLANK:
-            j += 1
-            continue
-        if nxt.kind is not LineKind.TABLE_CONTINUATION:
-            break
-        collected.extend(nxt.tokens)
-        depth += nxt.text.count("(") - nxt.text.count(")")
+    while j < len(lines) and lines[j].kind in _TABLE_BODY:
+        collected.extend(lines[j].tokens)
         j += 1
-    if depth != 0:
+    if paren_balance(collected) != 0:
         raise ParseError(
             f"unbalanced parentheses in table '{name_tok.text}'",
             line=first_line.line_number,
@@ -214,9 +213,12 @@ def _parse_table(
 def _table_atoms(tokens: list[Token]):
     """Re-lex table tokens: parens separate even when glued to symbols.
 
-    Yields ``(atom, line, column)``.
+    Yields ``(atom, line, column)``; a quoted token is one atom whole.
     """
     for tok in tokens:
+        if tok.text[0] == '"':
+            yield tok.text, tok.line_number, tok.start_column
+            continue
         run_start: int | None = None
         for i, ch in enumerate(tok.text):
             if ch in "()":
@@ -256,7 +258,7 @@ def apply_assignment(
         params.table_name = item.value
     else:
         warnings.append(
-            f"unrecognized parameter '{item.name}' at line {item.line_number} (kept as-is)"
+            f"unrecognized parameter '{item.name}' at line {item.line_number} (ignored)"
         )
 
 

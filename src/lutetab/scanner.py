@@ -8,8 +8,10 @@ silently shifted column would corrupt the score.
 
 Each line is lexed once: ``tokenize_columns`` splits it, and
 ``classify_line`` decides its kind from those tokens, so a quoted token
-is one token whatever it contains (an ``=`` inside quotes makes no
-assignment). ``//`` starts a comment everywhere, inside quotes too.
+is one token whatever it contains: an ``=`` inside quotes makes no
+assignment, and a parenthesis inside quotes opens or closes no table
+(``paren_balance``). ``//`` starts a comment everywhere, inside quotes too.
+The prelude and the model read these line kinds and work none out again.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) ->
     return tokens
 
 
+def paren_balance(tokens: list[Token]) -> int:
+    """Count ``(`` minus ``)`` outside tokens that open with a quote (text, suffix included)."""
+    return sum(t.text.count("(") - t.text.count(")") for t in tokens if t.text[0] != '"')
+
+
 def classify_line(
     tokens: list[Token], paren_depth: int, prev_kind: LineKind, raw: str
 ) -> LineKind:
@@ -146,12 +153,13 @@ def scan_text(text: str) -> list[SourceLine]:
         tokens = tokenize_columns(stripped, idx, raw)
         kind = classify_line(tokens, paren_depth, kind, raw)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
-            paren_depth += stripped.count("(") - stripped.count(")")
+            paren_depth += paren_balance(tokens)
             if paren_depth < 0:
+                last = next(t for t in reversed(tokens) if t.text[0] != '"' and ")" in t.text)
                 raise ScanError(
                     "unmatched ')'",
                     line=idx,
-                    column=stripped.rfind(")"),
+                    column=last.start_column + last.text.rfind(")"),
                     source_line=raw,
                 )
         lines.append(SourceLine(idx, stripped, raw, kind, tokens))

@@ -42,8 +42,7 @@ _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
 _DENOMINATOR = tuple(TICKS_PER_WHOLE // gcd(t, TICKS_PER_WHOLE) for t in range(TICKS_PER_WHOLE))
 _LEGAL_DENOMINATORS = tuple(sorted(set(_DENOMINATOR)))
 
-# The DTD's enumerations, each built from the one constant that owns it;
-# only the fingering letters are known nowhere else.
+# The DTD's enumerations, each built from the one constant that owns it.
 _POSITIONS = "|".join(map(str, range(MAX_POSITION + 1)))
 _DENOMINATORS = "|".join(map(str, _LEGAL_DENOMINATORS))
 _TRABES = f"{TRABES_INITIALIS}|{TRABES_TERMINALIS}"
@@ -71,7 +70,6 @@ DTD_TEXT = f"""\
                   string ({_POSITIONS}) #REQUIRED
                   prolongate (yes)                      #IMPLIED
                   ypos   ({_POSITIONS}) #REQUIRED
-                  finger  (p|i|m|a|o)                   #IMPLIED
                   edit    CDATA                         #IMPLIED
 >
 """

@@ -175,6 +175,18 @@ def test_warning_for_unknown_parameter(tmp_path, newsidler_text, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_quoted_paren_in_scalar_value_opens_no_table(tmp_path, capsys):
+    path = tmp_path / "quoted.tab"
+    path.write_text(
+        'tonus = "(x"\ntbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I\nVOX v  a\n',
+        encoding="utf-8",
+    )
+    assert main([str(path), "--check"]) == 0
+    assert capsys.readouterr().err == (
+        f"{path}: warning: unrecognized parameter 'tonus' at line 1 (ignored)\n"
+    )
+
+
 def test_render_geometry_flags(newsidler_file, tmp_path):
     out = tmp_path / "svg"
     assert main([str(newsidler_file), "--svg", str(out), "--col-spacing", "40"]) == 0

@@ -161,6 +161,29 @@ def test_duration_ypos_clamped():
     assert pars.columns[0].duration_ypos == 0
 
 
+def test_late_assignment_scopes_to_its_whole_pars():
+    """An assignment below a PARS's first system applies to all its systems, not the next PARS."""
+    system = system_lines(["I"], {}, {0: "a"})
+    source = "\n".join(
+        [
+            "t1 = ( (1 a f) (2 b g) )",
+            "t2 = ( (f 1 a) (g 2 b) )",
+            "bünde = t1",
+            "PARS p",
+            *system,
+            "bünde = t2",
+            "duratioCadens = est",
+            *system,
+            "PARS q",
+            *system,
+        ]
+    )
+    p, q = compile_source(source).partes
+    assert p.table_name == "t2" and q.table_name == "t1"
+    assert [(c.duration_ypos, c.sona[0].fret) for c in p.columns] == [(1, 2), (1, 2)]
+    assert [(c.duration_ypos, c.sona[0].fret) for c in q.columns] == [(0, 1)]
+
+
 # --- trabes --------------------------------------------------------------
 
 

@@ -61,7 +61,7 @@ def test_bool_param_rejects_other_values():
 def test_unrecognized_parameter_warns_and_keeps():
     params, _, warnings = apply_source("tonus = d\n")
     assert params == Parameters()
-    assert warnings == ["unrecognized parameter 'tonus' at line 1 (kept as-is)"]
+    assert warnings == ["unrecognized parameter 'tonus' at line 1 (ignored)"]
 
 
 def test_table_selection():
@@ -88,6 +88,25 @@ def test_single_line_table():
 def test_unbalanced_table():
     with pytest.raises(ParseError, match="unbalanced"):
         parse_first("tbl = ( (a b)\n")
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["tbl = ( (a b) (b\n", "tbl = ( ((a)\n", "tbl = ( (a b)\n\n   (b\nPARS p\nT  I\n"],
+)
+def test_unbalanced_reported_before_row_errors(source):
+    """The balance check runs ahead of the row walk, whose duplicate and nesting errors wait."""
+    with pytest.raises(ParseError) as exc:
+        parse_first(source)
+    assert exc.value.message == "unbalanced parentheses in table 'tbl'"
+    assert (exc.value.line, exc.value.column) == (1, 6)
+
+
+def test_quoted_table_cell_is_one_symbol():
+    """A token opening with a quote is text, parentheses and attached suffix included."""
+    table, nxt = parse_first('tbl = ( (a "b)" ) ( "(" c) ( "d"!) ) )\n')
+    assert table.rows == [["a", '"b)"'], ['"("', "c"], ['"d"!)']]
+    assert nxt == 1
 
 
 def test_duplicate_symbol_names_both_positions():

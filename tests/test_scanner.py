@@ -8,6 +8,7 @@ from lutetab.errors import ScanError
 from lutetab.scanner import (
     LineKind,
     classify_line,
+    paren_balance,
     scan_text,
     strip_comments,
     tokenize_columns,
@@ -251,3 +252,30 @@ def test_quoted_edit_text_compiles_verbatim(text):
     (pars,) = compile_source(source).partes
     (sonum,) = ET.fromstring(emit_pars(pars)).iter("sonum")
     assert sonum.get("edit") == text
+
+
+# --- parentheses inside quotes ---------------------------------------------
+
+
+def test_paren_balance_skips_quoted_tokens():
+    tokens = tokenize_columns('x = "(" ( ")"! a) "((" (')
+    assert paren_balance(tokens) == 1
+
+
+@pytest.mark.parametrize("text", ["(", ")", "a)", "((x", ") (", "(b) )"])
+def test_quoted_parens_change_no_line_kind(text):
+    """A quoted '(' or ')' in a table cell or an edit payload leaves every kind as it was."""
+    template = (
+        'tbl = ( (1 a "{0}" )\n       (2 b) )\nPARS p\nbünde = tbl\n'
+        'T         I\nVOX v     a\n    edit  "{0}"\n'
+    )
+    kinds = [ln.kind for ln in scan_text(template.format(text))]
+    assert kinds == [ln.kind for ln in scan_text(template.format("x"))]
+    assert kinds[:3] == [LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION, LineKind.PARS_HEADER]
+    assert kinds[-1] is LineKind.PARAM_TRACK
+
+
+def test_unmatched_close_paren_located_outside_quotes():
+    with pytest.raises(ScanError, match="unmatched") as exc:
+        scan_text('x = a) ")"\n')
+    assert (exc.value.line, exc.value.column) == (1, 5)
