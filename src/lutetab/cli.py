@@ -124,7 +124,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         score: ScoreModel = build_score(scan_text(text))
     except CompileError as err:
-        print(format_diagnostic(err, path), file=sys.stderr)
+        print(format_diagnostic(err, path, text), file=sys.stderr)
         return 1
 
     for warning in score.warnings:
@@ -150,7 +150,7 @@ def _run(args: argparse.Namespace) -> int:
             config = _render_config(args)
             graphics = [(pars, render_pars(pars, config)) for pars in partes]
     except CompileError as err:
-        print(format_diagnostic(err, path), file=sys.stderr)
+        print(format_diagnostic(err, path, text), file=sys.stderr)
         return 1
 
     if args.check:

@@ -1,13 +1,12 @@
 """Error types shared by all compiler stages, plus diagnostic rendering.
 
-Every error that stems from the user's source text carries a 1-based line
-number, a 0-based column and the offending line, so the CLI can print a
-caret excerpt. Column numbers are shown 1-based in rendered diagnostics.
+Every error that stems from the user's source text carries a location
+only: a 1-based line number and, when it names one, a 0-based column.
+Column numbers are shown 1-based in rendered diagnostics.
 
-The excerpt has two owners. The scanner, which holds the raw text, sets
-``source_line`` when it raises. The later stages raise errors located by
-line and column only, and ``model.build_score`` fills in the raw text of
-the line such an error names.
+The excerpt has one owner: ``format_diagnostic`` takes the source text and
+shows the line an error names, with a caret under its column. No stage
+keeps or threads line text for a diagnostic.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ class CompileError(Exception):
         *,
         line: int | None = None,
         column: int | None = None,
-        source_line: str | None = None,
     ) -> None:
         super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
-        self.source_line = source_line
 
 
 class ScanError(CompileError):
@@ -47,20 +44,23 @@ class EmitError(CompileError):
     """A model value cannot be represented in the output format."""
 
 
-def format_diagnostic(err: CompileError, path: str) -> str:
+def format_diagnostic(err: CompileError, path: str, text: str) -> str:
     """Render a gcc-style ``path:line:col: error: ...`` message.
 
-    Appends the source line and a caret marking the offending column when
-    the error carries them.
+    When ``err.line`` is a line of ``text``, appends that line, one trailing
+    ``\\r`` stripped as ``scanner.scan_text`` strips it, and a caret under
+    the offending column when the error names one.
     """
     loc = path
+    parts = []
     if err.line is not None:
         loc += f":{err.line}"
         if err.column is not None:
             loc += f":{err.column + 1}"
-    parts = [f"{loc}: error: {err.message}"]
-    if err.source_line is not None:
-        parts.append("  " + err.source_line)
-        if err.column is not None:
-            parts.append("  " + " " * err.column + "^")
-    return "\n".join(parts)
+        lines = text.split("\n", err.line)
+        if 0 < err.line <= len(lines):
+            source = lines[err.line - 1]
+            parts.append("  " + (source[:-1] if source.endswith("\r") else source))
+            if err.column is not None:
+                parts.append("  " + " " * err.column + "^")
+    return "\n".join([f"{loc}: error: {err.message}", *parts])

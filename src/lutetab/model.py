@@ -12,13 +12,16 @@ assignment sets the file's parameters before the first ``PARS`` header and
 the current PARS's after it; each PARS starts from a copy of the file's.
 A PARS is built from its final parameters, so an assignment below its
 first system applies to all its systems and to no other PARS.
+
+Errors name a line and column only; ``errors.format_diagnostic`` reads
+the line they name from the source text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import CompileError, ModelError, ParseError
+from .errors import ModelError, ParseError
 from .prelude import (
     GripTable,
     Parameters,
@@ -173,24 +176,7 @@ def compute_summa(columns: list[Columna]) -> None:
 
 
 def build_score(lines: list[SourceLine]) -> ScoreModel:
-    """Build the full score model from scanned lines.
-
-    The scanner sets the excerpt of its own errors when it raises them. The
-    later stages raise errors located by line and column only; this is the
-    one place that attaches their excerpt, the raw text of the scanned line
-    the error names.
-    """
-    try:
-        return _build_score(lines)
-    except CompileError as err:
-        if err.line is not None and err.source_line is None:
-            err.source_line = next(
-                (line.raw for line in lines if line.line_number == err.line), None
-            )
-        raise
-
-
-def _build_score(lines: list[SourceLine]) -> ScoreModel:
+    """Build the full score model from scanned lines."""
     warnings: list[str] = []
     tables: dict[str, GripTable] = {}
     file_params = params = Parameters()
@@ -248,7 +234,10 @@ def _build_score(lines: list[SourceLine]) -> ScoreModel:
 
 
 def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
-    """Check a ``PARS`` header's shape and that its name is new; record the name."""
+    """Check a ``PARS`` header's shape and that its name is new; record the name.
+
+    The name becomes part of output file names, so ``/`` and NUL are refused.
+    """
     tokens = header.tokens
     if len(tokens) < 2:
         raise ParseError(
@@ -263,6 +252,13 @@ def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
             column=tokens[2].start_column,
         )
     name = tokens[1].text
+    for bad in ("/", "\x00"):
+        if bad in name:
+            raise ParseError(
+                f"PARS name contains {bad!r}, which cannot be part of a file name",
+                line=header.line_number,
+                column=tokens[1].start_column + name.index(bad),
+            )
     if name in seen_names:
         raise ModelError(
             f"duplicate PARS name '{name}' (first at line {seen_names[name]})",

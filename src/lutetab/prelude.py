@@ -121,10 +121,11 @@ def parse_assignment(
             column=name_tok.start_column,
         )
     if not tokens:
+        last = line.tokens[-1]
         raise ParseError(
             f"missing value in assignment of '{name_tok.text}'",
             line=line.line_number,
-            column=len(line.text),
+            column=last.start_column + len(last.text),
         )
 
     if tokens[0].text.startswith("("):
@@ -136,7 +137,9 @@ def parse_assignment(
             line=tokens[1].line_number,
             column=tokens[1].start_column,
         )
-    item = ScalarAssignment(name_tok.text, tokens[0].text, line.line_number, name_tok.start_column)
+    item = ScalarAssignment(
+        name_tok.text, tokens[0].text, name_tok.line_number, name_tok.start_column
+    )
     return item, idx + 1
 
 

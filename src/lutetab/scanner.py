@@ -12,6 +12,9 @@ is one token whatever it contains: an ``=`` inside quotes makes no
 assignment, and a parenthesis inside quotes opens or closes no table
 (``paren_balance``). ``//`` starts a comment everywhere, inside quotes too.
 The prelude and the model read these line kinds and work none out again.
+
+A scanned line keeps its number, kind and tokens, not its text: an error
+names a line and column, and ``errors.format_diagnostic`` shows the line.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ class Token(NamedTuple):
 @dataclass
 class SourceLine:
     line_number: int  # 1-based
-    text: str  # comment-stripped
-    raw: str  # as read, for diagnostics
     kind: LineKind
     tokens: list[Token]
 
@@ -62,7 +63,7 @@ def strip_comments(raw_line: str) -> str:
 _TOKEN_RE = re.compile(r'("[^"]*"\S*)|\S+')
 
 
-def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) -> list[Token]:
+def tokenize_columns(text: str, line_number: int = 0) -> list[Token]:
     """Split into maximal non-whitespace runs annotated with start columns.
 
     A token opening with a double quote runs to the closing quote and then
@@ -74,12 +75,7 @@ def tokenize_columns(text: str, line_number: int = 0, raw: str | None = None) ->
     for m in _TOKEN_RE.finditer(text):
         tok = m.group()
         if tok[0] == '"' and m.lastindex is None:
-            raise ScanError(
-                "unterminated quote",
-                line=line_number,
-                column=m.start(),
-                source_line=raw if raw is not None else text,
-            )
+            raise ScanError("unterminated quote", line=line_number, column=m.start())
         tokens.append(Token(tok, m.start(), line_number))
     return tokens
 
@@ -89,17 +85,14 @@ def paren_balance(tokens: list[Token]) -> int:
     return sum(t.text.count("(") - t.text.count(")") for t in tokens if t.text[0] != '"')
 
 
-def classify_line(
-    tokens: list[Token], paren_depth: int, prev_kind: LineKind, raw: str
-) -> LineKind:
+def classify_line(tokens: list[Token], paren_depth: int, prev_kind: LineKind) -> LineKind:
     """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
 
     Open parenthesis groups turn any line into a table continuation;
     otherwise the first token decides; an unquoted ``=`` makes an
     assignment; a lone identifier starts an assignment whose ``= value``
     follows on the next line; an indented identifier line directly below
-    a voice line is a parameter track. An unclassifiable line is reported
-    with the ``raw`` line as read.
+    a voice line is a parameter track.
     """
     if not tokens:
         return LineKind.BLANK
@@ -125,7 +118,6 @@ def classify_line(
         f"cannot classify line starting with {first!r}",
         line=head.line_number,
         column=head.start_column,
-        source_line=raw,
     )
 
 
@@ -147,11 +139,9 @@ def scan_text(text: str) -> list[SourceLine]:
                 "TAB character (column alignment would be ambiguous; use spaces)",
                 line=idx,
                 column=tab_at,
-                source_line=raw,
             )
-        stripped = strip_comments(raw)
-        tokens = tokenize_columns(stripped, idx, raw)
-        kind = classify_line(tokens, paren_depth, kind, raw)
+        tokens = tokenize_columns(strip_comments(raw), idx)
+        kind = classify_line(tokens, paren_depth, kind)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
             paren_depth += paren_balance(tokens)
             if paren_depth < 0:
@@ -160,7 +150,6 @@ def scan_text(text: str) -> list[SourceLine]:
                     "unmatched ')'",
                     line=idx,
                     column=last.start_column + last.text.rfind(")"),
-                    source_line=raw,
                 )
-        lines.append(SourceLine(idx, stripped, raw, kind, tokens))
+        lines.append(SourceLine(idx, kind, tokens))
     return lines

@@ -144,12 +144,13 @@ def drop_table_selection(source: str) -> str:
 
 
 # The format's alphabet: duration and structure characters, grip letters,
-# digits, line breaks and the two line openers.
+# digits, line breaks and the two line openers; plus "/" and NUL, which a
+# PARS name must not hold because it becomes part of output file names.
 _PIECES = (
     list('ITFE._-+"()= ')
     + list("abcdefghiklmnopqrstvxyz&C")
     + list("0123456789")
-    + ["\n", "\r\n", "VOX ", "T "]
+    + ["\n", "\r\n", "VOX ", "T ", "/", "\x00"]
 )
 
 MUTATIONS = st.lists(

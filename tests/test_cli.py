@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,79 @@ def test_oversized_table_diagnostic(tmp_path, capsys):
     )
 
 
+def test_readme_diagnostic_matches_golden():
+    """``python -m lutetab.cli`` prints the README's example diagnostic byte for byte."""
+    root = FIXTURES.parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(lutetab.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "lutetab.cli", "tests/fixtures/broken.tab", "--check"],
+        cwd=root, env=env, capture_output=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == (FIXTURES / "broken.err").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line,column,expected",
+    [
+        (2, 2, "f.tab:2:3: error: boom\n  b c\n    ^"),  # the CRLF line, its CR stripped
+        (1, None, "f.tab:1: error: boom\n  a"),  # a line but no column: no caret
+        (4, 0, "f.tab:4:1: error: boom"),  # a line outside the text: no excerpt
+    ],
+    ids=["crlf", "no-column", "outside-text"],
+)
+def test_format_diagnostic_reads_the_line_from_text(line, column, expected):
+    err = lutetab.ParseError("boom", line=line, column=column)
+    assert lutetab.format_diagnostic(err, "f.tab", "a\r\nb c\r\n\r") == expected
+
+
+_SMALL_PARS = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I\nVOX v  a\n"
+
+
+def test_bare_name_error_located_at_name(tmp_path, capsys):
+    path = tmp_path / "bare.tab"
+    path.write_text("   duratioManet\n= maybe\n" + _SMALL_PARS, encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:4: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
+        "     duratioManet\n"
+        "     ^\n"
+    )
+
+
+def test_bare_name_warning_names_the_name_line(tmp_path, capsys):
+    path = tmp_path / "bare.tab"
+    path.write_text("tonus\n\n= d\n" + _SMALL_PARS, encoding="utf-8")
+    assert main([str(path), "--check"]) == 0
+    assert capsys.readouterr().err == (
+        f"{path}: warning: unrecognized parameter 'tonus' at line 1 (ignored)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,shown",
+    [("x/../../escaped", "'/'"), ("a\x00b", "'\\x00'")],
+    ids=["slash", "nul"],
+)
+def test_pars_name_that_cannot_be_a_file_name(tmp_path, capsys, name, shown):
+    source = _SMALL_PARS.replace("PARS p", f"PARS {name}")
+    work = tmp_path / "work"
+    out = work / "out"
+    (out / "bad.x").mkdir(parents=True)  # so "bad.x/../../escaped.xml" would resolve
+    path = work / "bad.tab"
+    path.write_text(source, encoding="utf-8")
+    assert main([str(path), "--xml", str(out), "--svg", str(out), "--dtd"]) == 1
+    column = 5 + max(name.find("/"), name.find("\x00"))
+    assert capsys.readouterr().err == (
+        f"{path}:2:{column + 1}: error: PARS name contains {shown}, which cannot be part "
+        f"of a file name\n  PARS {name}\n  {' ' * column}^\n"
+    )
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("work"), Path("work/bad.tab"), Path("work/out"), Path("work/out/bad.x")
+    ]
+
+
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def gc_before(request):
     """Set the collector's state before a run; restore the test run's own after it."""
@@ -361,3 +435,30 @@ def test_mutated_sources_exit_cleanly(mutated_file, name, mutations):
     assert "Traceback" not in err
     if code == 1:
         assert re.match(re.escape(f"{mutated_file}:") + r"\d+", err), err
+
+
+@pytest.fixture(scope="module")
+def write_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("newsidler", "schlick")), helpers.MUTATIONS)
+def test_mutated_sources_write_cleanly(write_root, name, mutations):
+    """In write mode too the CLI is total, and it writes only into its output directory."""
+    work = Path(tempfile.mkdtemp(dir=write_root))
+    source = work / "mutated.tab"
+    out = work / "out"
+    source.write_text(
+        helpers.mutate((FIXTURES / f"{name}.tab").read_text(encoding="utf-8"), mutations),
+        encoding="utf-8",
+    )
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([str(source), "--xml", str(out), "--svg", str(out), "--dtd"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    written = set(work.rglob("*")) - {source, out}
+    assert all(path.parent == out for path in written), written
+    assert not any(path.suffix == ".tmp" for path in written)
+    assert all(path.is_dir() for path in write_root.iterdir())

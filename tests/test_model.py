@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lutetab import compile_source
-from lutetab.errors import ModelError, ParseError
+from lutetab.errors import ModelError, ParseError, format_diagnostic
 from lutetab.model import compute_summa
 from lutetab.tempus import KLASS_CARRY
 
@@ -198,7 +198,7 @@ def test_double_beam_marker_rejected():
         compile_source(source)
     t_line = source.split("\n")[5]
     assert (exc.value.line, exc.value.column) == (6, t_line.index("_E_"))
-    assert exc.value.source_line == t_line
+    assert format_diagnostic(exc.value, "f.tab", source).split("\n")[1] == "  " + t_line
 
 
 # --- alignment and column integrity --------------------------------------

@@ -7,7 +7,15 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from lutetab import CompileError, RenderConfig, compile_source, emit_dtd, emit_pars, render_pars
+from lutetab import (
+    CompileError,
+    RenderConfig,
+    compile_source,
+    emit_dtd,
+    emit_pars,
+    format_diagnostic,
+    render_pars,
+)
 from lutetab.prelude import MAX_POSITION
 
 import dtd_validator
@@ -45,7 +53,8 @@ def _compile_or_locate(text: str) -> list:
         return compile_source(text).partes
     except CompileError as err:
         assert err.line is not None, err.message
-        assert err.source_line == _line(text, err.line), err.message
+        excerpt = format_diagnostic(err, "f.tab", text).split("\n")[1]
+        assert excerpt == "  " + _line(text, err.line), err.message
         return []
 
 

@@ -122,6 +122,18 @@ def test_name_without_value():
         apply_source("loneName\n")
 
 
+@pytest.mark.parametrize(
+    "source,location",
+    [("x =  // note\n", (1, 3)), ("x=\n", (1, 2)), ("x\n  =   \n", (2, 3))],
+    ids=["spaced", "compact", "bare-name"],
+)
+def test_missing_value_caret_after_last_token(source, location):
+    with pytest.raises(ParseError) as exc:
+        parse_first(source)
+    assert exc.value.message == "missing value in assignment of 'x'"
+    assert (exc.value.line, exc.value.column) == location
+
+
 def test_value_without_name():
     with pytest.raises(ParseError, match="without a preceding name"):
         parse_first("= ( (a) )\n")

@@ -81,11 +81,11 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, text) is kind
+    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK) is kind
 
 
 def classify(line: str, paren_depth: int = 0, prev_kind: LineKind = LineKind.BLANK):
-    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, line)
+    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind)
 
 
 def test_classify_param_track_needs_preceding_vox():
@@ -105,8 +105,8 @@ def test_classify_table_continuation():
 def test_classify_rejects_unknown_shape():
     raw = "  what is this // a comment"
     with pytest.raises(ScanError) as exc:
-        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK, raw)
-    assert (exc.value.line, exc.value.column, exc.value.source_line) == (7, 2, raw)
+        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK)
+    assert (exc.value.line, exc.value.column) == (7, 2)
 
 
 @pytest.mark.parametrize("payload", ['"a = f?"', '"="', '"x=y"!', '"a" "b = c"'])
@@ -120,7 +120,7 @@ def test_classify_names_whole_quoted_first_token():
     with pytest.raises(ScanError) as exc:
         classify(raw)
     assert exc.value.message == "cannot classify line starting with '\"a = b\"'"
-    assert (exc.value.line, exc.value.column, exc.value.source_line) == (2, 2, raw)
+    assert (exc.value.line, exc.value.column) == (2, 2)
 
 
 def test_scan_reports_unterminated_quote_at_its_column():
@@ -128,7 +128,7 @@ def test_scan_reports_unterminated_quote_at_its_column():
     with pytest.raises(ScanError) as exc:
         scan_text('PARS a\nfoo "bar\n')
     assert exc.value.message == "unterminated quote"
-    assert (exc.value.line, exc.value.column, exc.value.source_line) == (2, 4, 'foo "bar')
+    assert (exc.value.line, exc.value.column) == (2, 4)
 
 
 def test_scan_rejects_tabs():
@@ -140,7 +140,7 @@ def test_scan_rejects_tabs():
 
 def test_scan_strips_crlf():
     lines = scan_text("PARS a\r\nT  I\r\n")
-    assert lines[0].text == "PARS a"
+    assert [(t.text, t.start_column) for t in lines[0].tokens] == [("PARS", 0), ("a", 5)]
     assert [t.start_column for t in lines[1].tokens] == [0, 3]
 
 

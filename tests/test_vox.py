@@ -17,7 +17,7 @@ def vox_line(text: str) -> SourceLine:
 
 def track_line(text: str) -> SourceLine:
     tokens = tokenize_columns(text, 1)
-    return SourceLine(1, text, text, LineKind.PARAM_TRACK, tokens)
+    return SourceLine(1, LineKind.PARAM_TRACK, tokens)
 
 
 def voice_sona(*grips: str) -> list[tuple[str, bool]]:
