@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 2 for unusable invocations (unreadable input, bad flags, an output that
-cannot be written). Diagnostics go to stderr with a caret excerpt of the
-offending line; output files are written atomically (temp file, then
-rename) so an error never leaves a half-written file behind.
+cannot be written). The input is read as UTF-8, with or without a
+byte-order mark. Diagnostics go to stderr with a caret excerpt of the
+offending line.
+
+Output files are written in two phases (``_write_outputs``): every temp
+file is complete before the first is renamed over its target, so a failure
+before the renames changes no target, and no failure leaves a temp file.
 
 Each selected PARS is emitted as XML before any file is written, whatever
 the flags, so ``--check`` covers scanning, the model and XML emission.
@@ -21,14 +25,13 @@ import gc
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .errors import CompileError, format_diagnostic
 from .model import ScoreModel, build_score
 from .scanner import scan_text
-from .svg_out import RenderConfig, render_pars
+from .svg_out import RenderConfig, positive_finite, render_pars
 from .xml_out import emit_dtd, emit_pars
 
 DTD_FILENAME = "tabulatura.dtd"
@@ -36,8 +39,8 @@ DTD_FILENAME = "tabulatura.dtd"
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not strictly positive")
+    if not positive_finite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not finite and strictly positive")
     return value
 
 
@@ -72,8 +75,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    """Write ``data`` to a fresh randomly named temp file, then rename it over ``path``."""
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _write_temp(path: Path, data: str) -> str:
+    """Write ``data`` whole to a fresh randomly named temp file beside ``path``; return its name."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         try:
@@ -82,13 +92,39 @@ def _write_atomic(path: Path, data: str) -> None:
                 view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink_quietly(tmp)
         raise
+    return tmp
+
+
+def _write_outputs(outputs: list[tuple[str, list[tuple[str, str]]]]) -> str | None:
+    """Write each ``(directory, [(file name, text)])`` in two phases; return the error, if any.
+
+    Phase one creates every directory and completes every temp file; phase
+    two renames them all. On any failure, every temp not yet renamed is
+    unlinked, and the result is ``DIR: error: cannot write PATH: reason``.
+    The renames are the one step that is not all-or-nothing: a failing
+    rename leaves the files renamed before it in place.
+    """
+    temps: list[tuple[str, Path, str]] = []  # (temp name, target, directory as given)
+    renamed = 0
+    try:
+        for directory, files in outputs:
+            out = target = Path(directory)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, data in files:
+                target = out / name
+                temps.append((_write_temp(target, data), target, directory))
+        for tmp, target, directory in temps:
+            os.replace(tmp, target)
+            renamed += 1
+    except OSError as err:
+        return f"{directory}: error: cannot write {target}: {err.strerror or err}"
+    finally:
+        for tmp, _, _ in temps[renamed:]:
+            _unlink_quietly(tmp)
+    return None
 
 
 def run(args: argparse.Namespace) -> int:
@@ -110,13 +146,13 @@ def _render_config(args: argparse.Namespace) -> RenderConfig:
         "font_size": args.font_size,
         "margin": args.margin,
     }
-    return replace(RenderConfig(), **{k: v for k, v in geometry.items() if v is not None})
+    return RenderConfig(**{k: v for k, v in geometry.items() if v is not None})
 
 
 def _run(args: argparse.Namespace) -> int:
     path = args.input
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         print(f"{path}: error: cannot read input: {err}", file=sys.stderr)
         return 2
@@ -163,19 +199,10 @@ def _run(args: argparse.Namespace) -> int:
         outputs.append((args.svg, [(f"{stem}.{pars.name}.svg", svg) for pars, svg in graphics]))
     if args.dtd:
         outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
-    for directory, files in outputs:
-        target = out = Path(directory)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            for name, data in files:
-                target = out / name
-                _write_atomic(target, data)
-        except OSError as err:
-            print(
-                f"{directory}: error: cannot write {target}: {err.strerror or err}",
-                file=sys.stderr,
-            )
-            return 2
+    error = _write_outputs(outputs)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     return 0
 
 

@@ -15,11 +15,16 @@ first system applies to all its systems and to no other PARS.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text.
+
+``ParsModel`` and ``ScoreModel`` are ``NamedTuple`` records. ``Columna``
+is a slotted ``Record`` because ``compute_summa`` sets its time position
+after it is built, and ``Sonum`` because ``build_system`` builds one per
+grip: a slotted class is built and read faster than a ``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ModelError, ParseError
 from .prelude import (
@@ -32,6 +37,7 @@ from .prelude import (
     MAX_POSITION,
     TABLE_PARAM,
 )
+from .records import Record
 from .scanner import LineKind, SourceLine, Token
 from .tempus import DurationToken, parse_tempus_line, validate_beams
 from .vox import EDIT_TRACK, PROLONGATE_SUFFIX, Annotation, parse_param_track, parse_vox_line
@@ -39,32 +45,42 @@ from .vox import EDIT_TRACK, PROLONGATE_SUFFIX, Annotation, parse_param_track, p
 TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
 
-@dataclass(slots=True)
-class Sonum:
+
+class Sonum(Record):
     """One grip: stop `string` at `fret`, pluck."""
 
-    source: str
-    string: int
-    fret: int
-    prolongate: bool
-    ypos: int
-    annotations: list[Annotation] = field(default_factory=list)
+    __slots__ = ("source", "string", "fret", "prolongate", "ypos", "annotations")
+
+    def __init__(
+        self, source: str, string: int, fret: int, prolongate: bool, ypos: int,
+        annotations: list[Annotation] | None = None,
+    ) -> None:
+        self.source = source
+        self.string = string
+        self.fret = fret
+        self.prolongate = prolongate
+        self.ypos = ypos
+        self.annotations = [] if annotations is None else annotations
 
 
-@dataclass(slots=True)
-class Columna:
+class Columna(Record):
     """One score column: a duration and the grips sounding under it."""
 
-    numerus: int
-    duration: DurationToken
-    duration_ypos: int
-    trabes: str | None
-    summa_praecedentium: int  # in ticks of 1/64 whole note
-    sona: list[Sonum]
+    __slots__ = ("numerus", "duration", "duration_ypos", "trabes", "summa_praecedentium", "sona")
+
+    def __init__(
+        self, numerus: int, duration: DurationToken, duration_ypos: int, trabes: str | None,
+        summa_praecedentium: int, sona: list[Sonum],  # summa: in ticks of 1/64 whole note
+    ) -> None:
+        self.numerus = numerus
+        self.duration = duration
+        self.duration_ypos = duration_ypos
+        self.trabes = trabes
+        self.summa_praecedentium = summa_praecedentium
+        self.sona = sona
 
 
-@dataclass(slots=True)
-class ParsModel:
+class ParsModel(NamedTuple):
     name: str
     columns: list[Columna]
     parameters: Parameters
@@ -73,16 +89,14 @@ class ParsModel:
     line_number: int
 
 
-@dataclass(slots=True)
-class ScoreModel:
+class ScoreModel(NamedTuple):
     partes: list[ParsModel]
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
-@dataclass
-class _System:
+class _System(NamedTuple):
     tempus: SourceLine
-    voices: list[tuple[SourceLine, list[SourceLine]]] = field(default_factory=list)
+    voices: list[tuple[SourceLine, list[SourceLine]]]
 
 
 def build_system(
@@ -202,7 +216,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 partes.append(_build_pars(header, systems, params, tables, warnings))
             header = line
             _check_header(header, seen_names)
-            params = replace(file_params)
+            params = file_params.copy()
             systems = []
         elif header is None:
             raise ModelError(
@@ -211,7 +225,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 column=line.tokens[0].start_column,
             )
         elif kind is LineKind.TEMPUS:
-            systems.append(_System(line))
+            systems.append(_System(line, []))
         elif kind is LineKind.VOX:
             if not systems:
                 raise ModelError(

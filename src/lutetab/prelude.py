@@ -14,13 +14,17 @@ symbol. A PARS selects its table with a ``bünde`` assignment, and
 ``build_symbol_map`` turns the table into a plain
 ``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
 with a warning.
+
+``Parameters`` is a slotted ``Record`` that ``apply_assignment`` sets in
+place; the parsed assignments and tables are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModelError, ParseError
+from .records import Record
 from .scanner import LineKind, SourceLine, Token, paren_balance
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
@@ -31,25 +35,31 @@ TABLE_PARAM = "bünde"
 _TABLE_BODY = (LineKind.TABLE_CONTINUATION, LineKind.BLANK)
 
 
-@dataclass
-class Parameters:
-    """Effective parameter set for a file or a single PARS."""
+class Parameters(Record):
+    """Effective parameter set for a file or a single PARS; ``apply_assignment`` sets it."""
 
-    duratio_manet: bool = False
-    duratio_cadens: bool = False
-    table_name: str | None = None
+    __slots__ = ("duratio_manet", "duratio_cadens", "table_name")
+
+    def __init__(
+        self, duratio_manet: bool = False, duratio_cadens: bool = False,
+        table_name: str | None = None,
+    ) -> None:
+        self.duratio_manet = duratio_manet
+        self.duratio_cadens = duratio_cadens
+        self.table_name = table_name
+
+    def copy(self) -> Parameters:
+        return Parameters(self.duratio_manet, self.duratio_cadens, self.table_name)
 
 
-@dataclass
-class ScalarAssignment:
+class ScalarAssignment(NamedTuple):
     name: str
     value: str
     line_number: int
     column: int
 
 
-@dataclass
-class GripTable:
+class GripTable(NamedTuple):
     name: str
     rows: list[list[str]]
     line_number: int

@@ -1,0 +1,28 @@
+"""``Record``: the base of the slotted records.
+
+A record whose fields are never reassigned is a ``typing.NamedTuple``. One
+that is changed after it is built, that checks its fields, or that is built
+once per grip or column (a slotted class is built and read faster) lists
+its fields in order as its ``__slots__``, writes its own ``__init__`` and
+gets from ``Record`` a repr naming the fields and field-wise ``==`` (so it
+is unhashable). Neither kind imports ``dataclasses``, which costs start-up
+time.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -20,7 +20,6 @@ names a line and column, and ``errors.format_diagnostic`` shows the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -43,8 +42,7 @@ class Token(NamedTuple):
     line_number: int  # 1-based
 
 
-@dataclass
-class SourceLine:
+class SourceLine(NamedTuple):
     line_number: int  # 1-based
     kind: LineKind
     tokens: list[Token]

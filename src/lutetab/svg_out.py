@@ -5,30 +5,48 @@ source layout, not proportional to time): each shows its duration symbol
 as a stem with flag strokes or a beam, the grip letters at their vertical
 rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
+
+``RenderConfig`` owns the rule for that geometry: every length is finite
+and strictly positive (``positive_finite``, which the CLI's geometry flags
+apply too), and a built config cannot change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .model import Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
+from .records import Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    column_spacing: float = 28.0
-    row_spacing: float = 18.0
-    stem_height: float = 24.0
-    font_size: float = 12.0
-    margin: float = 20.0
+def positive_finite(value: float) -> bool:
+    """The rule for every ``RenderConfig`` length: finite and strictly positive."""
+    return math.isfinite(value) and value > 0
 
-    def __post_init__(self) -> None:
-        for name in ("column_spacing", "row_spacing", "stem_height", "font_size", "margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"render config {name} must be strictly positive")
+
+class RenderConfig(Record):
+    """Render geometry in SVG user units; immutable, and every length obeys ``positive_finite``."""
+
+    __slots__ = ("column_spacing", "row_spacing", "stem_height", "font_size", "margin")
+
+    def __init__(
+        self, column_spacing: float = 28.0, row_spacing: float = 18.0, stem_height: float = 24.0,
+        font_size: float = 12.0, margin: float = 20.0,
+    ) -> None:
+        values = (column_spacing, row_spacing, stem_height, font_size, margin)
+        for name, value in zip(self.__slots__, values):
+            if not positive_finite(value):
+                raise ValueError(f"render config {name} must be finite and strictly positive")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RenderConfig is immutable; cannot set {name}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def _fmt(v: float) -> str:

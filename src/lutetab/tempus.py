@@ -13,10 +13,10 @@ all their sums, are exact integer ticks of 1/64 whole note.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ModelError, ParseError
 from .prelude import Parameters
+from .records import Record
 from .scanner import SourceLine, Token
 
 KLASS_DOTS = "dots"
@@ -31,16 +31,26 @@ _DOT_GROUP_VALUES = {"." * n: TICKS_PER_WHOLE * (n + 1) // 4 for n in (1, 2, 3)}
 _STEM_RE = re.compile(r"^(_?)([ITFE])(\.?)(_?)$")
 
 
-@dataclass(slots=True)
-class DurationToken:
-    source_text: str
-    klass: str  # "I" | "T" | "F" | "E" | "dots" | "carry"
-    dot_count: int
-    beam_begin: bool
-    beam_end: bool
-    value: int  # in ticks of 1/64 whole note
-    start_column: int
-    line_number: int
+class DurationToken(Record):
+    """One parsed T-line symbol; slotted, as one is built per score column."""
+
+    __slots__ = (
+        "source_text", "klass", "dot_count", "beam_begin", "beam_end", "value",
+        "start_column", "line_number",
+    )
+
+    def __init__(
+        self, source_text: str, klass: str, dot_count: int, beam_begin: bool, beam_end: bool,
+        value: int, start_column: int, line_number: int,
+    ) -> None:
+        self.source_text = source_text
+        self.klass = klass  # "I" | "T" | "F" | "E" | "dots" | "carry"
+        self.dot_count = dot_count
+        self.beam_begin = beam_begin
+        self.beam_end = beam_end
+        self.value = value  # in ticks of 1/64 whole note
+        self.start_column = start_column
+        self.line_number = line_number
 
 
 def parse_duration_token(

@@ -20,7 +20,7 @@ A grip stays the scanner's ``Token``: ``parse_vox_line`` only checks the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .scanner import SourceLine, Token
@@ -29,8 +29,7 @@ PROLONGATE_SUFFIX = "+"
 EDIT_TRACK = "edit"
 
 
-@dataclass(slots=True)
-class Annotation:
+class Annotation(NamedTuple):
     track: str
     text: str  # quote content plus any attached suffix, verbatim
     start_column: int

@@ -243,6 +243,94 @@ def test_unwritable_output_directory_exits_2(newsidler_file, tmp_path, capsys, s
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+_TWO_PARS = (
+    "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I\nVOX v  a\n"
+    "PARS q\nbünde = tbl\nT      I  I\nVOX v  a  a\n"
+)
+
+
+@pytest.mark.parametrize("primitive", ["mkstemp", "write", "replace"])
+def test_write_fault_at_every_call_leaves_a_clean_file_set(
+    tmp_path, monkeypatch, capsys, primitive
+):
+    """Failing the k-th call of each write primitive, for every k, is a located exit 2.
+
+    No temp file is left, and a failure before the first rename leaves
+    every target as it was.
+    """
+    path = tmp_path / "two.tab"
+    path.write_text(_TWO_PARS, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [str(path), "--xml", str(out / "xml"), "--svg", str(out / "svg"), "--dtd"]
+    module = tempfile if primitive == "mkstemp" else os
+    real = getattr(module, primitive)
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise OSError(5, "injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, primitive, faulty)
+    fail_at = 0
+    assert main(argv) == 0
+    fresh = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(fresh) == 5  # two XML, two SVG, one DTD
+    total = len(calls)
+    for fail_at in range(1, total + 1):
+        for target in fresh:
+            target.write_bytes(b"old\n")
+        calls.clear()
+        capsys.readouterr()
+        assert main(argv) == 2, fail_at
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(r"\S+: error: cannot write \S+: injected failure\n", err), err
+        assert not list(out.rglob("*.tmp")), fail_at
+        contents = {target: target.read_bytes() for target in fresh}
+        if primitive != "replace" or fail_at == 1:
+            assert set(contents.values()) == {b"old\n"}, fail_at
+        else:
+            renamed = [t for t in contents if contents[t] == fresh[t]]
+            assert len(renamed) == fail_at - 1, fail_at
+            assert all(contents[t] in (b"old\n", fresh[t]) for t in contents)
+
+
+def test_byte_order_mark_is_skipped(newsidler_text, tmp_path):
+    plain, marked = tmp_path / "plain.tab", tmp_path / "marked.tab"
+    plain.write_text(newsidler_text, encoding="utf-8")
+    marked.write_text("\ufeff" + newsidler_text, encoding="utf-8")
+    assert main([str(plain), "--xml", str(tmp_path)]) == 0
+    assert main([str(marked), "--xml", str(tmp_path)]) == 0
+    xml = (tmp_path / "plain.sola.xml").read_bytes()
+    assert xml == (FIXTURES / "newsidler.xml").read_bytes()
+    assert (tmp_path / "marked.sola.xml").read_bytes() == xml
+
+
+def test_byte_order_mark_keeps_line_one_columns(tmp_path, capsys):
+    path = tmp_path / "marked.tab"
+    path.write_text("\ufeff   duratioManet = maybe\n" + _SMALL_PARS, encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:4: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
+        "     duratioManet = maybe\n"
+        "     ^\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--col-spacing", "nan"), ("--margin", "inf"), ("--font-size", "-inf")]
+)
+def test_non_finite_geometry_is_usage_error(newsidler_file, tmp_path, capsys, flag, value):
+    out = tmp_path / "svg"
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), "--svg", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: {value} is not finite and strictly positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_edit_track_warns(tmp_path, capsys):
     path = tmp_path / "tracks.tab"
     path.write_text(
@@ -405,10 +493,11 @@ def test_gc_restored_after_failed_write(newsidler_file, tmp_path, gc_before, mon
 
 
 def test_cli_import_loads_no_fractions():
-    probe = (
-        "import sys, lutetab.cli; "
-        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
-    )
+    """Start-up loads neither the number tower nor ``dataclasses`` and the modules it needs."""
+    unwanted = {
+        "fractions", "decimal", "numbers", "dataclasses", "inspect", "ast", "dis", "tokenize"
+    }
+    probe = f"import sys, lutetab.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(lutetab.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

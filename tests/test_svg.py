@@ -143,3 +143,10 @@ def test_config_scaling():
 def test_config_rejects_nonpositive(field):
     with pytest.raises(ValueError, match=field):
         RenderConfig(**{field: 0.0})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("field", ["column_spacing", "row_spacing", "stem_height", "font_size", "margin"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RenderConfig(**{field: value})
