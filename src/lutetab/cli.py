@@ -38,7 +38,10 @@ DTD_FILENAME = "tabulatura.dtd"
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not a number") from None
     if not positive_finite(value):
         raise argparse.ArgumentTypeError(f"{text} is not finite and strictly positive")
     return value

@@ -250,7 +250,8 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
 def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
     """Check a ``PARS`` header's shape and that its name is new; record the name.
 
-    The name becomes part of output file names, so ``/`` and NUL are refused.
+    The name becomes part of output file names, so ``/`` is refused (the
+    scanner has already refused NUL, which no XML document can hold).
     """
     tokens = header.tokens
     if len(tokens) < 2:
@@ -266,13 +267,12 @@ def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
             column=tokens[2].start_column,
         )
     name = tokens[1].text
-    for bad in ("/", "\x00"):
-        if bad in name:
-            raise ParseError(
-                f"PARS name contains {bad!r}, which cannot be part of a file name",
-                line=header.line_number,
-                column=tokens[1].start_column + name.index(bad),
-            )
+    if "/" in name:
+        raise ParseError(
+            "PARS name contains '/', which cannot be part of a file name",
+            line=header.line_number,
+            column=tokens[1].start_column + name.index("/"),
+        )
     if name in seen_names:
         raise ModelError(
             f"duplicate PARS name '{name}' (first at line {seen_names[name]})",

@@ -7,6 +7,9 @@ its fields in order as its ``__slots__``, writes its own ``__init__`` and
 gets from ``Record`` a repr naming the fields and field-wise ``==`` (so it
 is unhashable). Neither kind imports ``dataclasses``, which costs start-up
 time.
+
+``Memo`` is not a record: it is the writers' table of formatted fragments,
+each built on first use and then shared.
 """
 
 from __future__ import annotations
@@ -26,3 +29,16 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class Memo(dict):
+    """``func(key)`` for each key, computed on first use and kept."""
+
+    __slots__ = ("func",)
+
+    def __init__(self, func) -> None:
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value

@@ -4,7 +4,9 @@ The input format is column-sensitive: vertical alignment of token start
 columns carries the meaning, so the scanner's one hard job is to preserve
 exact 0-based start columns (counted in Unicode scalars). TAB characters
 are rejected outright because their expansion width is ambiguous and a
-silently shifted column would corrupt the score.
+silently shifted column would corrupt the score. So is every code point
+that XML 1.0 cannot hold (C0 controls but TAB, LF and CR; surrogates;
+U+FFFE and U+FFFF), since the text reaches the XML and SVG documents.
 
 Each line is lexed once: ``tokenize_columns`` splits it, and
 ``classify_line`` decides its kind from those tokens, so a quoted token
@@ -119,11 +121,19 @@ def classify_line(tokens: list[Token], paren_depth: int, prev_kind: LineKind) ->
     )
 
 
+# Code points outside XML 1.0's ``Char`` production, which no emitted
+# document may hold; TAB is legal XML but has its own refusal below.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def scan_text(text: str) -> list[SourceLine]:
     """Scan a whole source text into classified, tokenized lines."""
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
+    # One search over the whole text; its line is worked out only on a hit.
+    bad = _NOT_XML_CHAR.search(text)
+    bad_line = text.count("\n", 0, bad.start()) + 1 if bad else 0
 
     paren_depth = 0
     kind = LineKind.BLANK
@@ -131,6 +141,12 @@ def scan_text(text: str) -> list[SourceLine]:
     for idx, raw in enumerate(raw_lines, start=1):
         if raw.endswith("\r"):
             raw = raw[:-1]
+        if idx == bad_line:
+            raise ScanError(
+                f"character U+{ord(bad.group()):04X} cannot appear in an XML document",
+                line=idx,
+                column=bad.start() - text.rfind("\n", 0, bad.start()) - 1,
+            )
         tab_at = raw.find("\t")
         if tab_at >= 0:
             raise ScanError(

@@ -6,6 +6,10 @@ as a stem with flag strokes or a beam, the grip letters at their vertical
 rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
 
+Each repeated fragment is formatted once (a y per band, row and offset, an
+x per column, the font tails, a label's escape per spelling), from the same
+float expression as per-element code would use, so no byte can change.
+
 ``RenderConfig`` owns the rule for that geometry: every length is finite
 and strictly positive (``positive_finite``, which the CLI's geometry flags
 apply too), and a built config cannot change.
@@ -16,10 +20,11 @@ from __future__ import annotations
 import math
 
 from .model import Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
-from .records import Record
+from .records import Memo, Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
+_MAX_FLAGS = max(STEM_FLAGS.values())
 
 
 def positive_finite(value: float) -> bool:
@@ -86,6 +91,11 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         f"<svg xmlns='{SVG_NS}' width='{_fmt(width)}' height='{_fmt(height)}' "
         f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>"
     ]
+    grip_tail = f"' font-size='{_fmt(cfg.font_size)}' text-anchor='middle'>"
+    numerus_tail = (
+        f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
+    )
+    labels = Memo(lambda key: _escape_text(key[0] + ("+" if key[1] else "")))
 
     for band, (a, b) in enumerate(pars.system_ranges):
         cols = pars.columns[a:b]
@@ -94,64 +104,64 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         def row_y(r: int) -> float:
             return band_top + cfg.stem_height + r * cfg.row_spacing
 
+        # a row's own y (v - 0.0 == v), its stem top, dot and carry bar
+        ys, tops, dots, carries = (
+            Memo(lambda r, d=d: _fmt(row_y(r) - d)) for d in (0.0, cfg.stem_height, 3.0, 6.0)
+        )
+        flags = Memo(lambda r: [
+            (_fmt(fy), _fmt(fy + 4.0))
+            for fy in (row_y(r) - cfg.stem_height + k * 4.0 for k in range(_MAX_FLAGS))
+        ])
+        numerus_y = ys[max_ypos + 1]
+
         xs = [cfg.margin + j * cfg.column_spacing for j in range(len(cols))]
         groups = _beam_groups(cols)
-        # per column, the height its stem reaches when a beam replaces the
-        # flags: the top of the highest stem in the column's group
-        beam_tops: list[float | None] = [None] * len(cols)
+        # per column, the y its stem reaches when a beam replaces the flags:
+        # the top of the highest stem in the column's group
+        beam_tops: list[str | None] = [None] * len(cols)
         for g0, g1 in groups:
-            top = row_y(min(c.duration_ypos for c in cols[g0 : g1 + 1])) - cfg.stem_height
+            top = tops[min(c.duration_ypos for c in cols[g0 : g1 + 1])]
             beam_tops[g0 : g1 + 1] = [top] * (g1 + 1 - g0)
 
         shapes: list[str] = []
         texts: list[str] = []
         for j, col in enumerate(cols):
-            x = xs[j]
+            xf = _fmt(xs[j])
             klass = col.duration.klass
-            base = row_y(col.duration_ypos)
+            dy = col.duration_ypos
             if klass in STEM_FLAGS:
                 beam_top = beam_tops[j]
-                top = base - cfg.stem_height if beam_top is None else beam_top
                 shapes.append(
-                    f"<line x1='{_fmt(x)}' y1='{_fmt(base)}' x2='{_fmt(x)}' "
-                    f"y2='{_fmt(top)}' stroke='black' />"
+                    f"<line x1='{xf}' y1='{ys[dy]}' x2='{xf}' "
+                    f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />"
                 )
-                if beam_top is None:
-                    for k in range(STEM_FLAGS[klass]):
-                        fy = top + k * 4.0
+                if beam_top is None and STEM_FLAGS[klass]:
+                    flag_x = _fmt(xs[j] + 6.0)
+                    for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
                         shapes.append(
-                            f"<line x1='{_fmt(x)}' y1='{_fmt(fy)}' x2='{_fmt(x + 6.0)}' "
-                            f"y2='{_fmt(fy + 4.0)}' stroke='black' />"
+                            f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' stroke='black' />"
                         )
                 if col.duration.dot_count:
-                    shapes.append(
-                        f"<circle cx='{_fmt(x + 5.0)}' cy='{_fmt(base - 3.0)}' r='1.6' />"
-                    )
+                    shapes.append(f"<circle cx='{_fmt(xs[j] + 5.0)}' cy='{dots[dy]}' r='1.6' />")
             elif klass == KLASS_DOTS:
                 for k in range(col.duration.dot_count):
                     shapes.append(
-                        f"<circle cx='{_fmt(x + k * 5.0)}' cy='{_fmt(base - 3.0)}' r='1.6' />"
+                        f"<circle cx='{_fmt(xs[j] + k * 5.0)}' cy='{dots[dy]}' r='1.6' />"
                     )
             elif klass == KLASS_CARRY:
                 shapes.append(
-                    f"<line x1='{_fmt(x - 3.0)}' y1='{_fmt(base - 6.0)}' "
-                    f"x2='{_fmt(x + 3.0)}' y2='{_fmt(base - 6.0)}' stroke='#999999' />"
+                    f"<line x1='{_fmt(xs[j] - 3.0)}' y1='{carries[dy]}' "
+                    f"x2='{_fmt(xs[j] + 3.0)}' y2='{carries[dy]}' stroke='#999999' />"
                 )
             for sonum in col.sona:
-                label = sonum.source + ("+" if sonum.prolongate else "")
                 texts.append(
-                    f"<text x='{_fmt(x)}' y='{_fmt(row_y(sonum.ypos))}' "
-                    f"font-size='{_fmt(cfg.font_size)}' text-anchor='middle'>"
-                    f"{_escape_text(label)}</text>"
+                    f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}"
+                    f"{labels[sonum.source, sonum.prolongate]}</text>"
                 )
-            texts.append(
-                f"<text x='{_fmt(x)}' y='{_fmt(row_y(max_ypos + 1))}' "
-                f"font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' "
-                f"fill='#555555'>{col.numerus}</text>"
-            )
+            texts.append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{col.numerus}</text>")
 
         for g0, g1 in groups:
-            beam_y = _fmt(beam_tops[g0])
+            beam_y = beam_tops[g0]
             shapes.append(
                 f"<line x1='{_fmt(xs[g0])}' y1='{beam_y}' x2='{_fmt(xs[g1])}' "
                 f"y2='{beam_y}' stroke='black' stroke-width='2.5' />"

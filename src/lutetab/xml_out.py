@@ -11,7 +11,9 @@ checked. Times, integer ticks of 1/64 whole note, become reduced fractions
 through a denominator table whose values the DTD enumerates, so they need
 no check. Only the text attributes (``source``, ``trabes``, ``edit``) are
 escaped, through a per-document memo, since grip and duration spellings
-repeat.
+repeat. A ``sonum`` line without ``edit`` depends on its five fields
+alone, so each distinct one is checked and written once per document and
+then shared: nearly all grip lines of a long piece repeat.
 
 The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
@@ -33,6 +35,7 @@ from math import gcd
 from .errors import EmitError
 from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel
 from .prelude import MAX_POSITION
+from .records import Memo
 from .tempus import TICKS_PER_WHOLE
 from .vox import EDIT_TRACK
 
@@ -85,14 +88,6 @@ def escape_attr(value: str) -> str:
     )
 
 
-class _EscapedAttrs(dict):
-    """``escape_attr`` memoised per document: grip, duration and beam texts repeat."""
-
-    def __missing__(self, value: str) -> str:
-        escaped = self[value] = escape_attr(value)
-        return escaped
-
-
 def _check_position(value: int, what: str, col: Columna) -> int:
     if not 0 <= value <= MAX_POSITION:
         raise EmitError(
@@ -105,7 +100,8 @@ def _check_position(value: int, what: str, col: Columna) -> int:
 
 def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
-    esc = _EscapedAttrs()
+    esc = Memo(escape_attr)
+    sona: dict[tuple, str] = {}  # a line per distinct edit-free grip, checked once
     out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
     append = out.append
     for col in pars.columns:
@@ -123,16 +119,25 @@ def emit_pars(pars: ParsModel) -> str:
             f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
         )
         for sonum in col.sona:
-            fret = _check_position(sonum.fret, "fret", col)
-            string = _check_position(sonum.string, "string", col)
-            prolongate = " prolongate='yes'" if sonum.prolongate else ""
-            ypos = _check_position(sonum.ypos, "grip ypos", col)
-            edits = [a.text for a in sonum.annotations if a.track == EDIT_TRACK]
+            notes = sonum.annotations
+            edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
             edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
-            append(
-                f"    <sonum source='{esc[sonum.source]}' fret='{fret}' string='{string}'"
-                f"{prolongate} ypos='{ypos}'{edit} />\n"
-            )
+            key = (sonum.source, sonum.fret, sonum.string, sonum.prolongate, sonum.ypos)
+            line = None if edit else sona.get(key)
+            if line is None:
+                source, fret, string, prolongate, ypos = key
+                if not (0 <= fret <= MAX_POSITION and 0 <= string <= MAX_POSITION
+                        and 0 <= ypos <= MAX_POSITION):  # then the first one outside raises
+                    for position, what in ((fret, "fret"), (string, "string"), (ypos, "grip ypos")):
+                        _check_position(position, what, col)
+                prolongate = " prolongate='yes'" if prolongate else ""
+                line = (
+                    f"    <sonum source='{esc[source]}' fret='{fret}' string='{string}'"
+                    f"{prolongate} ypos='{ypos}'{edit} />\n"
+                )
+                if not edit:
+                    sona[key] = line
+            append(line)
         append("  </columna>\n")
     append("</tabulatura>\n")
     return "".join(out)

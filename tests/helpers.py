@@ -10,7 +10,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from lutetab.tempus import TICKS_PER_WHOLE
+from lutetab.errors import EmitError
+from lutetab.model import TRABES_INITIALIS, TRABES_TERMINALIS
+from lutetab.prelude import MAX_POSITION
+from lutetab.svg_out import SVG_NS, RenderConfig
+from lutetab.tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS, TICKS_PER_WHOLE
+from lutetab.vox import EDIT_TRACK
+from lutetab.xml_out import _DENOMINATOR, _XML_DECLARATION, escape_attr
 
 
 def count_t_line_tokens(source: str) -> int:
@@ -144,13 +150,14 @@ def drop_table_selection(source: str) -> str:
 
 
 # The format's alphabet: duration and structure characters, grip letters,
-# digits, line breaks and the two line openers; plus "/" and NUL, which a
-# PARS name must not hold because it becomes part of output file names.
+# digits, line breaks and the two line openers; plus "/", which a PARS name
+# must not hold because it becomes part of output file names, and NUL and
+# U+0001, which no XML document can hold.
 _PIECES = (
     list('ITFE._-+"()= ')
     + list("abcdefghiklmnopqrstvxyz&C")
     + list("0123456789")
-    + ["\n", "\r\n", "VOX ", "T ", "/", "\x00"]
+    + ["\n", "\r\n", "VOX ", "T ", "/", "\x00", "\x01"]
 )
 
 MUTATIONS = st.lists(
@@ -175,3 +182,171 @@ def mutate(text: str, mutations) -> str:
         else:
             text = text[:at] + piece + text[at + 1 :]
     return text
+
+
+# Reference writers: the per-element ``emit_pars`` and ``render_pars`` that
+# built every fragment afresh, kept verbatim so that a differential test can
+# show the table-driven writers produce the same bytes.
+
+
+class _RefEscapedAttrs(dict):
+    def __missing__(self, value: str) -> str:
+        escaped = self[value] = escape_attr(value)
+        return escaped
+
+
+def _ref_check_position(value, what, col):
+    if not 0 <= value <= MAX_POSITION:
+        raise EmitError(
+            f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
+            line=col.duration.line_number,
+            column=col.duration.start_column,
+        )
+    return value
+
+
+def reference_emit_pars(pars) -> str:
+    esc = _RefEscapedAttrs()
+    out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
+    append = out.append
+    for col in pars.columns:
+        duration = col.duration
+        ypos = _ref_check_position(col.duration_ypos, "duration ypos", col)
+        trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
+        summa, value = col.summa_praecedentium, duration.value
+        summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
+        value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
+        append(
+            f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
+            f"numerus='{col.numerus}' ypos='{ypos}'{trabes} "
+            f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
+            f"summaPraecedentium.den='{summa_den}' "
+            f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
+        )
+        for sonum in col.sona:
+            fret = _ref_check_position(sonum.fret, "fret", col)
+            string = _ref_check_position(sonum.string, "string", col)
+            prolongate = " prolongate='yes'" if sonum.prolongate else ""
+            ypos = _ref_check_position(sonum.ypos, "grip ypos", col)
+            edits = [a.text for a in sonum.annotations if a.track == EDIT_TRACK]
+            edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
+            append(
+                f"    <sonum source='{esc[sonum.source]}' fret='{fret}' string='{string}'"
+                f"{prolongate} ypos='{ypos}'{edit} />\n"
+            )
+        append("  </columna>\n")
+    append("</tabulatura>\n")
+    return "".join(out)
+
+
+def _ref_fmt(v: float) -> str:
+    return f"{v:g}"
+
+
+def _ref_escape_text(value: str) -> str:
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _ref_beam_groups(cols) -> list[tuple[int, int]]:
+    groups: list[tuple[int, int]] = []
+    begin = None
+    for i, col in enumerate(cols):
+        if col.trabes == TRABES_INITIALIS:
+            begin = i
+        elif col.trabes == TRABES_TERMINALIS and begin is not None:
+            groups.append((begin, i))
+            begin = None
+    return groups
+
+
+def reference_render_pars(pars, config=None) -> str:
+    _fmt, _escape_text = _ref_fmt, _ref_escape_text
+    cfg = config or RenderConfig()
+    max_ypos = max((s.ypos for c in pars.columns for s in c.sona), default=1)
+    max_cols = max((b - a for a, b in pars.system_ranges), default=0)
+    n_bands = len(pars.system_ranges)
+
+    band_height = cfg.stem_height + (max_ypos + 1) * cfg.row_spacing + cfg.font_size
+    width = 2 * cfg.margin + (max(max_cols - 1, 0)) * cfg.column_spacing + (
+        cfg.font_size if max_cols else 0.0
+    )
+    height = 2 * cfg.margin + n_bands * band_height + max(n_bands - 1, 0) * cfg.row_spacing
+
+    out: list[str] = [
+        f"<svg xmlns='{SVG_NS}' width='{_fmt(width)}' height='{_fmt(height)}' "
+        f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>"
+    ]
+
+    for band, (a, b) in enumerate(pars.system_ranges):
+        cols = pars.columns[a:b]
+        band_top = cfg.margin + band * (band_height + cfg.row_spacing)
+
+        def row_y(r: int) -> float:
+            return band_top + cfg.stem_height + r * cfg.row_spacing
+
+        xs = [cfg.margin + j * cfg.column_spacing for j in range(len(cols))]
+        groups = _ref_beam_groups(cols)
+        beam_tops = [None] * len(cols)
+        for g0, g1 in groups:
+            top = row_y(min(c.duration_ypos for c in cols[g0 : g1 + 1])) - cfg.stem_height
+            beam_tops[g0 : g1 + 1] = [top] * (g1 + 1 - g0)
+
+        shapes: list[str] = []
+        texts: list[str] = []
+        for j, col in enumerate(cols):
+            x = xs[j]
+            klass = col.duration.klass
+            base = row_y(col.duration_ypos)
+            if klass in STEM_FLAGS:
+                beam_top = beam_tops[j]
+                top = base - cfg.stem_height if beam_top is None else beam_top
+                shapes.append(
+                    f"<line x1='{_fmt(x)}' y1='{_fmt(base)}' x2='{_fmt(x)}' "
+                    f"y2='{_fmt(top)}' stroke='black' />"
+                )
+                if beam_top is None:
+                    for k in range(STEM_FLAGS[klass]):
+                        fy = top + k * 4.0
+                        shapes.append(
+                            f"<line x1='{_fmt(x)}' y1='{_fmt(fy)}' x2='{_fmt(x + 6.0)}' "
+                            f"y2='{_fmt(fy + 4.0)}' stroke='black' />"
+                        )
+                if col.duration.dot_count:
+                    shapes.append(
+                        f"<circle cx='{_fmt(x + 5.0)}' cy='{_fmt(base - 3.0)}' r='1.6' />"
+                    )
+            elif klass == KLASS_DOTS:
+                for k in range(col.duration.dot_count):
+                    shapes.append(
+                        f"<circle cx='{_fmt(x + k * 5.0)}' cy='{_fmt(base - 3.0)}' r='1.6' />"
+                    )
+            elif klass == KLASS_CARRY:
+                shapes.append(
+                    f"<line x1='{_fmt(x - 3.0)}' y1='{_fmt(base - 6.0)}' "
+                    f"x2='{_fmt(x + 3.0)}' y2='{_fmt(base - 6.0)}' stroke='#999999' />"
+                )
+            for sonum in col.sona:
+                label = sonum.source + ("+" if sonum.prolongate else "")
+                texts.append(
+                    f"<text x='{_fmt(x)}' y='{_fmt(row_y(sonum.ypos))}' "
+                    f"font-size='{_fmt(cfg.font_size)}' text-anchor='middle'>"
+                    f"{_escape_text(label)}</text>"
+                )
+            texts.append(
+                f"<text x='{_fmt(x)}' y='{_fmt(row_y(max_ypos + 1))}' "
+                f"font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' "
+                f"fill='#555555'>{col.numerus}</text>"
+            )
+
+        for g0, g1 in groups:
+            beam_y = _fmt(beam_tops[g0])
+            shapes.append(
+                f"<line x1='{_fmt(xs[g0])}' y1='{beam_y}' x2='{_fmt(xs[g1])}' "
+                f"y2='{beam_y}' stroke='black' stroke-width='2.5' />"
+            )
+
+        out.extend(shapes)
+        out.extend(texts)
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

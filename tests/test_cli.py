@@ -331,6 +331,17 @@ def test_non_finite_geometry_is_usage_error(newsidler_file, tmp_path, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1,5"])
+def test_non_number_geometry_is_usage_error(newsidler_file, tmp_path, capsys, value):
+    out = tmp_path / "svg"
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), "--svg", str(out), f"--margin={value}"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"lutetab: error: argument --margin: {value} is not a number"
+    assert not out.exists()
+
+
 def test_non_edit_track_warns(tmp_path, capsys):
     path = tmp_path / "tracks.tab"
     path.write_text(
@@ -430,11 +441,15 @@ def test_bare_name_warning_names_the_name_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,shown",
-    [("x/../../escaped", "'/'"), ("a\x00b", "'\\x00'")],
+    "name,message",
+    [
+        ("x/../../escaped", "PARS name contains '/', which cannot be part of a file name"),
+        # the scanner refuses NUL anywhere, as a character XML cannot hold
+        ("a\x00b", "character U+0000 cannot appear in an XML document"),
+    ],
     ids=["slash", "nul"],
 )
-def test_pars_name_that_cannot_be_a_file_name(tmp_path, capsys, name, shown):
+def test_pars_name_that_cannot_be_a_file_name(tmp_path, capsys, name, message):
     source = _SMALL_PARS.replace("PARS p", f"PARS {name}")
     work = tmp_path / "work"
     out = work / "out"
@@ -444,12 +459,36 @@ def test_pars_name_that_cannot_be_a_file_name(tmp_path, capsys, name, shown):
     assert main([str(path), "--xml", str(out), "--svg", str(out), "--dtd"]) == 1
     column = 5 + max(name.find("/"), name.find("\x00"))
     assert capsys.readouterr().err == (
-        f"{path}:2:{column + 1}: error: PARS name contains {shown}, which cannot be part "
-        f"of a file name\n  PARS {name}\n  {' ' * column}^\n"
+        f"{path}:2:{column + 1}: error: {message}\n  PARS {name}\n  {' ' * column}^\n"
     )
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
         Path("work"), Path("work/bad.tab"), Path("work/out"), Path("work/out/bad.x")
     ]
+
+
+@pytest.mark.parametrize(
+    "source,line,column",
+    [
+        # a control character in an edit payload
+        ('tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT       I  I\nVOX v   a  f\n'
+         '    edit   "x\x01y"\n', 6, 13),
+        # a quoted grip-table cell, and the voice that uses it
+        ('tbl = ( (1 "\x01" f) )\nPARS p\nbünde = tbl\nT       I   I\nVOX v   "\x01" f\n',
+         1, 12),
+    ],
+    ids=["edit", "table-cell"],
+)
+def test_character_xml_cannot_hold_is_located_error(tmp_path, capsys, source, line, column):
+    path = tmp_path / "ctrl.tab"
+    path.write_text(source, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([str(path), "--xml", str(out), "--svg", str(out)]) == 1
+    shown = source.split("\n")[line - 1]
+    assert capsys.readouterr().err == (
+        f"{path}:{line}:{column + 1}: error: character U+0001 cannot appear in an XML "
+        f"document\n  {shown}\n  {' ' * column}^\n"
+    )
+    assert not out.exists()
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])

@@ -1,7 +1,9 @@
 """Whole-pipeline properties: mutated sources compile, emit, render and
 validate, or fail to compile with a located ``CompileError`` whose excerpt
-is the line it names; and the model owns every emitted bound, so
-``emit_pars`` never raises on a compiled model."""
+is the line it names; the model owns every emitted bound, so
+``emit_pars`` never raises on a compiled model; and the writers, which
+format each repeated fragment once, write the same bytes as the
+per-element reference writers in ``helpers``."""
 
 from pathlib import Path
 
@@ -91,3 +93,43 @@ def test_compiled_models_hold_every_emit_bound(text):
                 positions += [sonum.string, sonum.fret, sonum.ypos]
             assert all(0 <= p <= MAX_POSITION for p in positions)
         emit_pars(pars)
+
+
+# Finite, strictly positive lengths: tiny (down to subnormal), non-integral and huge.
+_LENGTHS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.sampled_from([0.1, 1 / 3, 7.25, 13.5, 1e-7, 3.3e5, 1e12, 5e-324, 1.7e308]),
+)
+_GEOMETRY = st.builds(
+    RenderConfig, column_spacing=_LENGTHS, row_spacing=_LENGTHS, stem_height=_LENGTHS,
+    font_size=_LENGTHS, margin=_LENGTHS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS, _GEOMETRY)
+@example("newsidler", [("insert", 0, "\n")], RenderConfig(13.5, 7.25, 30.0, 9.5, 0.5))
+def test_writers_match_the_reference_writers(name, mutations, config):
+    for pars in _compile_or_locate(helpers.mutate(SOURCES[name], mutations)):
+        assert emit_pars(pars) == helpers.reference_emit_pars(pars)
+        assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)
+        assert render_pars(pars) == helpers.reference_render_pars(pars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(SOURCES)),
+    st.lists(st.tuples(st.integers(0, 200), st.integers(-3, 20)), min_size=1, max_size=6),
+    _GEOMETRY,
+)
+def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
+    # rows a compiled model never holds: negative, or below every grip row
+    pars = compile_source(SOURCES[name]).partes[0]
+    for at, row in moves:
+        col = pars.columns[at % len(pars.columns)]
+        if at % 2:
+            col.duration_ypos = row
+        elif col.sona:
+            col.sona[0].ypos = row
+    assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)

@@ -138,6 +138,29 @@ def test_scan_rejects_tabs():
     assert exc.value.column == 2
 
 
+@pytest.mark.parametrize(
+    "char", ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"],
+    ids=ascii,
+)
+def test_scan_rejects_characters_xml_cannot_hold(char):
+    with pytest.raises(ScanError) as exc:
+        scan_text(f"PARS a\r\nT  I // x{char}\nT  I{char}\n")
+    assert exc.value.message == f"character U+{ord(char):04X} cannot appear in an XML document"
+    assert (exc.value.line, exc.value.column) == (2, 9)
+
+
+def test_scan_keeps_characters_xml_can_hold():
+    text = "PARS a\r\nT  I // \x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff \r x\n"
+    assert [line.kind for line in scan_text(text)] == [LineKind.PARS_HEADER, LineKind.TEMPUS]
+
+
+def test_scan_reports_an_earlier_line_first():
+    # the search covers the whole text, but errors still come in line order
+    with pytest.raises(ScanError) as exc:
+        scan_text("PARS a\nT \tI\nT  I\x01\n")
+    assert exc.value.line == 2 and exc.value.message.startswith("TAB character")
+
+
 def test_scan_strips_crlf():
     lines = scan_text("PARS a\r\nT  I\r\n")
     assert [(t.text, t.start_column) for t in lines[0].tokens] == [("PARS", 0), ("a", 5)]

@@ -28,6 +28,16 @@ def test_graphics_match_golden_files(newsidler_svg, schlick_score):
         assert svg.encode("utf-8") == (FIXTURES / f"{name}.svg").read_bytes()
 
 
+# the CLI's --col-spacing 13.5 --row-spacing 7.25 --stem-height 30 --font-size 9.5 --margin 0.5
+_ODD_GEOMETRY = RenderConfig(13.5, 7.25, 30.0, 9.5, 0.5)
+
+
+def test_graphics_match_golden_files_at_odd_geometry(newsidler_score, schlick_score):
+    for name, score in (("newsidler", newsidler_score), ("schlick", schlick_score)):
+        svg = render_pars(score.partes[0], _ODD_GEOMETRY)
+        assert svg.encode("utf-8") == (FIXTURES / f"{name}.geometry.svg").read_bytes()
+
+
 def test_well_formed_with_namespace(newsidler_svg, schlick_score):
     root = ET.fromstring(newsidler_svg)
     assert root.tag == "{http://www.w3.org/2000/svg}svg"

@@ -7,6 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from lutetab import compile_source, emit_dtd, emit_pars
 from lutetab.errors import EmitError
+from lutetab.prelude import MAX_POSITION
+from lutetab.vox import EDIT_TRACK, Annotation
 
 import dtd_validator
 import helpers
@@ -180,6 +182,36 @@ def test_emit_rejects_ypos_out_of_range(newsidler_text):
     pars.columns[0].sona[0].ypos = 13
     with pytest.raises(EmitError, match="ypos"):
         emit_pars(pars)
+
+
+_TWIN_GRIPS = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT       I  I  I\nVOX v   a  a  a\n"
+
+
+def test_identical_grips_differ_by_their_edit_alone():
+    pars = compile_source(_TWIN_GRIPS).partes[0]
+    first, second, third = (col.sona[0] for col in pars.columns)
+    second.annotations = [Annotation(EDIT_TRACK, "x<y", 14, 6)]
+    third.annotations = [Annotation("fg", "p", 17, 6)]  # not emitted: shares the plain line
+    lines = [ln for ln in emit_pars(pars).split("\n") if "<sonum" in ln]
+    plain = "    <sonum source='a' fret='1' string='0' ypos='1' />"
+    assert lines == [plain, plain[:-3] + " edit='x&lt;y' />", plain]
+    assert emit_pars(pars) == helpers.reference_emit_pars(pars)
+
+
+@pytest.mark.parametrize("field,what", [("fret", "fret"), ("string", "string"), ("ypos", "grip ypos")])
+def test_out_of_range_twin_of_a_written_grip_raises_at_its_own_column(field, what):
+    pars = compile_source(_TWIN_GRIPS).partes[0]
+    # the first column's line is written, and kept for its twins, before the
+    # third column, whose grip differs in one field only, is reached
+    setattr(pars.columns[2].sona[0], field, MAX_POSITION + 1)
+    with pytest.raises(EmitError) as exc:
+        emit_pars(pars)
+    col = pars.columns[2]
+    assert exc.value.message == f"{what} {MAX_POSITION + 1} of column 2 is outside 0..{MAX_POSITION}"
+    assert (exc.value.line, exc.value.column) == (4, col.duration.start_column)
+    with pytest.raises(EmitError) as ref:
+        helpers.reference_emit_pars(pars)
+    assert ref.value.message == exc.value.message
 
 
 def test_one_element_per_line_two_space_indent(newsidler_xml):
