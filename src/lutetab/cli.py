@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 2 for unusable invocations (unreadable input, bad flags, an output that
 cannot be written). The input is read as UTF-8, with or without a
 byte-order mark. Diagnostics go to stderr with a caret excerpt of the
-offending line.
+offending line, every control character in them made visible
+(``errors.visible``).
 
 Output files are written in two phases (``_write_outputs``): every temp
 file is complete before the first is renamed over its target, so a failure
@@ -174,11 +175,8 @@ def _run(args: argparse.Namespace) -> int:
         partes = [p for p in partes if p.name == args.pars]
         if not partes:
             available = ", ".join(p.name for p in score.partes) or "none"
-            print(
-                f"{path}: error: no PARS named '{args.pars}' "
-                f"(available: {available})",
-                file=sys.stderr,
-            )
+            message = f"no PARS named '{args.pars}' (available: {available})"
+            print(format_diagnostic(CompileError(message), path, text), file=sys.stderr)
             return 1
 
     stem = Path(path).stem

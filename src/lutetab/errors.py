@@ -7,9 +7,14 @@ Column numbers are shown 1-based in rendered diagnostics.
 The excerpt has one owner: ``format_diagnostic`` takes the source text and
 shows the line an error names, with a caret under its column. No stage
 keeps or threads line text for a diagnostic.
+
+Diagnostics are safe to print to a terminal: ``visible`` shows each control
+character in them as one printable scalar, so the caret stays in place.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class CompileError(Exception):
@@ -44,8 +49,19 @@ class EmitError(CompileError):
     """A model value cannot be represented in the output format."""
 
 
+def visible(text: str) -> str:
+    """``text`` with each C0 control and DEL as its Control Pictures glyph, and
+    each C1 control and surrogate as U+FFFD: one scalar for one."""
+    return re.sub(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]", _picture, text)
+
+
+def _picture(match: re.Match) -> str:
+    code = ord(match.group())
+    return chr(0x2400 + code) if code < 0x20 else "\u2421" if code == 0x7F else "\ufffd"
+
+
 def format_diagnostic(err: CompileError, path: str, text: str) -> str:
-    """Render a gcc-style ``path:line:col: error: ...`` message.
+    """Render a gcc-style ``path:line:col: error: ...`` message, through ``visible``.
 
     When ``err.line`` is a line of ``text``, appends that line, one trailing
     ``\\r`` stripped as ``scanner.scan_text`` strips it, and a caret under
@@ -63,4 +79,4 @@ def format_diagnostic(err: CompileError, path: str, text: str) -> str:
             parts.append("  " + (source[:-1] if source.endswith("\r") else source))
             if err.column is not None:
                 parts.append("  " + " " * err.column + "^")
-    return "\n".join([f"{loc}: error: {err.message}", *parts])
+    return "\n".join(map(visible, [f"{loc}: error: {err.message}", *parts]))

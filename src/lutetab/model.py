@@ -16,10 +16,12 @@ first system applies to all its systems and to no other PARS.
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text.
 
-``ParsModel`` and ``ScoreModel`` are ``NamedTuple`` records. ``Columna``
-is a slotted ``Record`` because ``compute_summa`` sets its time position
-after it is built, and ``Sonum`` because ``build_system`` builds one per
-grip: a slotted class is built and read faster than a ``NamedTuple``.
+``Sonum`` and ``tempus.DurationToken`` are ``NamedTuple`` values, shared by
+every column that holds them and never changed: one ``Sonum`` per distinct
+``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
+one ``DurationToken`` per spelling. Where a column's duration symbol
+stands is the ``Columna``'s own; it is a slotted ``Record`` because
+``compute_summa`` sets its time position after it is built.
 """
 
 from __future__ import annotations
@@ -46,31 +48,29 @@ TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
 
 
-class Sonum(Record):
-    """One grip: stop `string` at `fret`, pluck."""
+class Sonum(NamedTuple):
+    """One grip: stop `string` at `fret`, pluck; a value that twin grips share."""
 
-    __slots__ = ("source", "string", "fret", "prolongate", "ypos", "annotations")
-
-    def __init__(
-        self, source: str, string: int, fret: int, prolongate: bool, ypos: int,
-        annotations: list[Annotation] | None = None,
-    ) -> None:
-        self.source = source
-        self.string = string
-        self.fret = fret
-        self.prolongate = prolongate
-        self.ypos = ypos
-        self.annotations = [] if annotations is None else annotations
+    source: str
+    string: int
+    fret: int
+    prolongate: bool
+    ypos: int
+    annotations: tuple[Annotation, ...] = ()
 
 
 class Columna(Record):
-    """One score column: a duration and the grips sounding under it."""
+    """One score column: a duration, the grips sounding under it and where its symbol stands."""
 
-    __slots__ = ("numerus", "duration", "duration_ypos", "trabes", "summa_praecedentium", "sona")
+    __slots__ = (
+        "numerus", "duration", "duration_ypos", "trabes", "summa_praecedentium", "sona",
+        "line_number", "start_column",
+    )
 
     def __init__(
         self, numerus: int, duration: DurationToken, duration_ypos: int, trabes: str | None,
         summa_praecedentium: int, sona: list[Sonum],  # summa: in ticks of 1/64 whole note
+        line_number: int, start_column: int,
     ) -> None:
         self.numerus = numerus
         self.duration = duration
@@ -78,15 +78,15 @@ class Columna(Record):
         self.trabes = trabes
         self.summa_praecedentium = summa_praecedentium
         self.sona = sona
+        self.line_number = line_number
+        self.start_column = start_column
 
 
 class ParsModel(NamedTuple):
     name: str
     columns: list[Columna]
-    parameters: Parameters
     table_name: str
     system_ranges: list[tuple[int, int]]  # [start, end) per system
-    line_number: int
 
 
 class ScoreModel(NamedTuple):
@@ -100,18 +100,22 @@ class _System(NamedTuple):
 
 
 def build_system(
-    tempus_tokens: list[DurationToken],
+    tempus: SourceLine,
+    durations: list[DurationToken],
     voices: list[tuple[str, list[Token], list[Annotation], SourceLine]],
+    shared: dict[tuple[str, int], Sonum],
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
     first_numerus: int,
     cadens: bool,
 ) -> list[Columna]:
-    """Assemble one system's columns from its duration and voice tokens.
+    """Assemble one system's columns from its T line, durations and voices.
 
-    Each grip token becomes a ``Sonum`` attached to the duration token
-    sharing its start column; voice order gives the vertical position (the
-    T line is row 0). Columns are numbered on from ``first_numerus``.
+    Each grip token stands under the duration symbol sharing its start
+    column; voice order gives the vertical position (the T line is row 0).
+    A grip without an annotation is the PARS's one ``Sonum`` for its
+    ``(text, ypos)`` in ``shared``, built on first use; a grip with one gets
+    its own record. Columns are numbered on from ``first_numerus``.
 
     A duration symbol sits on the top row (0). With ``duratioCadens = est``
     (``cadens``) it drops to the free row directly above its column's
@@ -125,46 +129,47 @@ def build_system(
             line=over[3].line_number,
         )
 
-    sona_by_column: dict[int, list[Sonum]] = {t.start_column: [] for t in tempus_tokens}
-    for voice_index, (voice_name, grips, annotations, _) in enumerate(voices):
-        ypos = voice_index + 1
-        by_column: dict[int, Sonum] = {}
-        for grip in grips:
-            prolongate = grip.text.endswith(PROLONGATE_SUFFIX)
-            symbol = grip.text[:-1] if prolongate else grip.text
-            if grip.start_column not in sona_by_column:
-                raise ModelError(
-                    f"grip '{symbol}' in voice '{voice_name}' does not start "
-                    "under any duration symbol of its system",
-                    line=grip.line_number,
-                    column=grip.start_column,
-                )
-            string_index, fret = lookup_grip(
-                symbol_map, table_name, symbol, grip.line_number, grip.start_column
-            )
-            sonum = Sonum(symbol, string_index, fret, prolongate, ypos)
-            sona_by_column[grip.start_column].append(sonum)
-            by_column[grip.start_column] = sonum
+    symbols = tempus.tokens[1:]
+    sona_by_column: dict[int, list[Sonum]] = {t.start_column: [] for t in symbols}
+    for ypos, (voice_name, grips, annotations, _) in enumerate(voices, 1):
+        notes: dict[int, list[Annotation]] = {}
         for ann in annotations:
-            target = by_column.get(ann.start_column)
-            if target is None:
+            notes.setdefault(ann.start_column, []).append(ann)
+        for grip in grips:
+            text, column = grip.text, grip.start_column
+            sona = sona_by_column.get(column)
+            if sona is None:
                 raise ModelError(
-                    f"annotation in track '{ann.track}' does not start under any "
-                    f"event of voice '{voice_name}'",
-                    line=ann.line_number,
-                    column=ann.start_column,
+                    f"grip '{text.removesuffix(PROLONGATE_SUFFIX)}' in voice '{voice_name}' "
+                    "does not start under any duration symbol of its system",
+                    line=grip.line_number,
+                    column=column,
                 )
-            target.annotations.append(ann)
+            sonum = shared.get((text, ypos))
+            if sonum is None:
+                symbol = text.removesuffix(PROLONGATE_SUFFIX)
+                position = lookup_grip(symbol_map, table_name, symbol, grip.line_number, column)
+                sonum = shared[text, ypos] = Sonum(symbol, *position, symbol != text, ypos)
+            note = notes.pop(column, None) if notes else None
+            sona.append(sonum if note is None else sonum._replace(annotations=tuple(note)))
+        if notes:  # the first annotation, in line order, under no grip of this voice
+            ann = next(iter(notes.values()))[0]
+            raise ModelError(
+                f"annotation in track '{ann.track}' does not start under any "
+                f"event of voice '{voice_name}'",
+                line=ann.line_number,
+                column=ann.start_column,
+            )
 
     columns: list[Columna] = []
-    for numerus, token in enumerate(tempus_tokens, first_numerus):
-        sona = sona_by_column[token.start_column]
+    for numerus, (token, symbol) in enumerate(zip(durations, symbols), first_numerus):
+        sona = sona_by_column[symbol.start_column]
         if not sona:
             raise ModelError(
                 f"column of duration '{token.source_text}' has no grip event "
                 "(every column needs at least one)",
-                line=token.line_number,
-                column=token.start_column,
+                line=tempus.line_number,
+                column=symbol.start_column,
             )
         columns.append(
             Columna(
@@ -176,6 +181,8 @@ def build_system(
                 else TRABES_TERMINALIS if token.beam_end else None,
                 summa_praecedentium=0,  # set by compute_summa
                 sona=sona,
+                line_number=tempus.line_number,
+                start_column=symbol.start_column,
             )
         )
     return columns
@@ -308,6 +315,7 @@ def _build_pars(
         )
     symbol_map = build_symbol_map(table)
 
+    shared: dict[tuple[str, int], Sonum] = {}  # by (grip text, ypos): one table per PARS
     columns: list[Columna] = []
     system_ranges: list[tuple[int, int]] = []
     prev: DurationToken | None = None
@@ -328,11 +336,12 @@ def _build_pars(
                 annotations.extend(track_annotations)
             voices.append((voice_name, grips, annotations, vox_line))
         start = len(columns)
-        validate_beams(tokens)
-        columns.extend(
-            build_system(tokens, voices, symbol_map, table.name, start, params.duratio_cadens)
-        )
+        validate_beams(system.tempus, tokens)
+        columns.extend(build_system(
+            system.tempus, tokens, voices, shared, symbol_map, table.name, start,
+            params.duratio_cadens,
+        ))
         system_ranges.append((start, len(columns)))
 
     compute_summa(columns)
-    return ParsModel(name, columns, params, table.name, system_ranges, header.line_number)
+    return ParsModel(name, columns, table.name, system_ranges)

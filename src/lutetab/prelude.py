@@ -301,8 +301,8 @@ def lookup_grip(
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
     symbol: str,
-    line: int | None = None,
-    column: int | None = None,
+    line: int,
+    column: int,
 ) -> tuple[int, int]:
     try:
         return symbol_map[symbol]

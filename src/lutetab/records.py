@@ -1,12 +1,12 @@
 """``Record``: the base of the slotted records.
 
-A record whose fields are never reassigned is a ``typing.NamedTuple``. One
-that is changed after it is built, that checks its fields, or that is built
-once per grip or column (a slotted class is built and read faster) lists
-its fields in order as its ``__slots__``, writes its own ``__init__`` and
-gets from ``Record`` a repr naming the fields and field-wise ``==`` (so it
-is unhashable). Neither kind imports ``dataclasses``, which costs start-up
-time.
+A record whose fields are never reassigned is a ``typing.NamedTuple``, a
+value that equal ones can share when hashable (``Sonum``, ``DurationToken``).
+One that is changed after it is built (``Columna``, ``Parameters``) or that
+checks its fields (``RenderConfig``) lists its fields in order as its
+``__slots__``, writes its own ``__init__`` and gets from ``Record`` a repr
+naming the fields and field-wise ``==`` (so it is unhashable). Neither kind
+imports ``dataclasses``, which costs start-up time.
 
 ``Memo`` is not a record: it is the writers' table of formatted fragments,
 each built on first use and then shared.

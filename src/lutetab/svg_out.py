@@ -7,7 +7,7 @@ rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
 
 Each repeated fragment is formatted once (a y per band, row and offset, an
-x per column, the font tails, a label's escape per spelling), from the same
+x per column, the font tails, a label's escape per ``Sonum``), from the same
 float expression as per-element code would use, so no byte can change.
 
 ``RenderConfig`` owns the rule for that geometry: every length is finite
@@ -95,7 +95,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     numerus_tail = (
         f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
     )
-    labels = Memo(lambda key: _escape_text(key[0] + ("+" if key[1] else "")))
+    labels = Memo(lambda sonum: _escape_text(sonum.source + ("+" if sonum.prolongate else "")))
 
     for band, (a, b) in enumerate(pars.system_ranges):
         cols = pars.columns[a:b]
@@ -156,7 +156,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             for sonum in col.sona:
                 texts.append(
                     f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}"
-                    f"{labels[sonum.source, sonum.prolongate]}</text>"
+                    f"{labels[sonum]}</text>"
                 )
             texts.append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{col.numerus}</text>")
 

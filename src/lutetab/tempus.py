@@ -8,15 +8,20 @@ beams: a trailing ``_`` opens a beam group, a leading one closes it. The
 carry token ``-`` repeats the previous duration and is only legal when the
 prelude enables it with ``duratioManet = est``. All these values, and so
 all their sums, are exact integer ticks of 1/64 whole note.
+
+A ``DurationToken`` is a value: what a spelling means, not where it
+stands. Each of the 35 spellings other than the carry is parsed once, at
+import, and every column that holds it shares that one record; the column
+(``model.Columna``) keeps the position, and errors read it from the T
+line's ``SourceLine``.
 """
 
 from __future__ import annotations
 
-import re
+from typing import NamedTuple
 
 from .errors import ModelError, ParseError
 from .prelude import Parameters
-from .records import Record
 from .scanner import SourceLine, Token
 
 KLASS_DOTS = "dots"
@@ -24,41 +29,48 @@ KLASS_CARRY = "carry"
 STEM_FLAGS = {"I": 0, "T": 1, "F": 2, "E": 3}
 
 TICKS_PER_WHOLE = 64
-_STEM_VALUES = {k: TICKS_PER_WHOLE // (4 << f) for k, f in STEM_FLAGS.items()}
-_DOTTED_STEM_VALUES = {k: v * 3 // 2 for k, v in _STEM_VALUES.items()}
-_DOT_GROUP_VALUES = {"." * n: TICKS_PER_WHOLE * (n + 1) // 4 for n in (1, 2, 3)}  # 1/2, 3/4, 1/1
-
-_STEM_RE = re.compile(r"^(_?)([ITFE])(\.?)(_?)$")
 
 
-class DurationToken(Record):
-    """One parsed T-line symbol; slotted, as one is built per score column."""
+class DurationToken(NamedTuple):
+    """The meaning of one T-line spelling; columns with the same spelling share one."""
 
-    __slots__ = (
-        "source_text", "klass", "dot_count", "beam_begin", "beam_end", "value",
-        "start_column", "line_number",
-    )
+    source_text: str
+    klass: str  # "I" | "T" | "F" | "E" | "dots" | "carry"
+    dot_count: int
+    beam_begin: bool
+    beam_end: bool
+    value: int  # in ticks of 1/64 whole note
 
-    def __init__(
-        self, source_text: str, klass: str, dot_count: int, beam_begin: bool, beam_end: bool,
-        value: int, start_column: int, line_number: int,
-    ) -> None:
-        self.source_text = source_text
-        self.klass = klass  # "I" | "T" | "F" | "E" | "dots" | "carry"
-        self.dot_count = dot_count
-        self.beam_begin = beam_begin
-        self.beam_end = beam_end
-        self.value = value  # in ticks of 1/64 whole note
-        self.start_column = start_column
-        self.line_number = line_number
+
+# Every spelling but the carry, parsed once: a stem letter with an optional
+# dot, leading ``_`` (beam end) and trailing ``_`` (beam begin); a dot group.
+_SPELLINGS = {
+    token.source_text: token
+    for token in [
+        *(
+            DurationToken(
+                "_" * end + letter + "." * dot + "_" * begin, letter, dot, bool(begin),
+                bool(end), TICKS_PER_WHOLE // (4 << flags) * (2 + dot) // 2,
+            )
+            for letter, flags in STEM_FLAGS.items()
+            for dot in (0, 1) for end in (0, 1) for begin in (0, 1)
+        ),
+        *(  # 1/2, 3/4, 1/1
+            DurationToken("." * n, KLASS_DOTS, n, False, False, TICKS_PER_WHOLE * (n + 1) // 4)
+            for n in (1, 2, 3)
+        ),
+    ]
+}
 
 
 def parse_duration_token(
     token: Token, params: Parameters, prev: DurationToken | None
 ) -> DurationToken:
-    """Parse one symbol of a T line, resolving its value in ticks."""
+    """The shared value of one T-line symbol; a carry takes its value from ``prev``."""
     text = token.text
-
+    parsed = _SPELLINGS.get(text)
+    if parsed is not None:
+        return parsed
     if text == "-":
         if not params.duratio_manet:
             raise ParseError(
@@ -72,35 +84,12 @@ def parse_duration_token(
                 line=token.line_number,
                 column=token.start_column,
             )
-        return DurationToken(
-            text, KLASS_CARRY, 0, False, False, prev.value, token.start_column, token.line_number
-        )
-
-    value = _DOT_GROUP_VALUES.get(text)
-    if value is not None:
-        return DurationToken(
-            text, KLASS_DOTS, len(text), False, False, value, token.start_column, token.line_number
-        )
-
-    m = _STEM_RE.match(text)
-    if m is None:
-        if "-" in text:
-            msg = f"carry token '-' takes no dots or beam markers: '{text}'"
-        else:
-            msg = f"invalid duration token '{text}'"
-        raise ParseError(msg, line=token.line_number, column=token.start_column)
-
-    end_mark, letter, dot, begin_mark = m.groups()
-    return DurationToken(
-        text,
-        letter,
-        1 if dot else 0,
-        bool(begin_mark),
-        bool(end_mark),
-        (_DOTTED_STEM_VALUES if dot else _STEM_VALUES)[letter],
-        token.start_column,
-        token.line_number,
-    )
+        return DurationToken(text, KLASS_CARRY, 0, False, False, prev.value)
+    if "-" in text:
+        msg = f"carry token '-' takes no dots or beam markers: '{text}'"
+    else:
+        msg = f"invalid duration token '{text}'"
+    raise ParseError(msg, line=token.line_number, column=token.start_column)
 
 
 def parse_tempus_line(
@@ -126,51 +115,40 @@ def parse_tempus_line(
     return out
 
 
-def validate_beams(tokens: list[DurationToken]) -> None:
+def validate_beams(tempus: SourceLine, tokens: list[DurationToken]) -> None:
     """Check beam markers pair up left to right within one system.
 
-    Each stem carries at most one marker: the output records one ``trabes``
-    value per stem, so ``_X_`` (closing one group and opening the next on
-    the same stem) is rejected. Beams replace the flags of stems, so a dot
-    group or a carry token, which have none, may not sit inside a beam
-    group.
+    ``tokens`` are the durations parsed from the T line ``tempus``, whose
+    tokens give each one's position. Each stem carries at most one marker:
+    the output records one ``trabes`` value per stem, so ``_X_`` (closing
+    one group and opening the next on the same stem) is rejected. Beams
+    replace the flags of stems, so a dot group or a carry token, which have
+    none, may not sit inside a beam group.
     """
-    open_at: DurationToken | None = None
-    for tok in tokens:
-        if open_at is not None and tok.klass not in STEM_FLAGS:
-            raise ModelError(
-                f"'{tok.source_text}' inside the beam group begun at "
-                f"'{open_at.source_text}'; beams join stems only",
-                line=tok.line_number,
-                column=tok.start_column,
-            )
+    open_at = 0  # the 1-based index of the stem that opened the current group, or 0
+    for i, tok in enumerate(tokens, 1):
+        if open_at and tok.klass not in STEM_FLAGS:
+            message = (f"'{tok.source_text}' inside the beam group begun at "
+                       f"'{tokens[open_at - 1].source_text}'; beams join stems only")
+            break
         if tok.beam_end:
-            if open_at is None:
-                raise ModelError(
-                    f"beam end without a beam begin: '{tok.source_text}'",
-                    line=tok.line_number,
-                    column=tok.start_column,
-                )
+            if not open_at:
+                message = f"beam end without a beam begin: '{tok.source_text}'"
+                break
             if tok.beam_begin:
-                raise ModelError(
-                    f"'{tok.source_text}' both ends and begins a beam group; the output "
-                    "format records only one marker per stem, so write the boundary on "
-                    "two neighboring stems instead",
-                    line=tok.line_number,
-                    column=tok.start_column,
-                )
-            open_at = None
+                message = (f"'{tok.source_text}' both ends and begins a beam group; the output "
+                           "format records only one marker per stem, so write the boundary "
+                           "on two neighboring stems instead")
+                break
+            open_at = 0
         if tok.beam_begin:
-            if open_at is not None:
-                raise ModelError(
-                    f"beam begin inside an open beam group: '{tok.source_text}'",
-                    line=tok.line_number,
-                    column=tok.start_column,
-                )
-            open_at = tok
-    if open_at is not None:
-        raise ModelError(
-            f"unclosed beam group (begun at '{open_at.source_text}')",
-            line=open_at.line_number,
-            column=open_at.start_column,
-        )
+            if open_at:
+                message = f"beam begin inside an open beam group: '{tok.source_text}'"
+                break
+            open_at = i
+    else:
+        if not open_at:
+            return
+        i, message = open_at, f"unclosed beam group (begun at '{tokens[open_at - 1].source_text}')"
+    # tempus.tokens[0] is the line's "T"
+    raise ModelError(message, line=tempus.line_number, column=tempus.tokens[i].start_column)

@@ -14,8 +14,8 @@ double quote or ``//``, which starts a comment even inside quotes. Only
 the ``edit`` track is emitted; the model warns about any other.
 
 A grip stays the scanner's ``Token``: ``parse_vox_line`` only checks the
-``+`` suffix, and ``model.build_system`` turns each token into its
-``Sonum``.
+``+`` suffix. ``model.build_system`` looks its ``(text, ypos)`` up among its
+PARS's grips and builds a ``Sonum`` only for a new one or an annotated one.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ checked. Times, integer ticks of 1/64 whole note, become reduced fractions
 through a denominator table whose values the DTD enumerates, so they need
 no check. Only the text attributes (``source``, ``trabes``, ``edit``) are
 escaped, through a per-document memo, since grip and duration spellings
-repeat. A ``sonum`` line without ``edit`` depends on its five fields
-alone, so each distinct one is checked and written once per document and
-then shared: nearly all grip lines of a long piece repeat.
+repeat. A ``sonum`` line depends on its ``Sonum`` alone, a hashable value
+that the model shares between twin grips, so each distinct one is checked
+and written once per document, keyed by the ``Sonum`` itself, and then
+reused: nearly all grip lines of a long piece repeat.
 
 The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
@@ -33,7 +34,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import EmitError
-from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel
+from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel, Sonum
 from .prelude import MAX_POSITION
 from .records import Memo
 from .tempus import TICKS_PER_WHOLE
@@ -92,8 +93,8 @@ def _check_position(value: int, what: str, col: Columna) -> int:
     if not 0 <= value <= MAX_POSITION:
         raise EmitError(
             f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
-            line=col.duration.line_number,
-            column=col.duration.start_column,
+            line=col.line_number,
+            column=col.start_column,
         )
     return value
 
@@ -101,7 +102,7 @@ def _check_position(value: int, what: str, col: Columna) -> int:
 def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
     esc = Memo(escape_attr)
-    sona: dict[tuple, str] = {}  # a line per distinct edit-free grip, checked once
+    sona: dict[Sonum, str] = {}  # a line per distinct grip, checked once
     out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
     append = out.append
     for col in pars.columns:
@@ -119,24 +120,20 @@ def emit_pars(pars: ParsModel) -> str:
             f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
         )
         for sonum in col.sona:
-            notes = sonum.annotations
-            edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
-            edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
-            key = (sonum.source, sonum.fret, sonum.string, sonum.prolongate, sonum.ypos)
-            line = None if edit else sona.get(key)
+            line = sona.get(sonum)
             if line is None:
-                source, fret, string, prolongate, ypos = key
+                source, string, fret, prolongate, ypos, notes = sonum
                 if not (0 <= fret <= MAX_POSITION and 0 <= string <= MAX_POSITION
                         and 0 <= ypos <= MAX_POSITION):  # then the first one outside raises
                     for position, what in ((fret, "fret"), (string, "string"), (ypos, "grip ypos")):
                         _check_position(position, what, col)
+                edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
+                edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
                 prolongate = " prolongate='yes'" if prolongate else ""
-                line = (
+                line = sona[sonum] = (
                     f"    <sonum source='{esc[source]}' fret='{fret}' string='{string}'"
                     f"{prolongate} ypos='{ypos}'{edit} />\n"
                 )
-                if not edit:
-                    sona[key] = line
             append(line)
         append("  </columna>\n")
     append("</tabulatura>\n")

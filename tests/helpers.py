@@ -19,6 +19,21 @@ from lutetab.vox import EDIT_TRACK
 from lutetab.xml_out import _DENOMINATOR, _XML_DECLARATION, escape_attr
 
 
+def visible(text: str) -> str:
+    """What a diagnostic shows for ``text``: C0 controls and DEL as Control
+    Pictures, C1 controls and surrogates as U+FFFD, one scalar for one."""
+    shown = []
+    for char in text:
+        if char < " ":
+            char = chr(0x2400 + ord(char))
+        elif char == "\x7f":
+            char = "\u2421"
+        elif "\x80" <= char <= "\x9f" or "\ud800" <= char <= "\udfff":
+            char = "\ufffd"
+        shown.append(char)
+    return "".join(shown)
+
+
 def count_t_line_tokens(source: str) -> int:
     """Whitespace-token count over all T lines, minus the leading T each.
 
@@ -151,13 +166,15 @@ def drop_table_selection(source: str) -> str:
 
 # The format's alphabet: duration and structure characters, grip letters,
 # digits, line breaks and the two line openers; plus "/", which a PARS name
-# must not hold because it becomes part of output file names, and NUL and
-# U+0001, which no XML document can hold.
+# must not hold because it becomes part of output file names; NUL, U+0001
+# and ESC, which no XML document can hold; TAB, which the scanner refuses;
+# and DEL and the C1 control U+009B (CSI), which XML allows. No diagnostic
+# may show any of these controls raw.
 _PIECES = (
     list('ITFE._-+"()= ')
     + list("abcdefghiklmnopqrstvxyz&C")
     + list("0123456789")
-    + ["\n", "\r\n", "VOX ", "T ", "/", "\x00", "\x01"]
+    + ["\n", "\r\n", "VOX ", "T ", "/", "\x00", "\x01", "\t", "\x1b", "\x7f", "\x9b"]
 )
 
 MUTATIONS = st.lists(
@@ -199,8 +216,8 @@ def _ref_check_position(value, what, col):
     if not 0 <= value <= MAX_POSITION:
         raise EmitError(
             f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
-            line=col.duration.line_number,
-            column=col.duration.start_column,
+            line=col.line_number,
+            column=col.start_column,
         )
     return value
 

@@ -223,7 +223,7 @@ def _parse_stream(tokens: list[str]):
         cols.append(x)
         x += len(t) + 1
     (line,) = scan_text(helpers.lay("T", zip(cols, tokens)))
-    return parse_tempus_line(line, Parameters(duratio_manet=True)), set(cols)
+    return line, parse_tempus_line(line, Parameters(duratio_manet=True)), set(cols)
 
 
 def _mutate_one_marker(tokens: list[str], rng: random.Random) -> list[str]:
@@ -255,17 +255,17 @@ def test_criterion_05_beam_matching():
         misclassified = 0
         for _ in range(1000):
             tokens = _generate_duration_tokens(rng, min_len=2)
-            parsed, cols = _parse_stream(tokens)
+            line, parsed, cols = _parse_stream(tokens)
             try:
-                validate_beams(parsed)
+                validate_beams(line, parsed)
             except ModelError:
                 misclassified += 1
                 continue
 
             mutated = _mutate_one_marker(tokens, rng)
-            parsed, cols = _parse_stream(mutated)
+            line, parsed, cols = _parse_stream(mutated)
             try:
-                validate_beams(parsed)
+                validate_beams(line, parsed)
                 misclassified += 1
             except ModelError as err:
                 if err.column is None or err.column not in cols:
@@ -307,7 +307,7 @@ def test_criterion_06_grip_table(newsidler_text):
             with pytest.raises(ModelError):
                 from lutetab.prelude import lookup_grip
 
-                lookup_grip(symbol_map, table.name, probe)
+                lookup_grip(symbol_map, table.name, probe, table.line_number, 0)
 
 
 # --- 7: semantic XML round trip ----------------------------------------------

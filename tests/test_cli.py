@@ -459,7 +459,8 @@ def test_pars_name_that_cannot_be_a_file_name(tmp_path, capsys, name, message):
     assert main([str(path), "--xml", str(out), "--svg", str(out), "--dtd"]) == 1
     column = 5 + max(name.find("/"), name.find("\x00"))
     assert capsys.readouterr().err == (
-        f"{path}:2:{column + 1}: error: {message}\n  PARS {name}\n  {' ' * column}^\n"
+        f"{path}:2:{column + 1}: error: {message}\n"
+        f"  PARS {name.replace(chr(0), chr(0x2400))}\n  {' ' * column}^\n"
     )
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
         Path("work"), Path("work/bad.tab"), Path("work/out"), Path("work/out/bad.x")
@@ -483,12 +484,53 @@ def test_character_xml_cannot_hold_is_located_error(tmp_path, capsys, source, li
     path.write_text(source, encoding="utf-8")
     out = tmp_path / "out"
     assert main([str(path), "--xml", str(out), "--svg", str(out)]) == 1
-    shown = source.split("\n")[line - 1]
+    shown = source.split("\n")[line - 1].replace("\x01", "\u2401")
     assert capsys.readouterr().err == (
         f"{path}:{line}:{column + 1}: error: character U+0001 cannot appear in an XML "
         f"document\n  {shown}\n  {' ' * column}^\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source,message,line,column",
+    [
+        # a live escape sequence the scanner refuses
+        (_SMALL_PARS.replace("PARS p", "PARS a\x1b[31mred"),
+         "character U+001B cannot appear in an XML document", 2, 6),
+        # a TAB would push the caret out of place
+        (_SMALL_PARS.replace("VOX v  a", "VOX v\t a"),
+         "TAB character (column alignment would be ambiguous; use spaces)", 5, 5),
+        # a C1 control (CSI) that XML allows, spelling an unknown grip
+        (_SMALL_PARS.replace("VOX v  a", "VOX v  \x9b"),
+         "unknown grip symbol '\ufffd' (not in table 'tbl')", 5, 7),
+    ],
+    ids=["esc", "tab", "csi"],
+)
+def test_diagnostic_shows_control_characters_as_visible_scalars(
+    tmp_path, capsys, source, message, line, column
+):
+    path = tmp_path / "ctrl.tab"
+    path.write_text(source, encoding="utf-8")
+    assert main([str(path), "--check"]) == 1
+    shown = {"\x1b": "\u241b", "\t": "\u2409", "\x9b": "\ufffd"}
+    excerpt = "".join(shown.get(c, c) for c in source.split("\n")[line - 1])
+    assert capsys.readouterr().err == (
+        f"{path}:{line}:{column + 1}: error: {message}\n  {excerpt}\n  {' ' * column}^\n"
+    )
+
+
+def test_pars_filter_miss_lists_names_with_visible_control_characters(tmp_path, capsys):
+    path = tmp_path / "names.tab"
+    path.write_text(
+        _SMALL_PARS.replace("PARS p", "PARS a\x7fb")
+        + _SMALL_PARS.split("\n", 1)[1].replace("PARS p", "PARS c\x9bd"),
+        encoding="utf-8",
+    )
+    assert main([str(path), "--check", "--pars", "z\x1b"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: error: no PARS named 'z\u241b' (available: a\u2421b, c\ufffdd)\n"
+    )
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -561,6 +603,9 @@ def test_mutated_sources_exit_cleanly(mutated_file, name, mutations):
     err = stderr.getvalue()
     assert code in (0, 1)
     assert "Traceback" not in err
+    # nothing that a terminal would take as a control: no C0 but the line
+    # breaks, no DEL, no C1 and no surrogate
+    assert not re.search("[\x00-\x09\x0b-\x1f\x7f-\x9f\ud800-\udfff]", err), ascii(err)
     if code == 1:
         assert re.match(re.escape(f"{mutated_file}:") + r"\d+", err), err
 

@@ -330,6 +330,18 @@ def test_annotation_must_align_with_an_event():
     assert exc.value.column == cols[0] + 2
 
 
+def test_each_column_holds_where_its_duration_symbol_stands():
+    first = system_lines(["I", "T."], {0: "a", 1: "a"})
+    second = system_lines(["T.", "I"], {0: "a", 1: "f"})
+    pars = compile_one(*first, *second)
+    cols = grid_cols(2)
+    assert [(c.line_number, c.start_column) for c in pars.columns] == [
+        (6, cols[0]), (6, cols[1]), (8, cols[0]), (8, cols[1])
+    ]
+    # the same spelling is one value wherever it stands
+    assert pars.columns[1].duration is pars.columns[2].duration
+
+
 def test_annotation_attaches_to_matching_column():
     cols = grid_cols(2)
     lines = system_lines(["I", "I"], {0: "1", 1: "a"})
@@ -337,7 +349,7 @@ def test_annotation_attaches_to_matching_column():
     pars = compile_one(*lines)
     (ann,) = pars.columns[1].sona[0].annotations
     assert (ann.track, ann.text) == ("edit", "see facsimile")
-    assert pars.columns[0].sona[0].annotations == []
+    assert pars.columns[0].sona[0].annotations == ()
 
 
 def test_table_redefinition_last_wins():

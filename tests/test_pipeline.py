@@ -19,6 +19,7 @@ from lutetab import (
     render_pars,
 )
 from lutetab.prelude import MAX_POSITION
+from lutetab.tempus import KLASS_CARRY
 
 import dtd_validator
 import helpers
@@ -56,8 +57,47 @@ def _compile_or_locate(text: str) -> list:
     except CompileError as err:
         assert err.line is not None, err.message
         excerpt = format_diagnostic(err, "f.tab", text).split("\n")[1]
-        assert excerpt == "  " + _line(text, err.line), err.message
+        assert excerpt == "  " + helpers.visible(_line(text, err.line)), err.message
         return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS, st.integers(0, 10_000))
+@example("newsidler", [], 0)
+@example("schlick", [], 11)
+def test_twins_share_one_value_and_a_replaced_twin_changes_its_own_lines(name, mutations, at):
+    for pars in _compile_or_locate(helpers.mutate(SOURCES[name], mutations)):
+        grips, spellings = {}, {}
+        for col in pars.columns:
+            duration = col.duration
+            if duration.klass != KLASS_CARRY:
+                assert spellings.setdefault(duration.source_text, duration) is duration
+            for sonum in col.sona:
+                if not sonum.annotations:
+                    assert grips.setdefault(sonum, sonum) is sonum
+
+        k = at % len(pars.columns)
+        col, (band_start, _) = pars.columns[k], next(r for r in pars.system_ranges if k < r[1])
+        old = col.sona[0]
+        xml, svg = emit_pars(pars).split("\n"), render_pars(pars).split("\n")
+        col.sona[0] = new = old._replace(prolongate=not old.prolongate)
+        new_xml, new_svg = emit_pars(pars).split("\n"), render_pars(pars).split("\n")
+
+        first_sonum = 2 + sum(3 + len(c.sona) for c in pars.columns[:k]) + 2
+        assert len(new_xml) == len(xml)
+        assert [i for i, line in enumerate(xml) if new_xml[i] != line] == [first_sonum]
+        assert ("prolongate='yes'" in new_xml[first_sonum]) == new.prolongate
+        changed = [i for i, line in enumerate(svg) if new_svg[i] != line]
+        assert len(new_svg) == len(svg) and len(changed) == 1
+        label = [helpers._ref_escape_text(s.source + "+" * s.prolongate) for s in (old, new)]
+        cfg = RenderConfig()
+        x = f"{cfg.margin + (k - band_start) * cfg.column_spacing:g}"
+        assert new_svg[changed[0]].startswith(f"<text x='{x}' ")
+        assert new_svg[changed[0]] == svg[changed[0]].replace(
+            f">{label[0]}</text>", f">{label[1]}</text>"
+        )
+        assert emit_pars(pars) == helpers.reference_emit_pars(pars)
+        assert render_pars(pars) == helpers.reference_render_pars(pars)
 
 
 @st.composite
@@ -131,5 +171,5 @@ def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
         if at % 2:
             col.duration_ypos = row
         elif col.sona:
-            col.sona[0].ypos = row
+            col.sona[0] = col.sona[0]._replace(ypos=row)
     assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)

@@ -167,7 +167,7 @@ def test_symbol_map_matches_every_cell():
     assert len(symbol_map) == sum(len(row) for row in table.rows)
     for i, row in enumerate(table.rows):
         for j, symbol in enumerate(row):
-            assert lookup_grip(symbol_map, table.name, symbol) == (i, j)
+            assert lookup_grip(symbol_map, table.name, symbol, 1, 0) == (i, j)
 
 
 def test_lookup_unknown_symbol():

@@ -5,15 +5,14 @@ import pytest
 from lutetab import Columna, ParsModel, RenderConfig, ScoreModel, Sonum, compile_source
 from lutetab.prelude import Parameters
 from lutetab.tempus import DurationToken
-from lutetab.vox import Annotation
 
 
 def _duration():
-    return DurationToken("I", "I", 0, False, False, 16, 7, 4)
+    return DurationToken("I", "I", 0, False, False, 16)
 
 
 def _sonum(**changes):
-    fields = dict(source="a", string=1, fret=0, prolongate=False, ypos=1, annotations=[])
+    fields = dict(source="a", string=1, fret=0, prolongate=False, ypos=1, annotations=())
     return Sonum(**{**fields, **changes})
 
 
@@ -25,6 +24,8 @@ def _columna(**changes):
         trabes=None,
         summa_praecedentium=0,
         sona=[_sonum()],
+        line_number=4,
+        start_column=7,
     )
     return Columna(**{**fields, **changes})
 
@@ -33,10 +34,8 @@ def _pars(**changes):
     fields = dict(
         name="p",
         columns=[_columna()],
-        parameters=Parameters(table_name="tbl"),
         table_name="tbl",
         system_ranges=[(0, 1)],
-        line_number=2,
     )
     return ParsModel(**{**fields, **changes})
 
@@ -83,7 +82,7 @@ def test_repr_lists_fields_in_order():
 
 
 def test_positional_construction_keeps_field_order():
-    assert Columna(1, _duration(), 0, None, 0, [_sonum()]) == _columna()
+    assert Columna(1, _duration(), 0, None, 0, [_sonum()], 4, 7) == _columna()
     assert Parameters(True, False, "tbl") == Parameters(
         duratio_manet=True, table_name="tbl"
     )
@@ -107,16 +106,14 @@ def test_parameters_copy_is_independent():
     assert params.table_name == "tbl"
 
 
-def test_every_sonum_and_score_owns_its_lists():
-    source = (
-        "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
-        'T      I  I\nVOX v  a  f\n  edit "x"\n'
-    )
+def test_grips_and_durations_are_immutable_values():
+    for value, field in ((_sonum(), "ypos"), (_duration(), "value")):
+        assert hash(value) == hash(type(value)(*value))
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2)
+
+
+def test_every_score_owns_its_warnings():
+    source = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT      I  I\nVOX v  a  f\n"
     first, second = compile_source(source), compile_source(source)
-    sona = [s for c in first.partes[0].columns for s in c.sona]
-    assert sona[0].annotations == [Annotation("edit", "x", 7, 6)]
-    assert sona[1].annotations == []
-    assert sona[0].annotations is not sona[1].annotations
-    bare = [Sonum("a", 1, 0, False, 1) for _ in range(2)]
-    assert bare[0].annotations == [] and bare[0].annotations is not bare[1].annotations
     assert first.warnings is not second.warnings

@@ -5,7 +5,6 @@ import pytest
 
 from lutetab import RenderConfig, compile_source, render_pars
 from lutetab.model import ParsModel
-from lutetab.prelude import Parameters
 
 import helpers
 
@@ -137,7 +136,7 @@ def test_two_bands_for_two_systems(schlick_score, newsidler_score):
 
 
 def test_empty_pars_renders_margins_only():
-    empty = ParsModel("void", [], Parameters(), "tbl", [], 0)
+    empty = ParsModel("void", [], "tbl", [])
     svg = render_pars(empty)
     root = ET.fromstring(svg)
     assert root.get("width") == "40" and root.get("height") == "40"

@@ -30,6 +30,11 @@ def parse_line(text: str, params: Parameters = PLAIN, prev: DurationToken | None
     return parse_tempus_line(line, params, prev)
 
 
+def check_beams(text: str, params: Parameters = PLAIN) -> None:
+    (line,) = scan_text(text)
+    validate_beams(line, parse_tempus_line(line, params))
+
+
 def test_plain_quarter():
     tok = parse_one("I")
     assert tok.klass == "I"
@@ -109,7 +114,7 @@ def test_dot_law(letter):
 def test_parse_line_single():
     tokens = parse_line("T  I")
     assert len(tokens) == 1 and as_fraction(tokens[0].value) == Fraction(1, 4)
-    assert tokens[0].start_column == 3
+    assert tokens[0] is parse_one("I")  # one shared value per spelling
 
 
 def test_parse_line_beam_group():
@@ -138,45 +143,41 @@ def test_carry_threads_across_lines():
 
 
 def test_validate_beams_accepts_matched():
-    validate_beams(parse_line("T  E_ E _E"))
-    validate_beams(parse_line("T  I F_ _F I E_ _E"))
-    validate_beams(parse_line("T  E_ _E - .. T_ F _T -", MANET))  # carry, dots between groups
+    check_beams("T  E_ E _E")
+    check_beams("T  I F_ _F I E_ _E")
+    check_beams("T  E_ _E - .. T_ F _T -", MANET)  # carry, dots between groups
 
 
 def test_validate_beams_unclosed():
-    tokens = parse_line("T  E_ E")
     with pytest.raises(ModelError, match="unclosed") as exc:
-        validate_beams(tokens)
-    assert exc.value.column == tokens[0].start_column
+        check_beams("T  E_ E")
+    assert exc.value.column == 3
 
 
 def test_validate_beams_end_without_begin():
-    tokens = parse_line("T  _E")
     with pytest.raises(ModelError, match="without a beam begin") as exc:
-        validate_beams(tokens)
-    assert exc.value.column == tokens[0].start_column
+        check_beams("T  _E")
+    assert exc.value.column == 3
 
 
 def test_validate_beams_rejects_close_and_reopen_marker():
     # the output records one trabes value per stem
-    tokens = parse_line("T  E_ _E_ _E")
     with pytest.raises(ModelError, match="'_E_' both ends and begins a beam group") as exc:
-        validate_beams(tokens)
-    assert (exc.value.line, exc.value.column) == (1, tokens[1].start_column)
+        check_beams("T  E_ _E_ _E")
+    assert (exc.value.line, exc.value.column) == (1, 6)
 
 
 def test_validate_beams_nested_begin():
     with pytest.raises(ModelError, match="inside an open beam group"):
-        validate_beams(parse_line("T  E_ E_ _E"))
+        check_beams("T  E_ E_ _E")
 
 
 @pytest.mark.parametrize("inner", [".", "..", "...", "-"])
 def test_validate_beams_rejects_dots_and_carry_inside_group(inner):
     # beams replace flags; dot groups and the carry token have none
-    tokens = parse_line(f"T  I E_ {inner} _E", MANET)
     with pytest.raises(ModelError, match="beams join stems only") as exc:
-        validate_beams(tokens)
-    assert (exc.value.line, exc.value.column) == (1, tokens[2].start_column)
+        check_beams(f"T  I E_ {inner} _E", MANET)
+    assert (exc.value.line, exc.value.column) == (1, 8)
 
 
 # --- grammar fuzz ------------------------------------------------------

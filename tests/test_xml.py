@@ -179,7 +179,7 @@ def test_time_pairs_equal_reduced_fraction_fold(tokens):
 def test_emit_rejects_ypos_out_of_range(newsidler_text):
     score = compile_source(newsidler_text)
     pars = score.partes[0]
-    pars.columns[0].sona[0].ypos = 13
+    pars.columns[0].sona[0] = pars.columns[0].sona[0]._replace(ypos=13)
     with pytest.raises(EmitError, match="ypos"):
         emit_pars(pars)
 
@@ -190,8 +190,10 @@ _TWIN_GRIPS = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT       I  I  I\nVOX v  
 def test_identical_grips_differ_by_their_edit_alone():
     pars = compile_source(_TWIN_GRIPS).partes[0]
     first, second, third = (col.sona[0] for col in pars.columns)
-    second.annotations = [Annotation(EDIT_TRACK, "x<y", 14, 6)]
-    third.annotations = [Annotation("fg", "p", 17, 6)]  # not emitted: shares the plain line
+    assert first is second is third  # one shared value; each column gets its own record below
+    pars.columns[1].sona[0] = second._replace(annotations=(Annotation(EDIT_TRACK, "x<y", 14, 6),))
+    # not emitted: its line is the plain one
+    pars.columns[2].sona[0] = third._replace(annotations=(Annotation("fg", "p", 17, 6),))
     lines = [ln for ln in emit_pars(pars).split("\n") if "<sonum" in ln]
     plain = "    <sonum source='a' fret='1' string='0' ypos='1' />"
     assert lines == [plain, plain[:-3] + " edit='x&lt;y' />", plain]
@@ -203,12 +205,12 @@ def test_out_of_range_twin_of_a_written_grip_raises_at_its_own_column(field, wha
     pars = compile_source(_TWIN_GRIPS).partes[0]
     # the first column's line is written, and kept for its twins, before the
     # third column, whose grip differs in one field only, is reached
-    setattr(pars.columns[2].sona[0], field, MAX_POSITION + 1)
+    pars.columns[2].sona[0] = pars.columns[2].sona[0]._replace(**{field: MAX_POSITION + 1})
     with pytest.raises(EmitError) as exc:
         emit_pars(pars)
     col = pars.columns[2]
     assert exc.value.message == f"{what} {MAX_POSITION + 1} of column 2 is outside 0..{MAX_POSITION}"
-    assert (exc.value.line, exc.value.column) == (4, col.duration.start_column)
+    assert (exc.value.line, exc.value.column) == (4, col.start_column)
     with pytest.raises(EmitError) as ref:
         helpers.reference_emit_pars(pars)
     assert ref.value.message == exc.value.message
