@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 2 for unusable invocations (unreadable input, bad flags, an output that
 cannot be written). The input is read as UTF-8, with or without a
 byte-order mark. Diagnostics go to stderr with a caret excerpt of the
-offending line, every control character in them made visible
-(``errors.visible``).
+offending line. Every line the CLI itself prints (diagnostics, warnings,
+the read and write errors, a bad geometry value) shows each control
+character visibly (``errors.visible``), the input and output paths too.
 
 Output files are written in two phases (``_write_outputs``): every temp
 file is complete before the first is renamed over its target, so a failure
@@ -29,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import CompileError, format_diagnostic
+from .errors import CompileError, format_diagnostic, visible
 from .model import ScoreModel, build_score
 from .scanner import scan_text
 from .svg_out import RenderConfig, positive_finite, render_pars
@@ -42,9 +43,9 @@ def _positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text} is not a number") from None
+        raise argparse.ArgumentTypeError(f"{visible(text)} is not a number") from None
     if not positive_finite(value):
-        raise argparse.ArgumentTypeError(f"{text} is not finite and strictly positive")
+        raise argparse.ArgumentTypeError(f"{visible(text)} is not finite and strictly positive")
     return value
 
 
@@ -158,7 +159,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"{path}: error: cannot read input: {err}", file=sys.stderr)
+        print(visible(f"{path}: error: cannot read input: {err}"), file=sys.stderr)
         return 2
 
     try:
@@ -168,7 +169,7 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
     for warning in score.warnings:
-        print(f"{path}: warning: {warning}", file=sys.stderr)
+        print(visible(f"{path}: warning: {warning}"), file=sys.stderr)
 
     partes = score.partes
     if args.pars is not None:
@@ -202,7 +203,7 @@ def _run(args: argparse.Namespace) -> int:
         outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
     error = _write_outputs(outputs)
     if error is not None:
-        print(error, file=sys.stderr)
+        print(visible(error), file=sys.stderr)
         return 2
     return 0
 

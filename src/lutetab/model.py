@@ -14,7 +14,9 @@ A PARS is built from its final parameters, so an assignment below its
 first system applies to all its systems and to no other PARS.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
-the line they name from the source text.
+the line they name from the source text. A token is a ``(text, column)``
+pair, so an error's line is that of the ``SourceLine`` its token came
+from: a grip's is its voice line's, an annotation's its track line's.
 
 ``Sonum`` and ``tempus.DurationToken`` are ``NamedTuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
@@ -40,7 +42,7 @@ from .prelude import (
     TABLE_PARAM,
 )
 from .records import Record
-from .scanner import LineKind, SourceLine, Token
+from .scanner import LineKind, SourceLine
 from .tempus import DurationToken, parse_tempus_line, validate_beams
 from .vox import EDIT_TRACK, PROLONGATE_SUFFIX, Annotation, parse_param_track, parse_vox_line
 
@@ -102,7 +104,7 @@ class _System(NamedTuple):
 def build_system(
     tempus: SourceLine,
     durations: list[DurationToken],
-    voices: list[tuple[str, list[Token], list[Annotation], SourceLine]],
+    voices: list[tuple[str, list[tuple[str, int]], list[Annotation], SourceLine]],
     shared: dict[tuple[str, int], Sonum],
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
@@ -113,6 +115,7 @@ def build_system(
 
     Each grip token stands under the duration symbol sharing its start
     column; voice order gives the vertical position (the T line is row 0).
+    A grip's line is its voice's ``SourceLine``, the last of its entry.
     A grip without an annotation is the PARS's one ``Sonum`` for its
     ``(text, ypos)`` in ``shared``, built on first use; a grip with one gets
     its own record. Columns are numbered on from ``first_numerus``.
@@ -130,25 +133,24 @@ def build_system(
         )
 
     symbols = tempus.tokens[1:]
-    sona_by_column: dict[int, list[Sonum]] = {t.start_column: [] for t in symbols}
-    for ypos, (voice_name, grips, annotations, _) in enumerate(voices, 1):
+    sona_by_column: dict[int, list[Sonum]] = {column: [] for _, column in symbols}
+    for ypos, (voice_name, grips, annotations, vox_line) in enumerate(voices, 1):
         notes: dict[int, list[Annotation]] = {}
         for ann in annotations:
             notes.setdefault(ann.start_column, []).append(ann)
-        for grip in grips:
-            text, column = grip.text, grip.start_column
+        for text, column in grips:
             sona = sona_by_column.get(column)
             if sona is None:
                 raise ModelError(
                     f"grip '{text.removesuffix(PROLONGATE_SUFFIX)}' in voice '{voice_name}' "
                     "does not start under any duration symbol of its system",
-                    line=grip.line_number,
+                    line=vox_line.line_number,
                     column=column,
                 )
             sonum = shared.get((text, ypos))
             if sonum is None:
                 symbol = text.removesuffix(PROLONGATE_SUFFIX)
-                position = lookup_grip(symbol_map, table_name, symbol, grip.line_number, column)
+                position = lookup_grip(symbol_map, table_name, symbol, vox_line.line_number, column)
                 sonum = shared[text, ypos] = Sonum(symbol, *position, symbol != text, ypos)
             note = notes.pop(column, None) if notes else None
             sona.append(sonum if note is None else sonum._replace(annotations=tuple(note)))
@@ -162,14 +164,14 @@ def build_system(
             )
 
     columns: list[Columna] = []
-    for numerus, (token, symbol) in enumerate(zip(durations, symbols), first_numerus):
-        sona = sona_by_column[symbol.start_column]
+    for numerus, (token, (_, column)) in enumerate(zip(durations, symbols), first_numerus):
+        sona = sona_by_column[column]
         if not sona:
             raise ModelError(
                 f"column of duration '{token.source_text}' has no grip event "
                 "(every column needs at least one)",
                 line=tempus.line_number,
-                column=symbol.start_column,
+                column=column,
             )
         columns.append(
             Columna(
@@ -182,7 +184,7 @@ def build_system(
                 summa_praecedentium=0,  # set by compute_summa
                 sona=sona,
                 line_number=tempus.line_number,
-                start_column=symbol.start_column,
+                start_column=column,
             )
         )
     return columns
@@ -226,17 +228,17 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
             params = file_params.copy()
             systems = []
         elif header is None:
+            _, column = line.tokens[0]
             raise ModelError(
-                f"{kind.value} outside of any PARS section",
-                line=line.line_number,
-                column=line.tokens[0].start_column,
+                f"{kind.value} outside of any PARS section", line=line.line_number, column=column
             )
         elif kind is LineKind.TEMPUS:
             systems.append(_System(line, []))
         elif kind is LineKind.VOX:
             if not systems:
+                name, _ = header.tokens[1]
                 raise ModelError(
-                    f"voice line before any time line in PARS '{header.tokens[1].text}'",
+                    f"voice line before any time line in PARS '{name}'",
                     line=line.line_number,
                 )
             systems[-1].voices.append((line, []))
@@ -262,29 +264,29 @@ def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
     """
     tokens = header.tokens
     if len(tokens) < 2:
+        _, head_column = tokens[0]
         raise ParseError(
-            "PARS header needs a name",
-            line=header.line_number,
-            column=tokens[0].start_column + len("PARS"),
+            "PARS header needs a name", line=header.line_number, column=head_column + len("PARS")
         )
+    name, column = tokens[1]
     if len(tokens) > 2:
+        _, extra_column = tokens[2]
         raise ParseError(
-            f"unexpected tokens after PARS name '{tokens[1].text}'",
+            f"unexpected tokens after PARS name '{name}'",
             line=header.line_number,
-            column=tokens[2].start_column,
+            column=extra_column,
         )
-    name = tokens[1].text
     if "/" in name:
         raise ParseError(
             "PARS name contains '/', which cannot be part of a file name",
             line=header.line_number,
-            column=tokens[1].start_column + name.index("/"),
+            column=column + name.index("/"),
         )
     if name in seen_names:
         raise ModelError(
             f"duplicate PARS name '{name}' (first at line {seen_names[name]})",
             line=header.line_number,
-            column=tokens[1].start_column,
+            column=column,
         )
     seen_names[name] = header.line_number
 
@@ -296,7 +298,7 @@ def _build_pars(
     tables: dict[str, GripTable],
     warnings: list[str],
 ) -> ParsModel:
-    name = header.tokens[1].text
+    name, _ = header.tokens[1]
     if not systems:
         raise ModelError(
             f"PARS '{name}' contains no system (it needs at least one time line)",

@@ -16,7 +16,10 @@ symbol. A PARS selects its table with a ``bünde`` assignment, and
 with a warning.
 
 ``Parameters`` is a slotted ``Record`` that ``apply_assignment`` sets in
-place; the parsed assignments and tables are ``NamedTuple`` records.
+place; the parsed assignments and tables are ``NamedTuple`` records. An
+assignment's name and value may stand on different lines, so the parser
+keeps the name's line beside the value's ``(text, column)`` pairs, and a
+table keeps each of its lines' numbers beside that line's tokens.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import ModelError, ParseError
 from .records import Record
-from .scanner import LineKind, SourceLine, Token, paren_balance
+from .scanner import LineKind, SourceLine, paren_balance
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 
@@ -73,14 +76,16 @@ def parse_assignment(
     Handles the three shapes found in sources: ``name = word``,
     ``name = ( (..) (..) )`` spanning continuation lines, and a bare name
     line whose ``= value`` follows on the next non-blank line. Returns the
-    parsed object and the index of the first unconsumed line.
+    parsed object and the index of the first unconsumed line. A bare name
+    and its value stand on different lines: an error about the name names
+    the name's line, an error about the value the value's.
     """
     line = lines[idx]
-    tokens = list(line.tokens)
-    name_tok: Token | None = None
+    tokens = line.tokens
+    name_line = line.line_number
+    name, column = tokens[0]
 
-    if len(tokens) == 1 and "=" not in tokens[0].text:
-        name_tok = tokens[0]
+    if len(tokens) == 1 and "=" not in name:
         j = idx + 1
         while j < len(lines) and lines[j].kind is LineKind.BLANK:
             j += 1
@@ -89,92 +94,77 @@ def parse_assignment(
             follower is None
             or follower.kind is not LineKind.ASSIGNMENT
             or not follower.tokens
-            or follower.tokens[0].text != "="
+            or follower.tokens[0][0] != "="
         ):
             raise ParseError(
-                f"expected '= value' after parameter name '{name_tok.text}'",
-                line=line.line_number,
-                column=name_tok.start_column,
+                f"expected '= value' after parameter name '{name}'",
+                line=name_line,
+                column=column,
             )
         idx = j
         line = follower
-        tokens = list(follower.tokens)[1:]  # past the "="
-    elif tokens and tokens[0].text == "=":
+        tokens = follower.tokens[1:]  # past the "="
+    elif name == "=":
         raise ParseError(
-            "assignment value without a preceding name",
-            line=line.line_number,
-            column=tokens[0].start_column,
+            "assignment value without a preceding name", line=name_line, column=column
         )
-    elif tokens and "=" in tokens[0].text and tokens[0].text != "=":
+    elif "=" in name:
         # compact "name=value" form
-        head = tokens[0]
-        eq = head.text.index("=")
-        name_tok = Token(head.text[:eq], head.start_column, head.line_number)
-        rest = head.text[eq + 1 :]
-        tokens = tokens[1:]
-        if rest:
-            tokens.insert(0, Token(rest, head.start_column + eq + 1, head.line_number))
+        name, _, rest = name.partition("=")
+        tokens = [(rest, column + len(name) + 1), *tokens[1:]] if rest else tokens[1:]
     else:
-        if len(tokens) < 2 or tokens[1].text != "=":
+        if len(tokens) < 2 or tokens[1][0] != "=":
             raise ParseError(
-                "malformed assignment (expected 'name = value')",
-                line=line.line_number,
-                column=tokens[0].start_column if tokens else 0,
+                "malformed assignment (expected 'name = value')", line=name_line, column=column
             )
-        name_tok = tokens[0]
         tokens = tokens[2:]
 
-    if not name_tok.text.isidentifier():
+    if not name.isidentifier():
         raise ParseError(
-            f"'{name_tok.text}' is not a valid parameter name",
-            line=name_tok.line_number,
-            column=name_tok.start_column,
+            f"'{name}' is not a valid parameter name", line=name_line, column=column
         )
     if not tokens:
-        last = line.tokens[-1]
+        last, last_column = line.tokens[-1]
         raise ParseError(
-            f"missing value in assignment of '{name_tok.text}'",
+            f"missing value in assignment of '{name}'",
             line=line.line_number,
-            column=last.start_column + len(last.text),
+            column=last_column + len(last),
         )
 
-    if tokens[0].text.startswith("("):
-        return _parse_table(name_tok, tokens, lines, idx, line)
+    value, _ = tokens[0]
+    if value.startswith("("):
+        return _parse_table(name, name_line, tokens, lines, idx)
 
     if len(tokens) > 1:
+        _, extra_column = tokens[1]
         raise ParseError(
-            f"expected a single value for '{name_tok.text}'",
-            line=tokens[1].line_number,
-            column=tokens[1].start_column,
+            f"expected a single value for '{name}'", line=line.line_number, column=extra_column
         )
-    item = ScalarAssignment(
-        name_tok.text, tokens[0].text, name_tok.line_number, name_tok.start_column
-    )
-    return item, idx + 1
+    return ScalarAssignment(name, value, name_line, column), idx + 1
 
 
 def _parse_table(
-    name_tok: Token,
-    value_tokens: list[Token],
+    name: str,
+    name_line: int,
+    value_tokens: list[tuple[str, int]],
     lines: list[SourceLine],
     idx: int,
-    first_line: SourceLine,
 ) -> tuple[GripTable, int]:
-    """Collect a table value and the continuation and blank lines the scanner marked below it.
+    """Collect a table value on ``lines[idx]`` and the continuation and blank lines below it.
 
     Those lines run while the value's parentheses stay open, so only a file
     ending inside the table leaves them unbalanced.
     """
-    collected = list(value_tokens)
+    first_line = lines[idx].line_number
+    _, value_column = value_tokens[0]
+    collected = [(first_line, value_tokens)]  # (line number, tokens) per table line
     j = idx + 1
     while j < len(lines) and lines[j].kind in _TABLE_BODY:
-        collected.extend(lines[j].tokens)
+        collected.append((lines[j].line_number, lines[j].tokens))
         j += 1
-    if paren_balance(collected) != 0:
+    if sum(paren_balance(tokens) for _, tokens in collected) != 0:
         raise ParseError(
-            f"unbalanced parentheses in table '{name_tok.text}'",
-            line=first_line.line_number,
-            column=value_tokens[0].start_column,
+            f"unbalanced parentheses in table '{name}'", line=first_line, column=value_column
         )
 
     rows: list[list[str]] = []
@@ -188,7 +178,7 @@ def _parse_table(
                 current = []
             elif level > 2:
                 raise ParseError(
-                    f"table '{name_tok.text}' nests deeper than rows of symbols",
+                    f"table '{name}' nests deeper than rows of symbols",
                     line=a_line,
                     column=a_col,
                 )
@@ -208,41 +198,38 @@ def _parse_table(
                 f_line, f_col = seen[atom]
                 raise ParseError(
                     f"grip symbol '{atom}' appears twice in table "
-                    f"'{name_tok.text}' (first at line {f_line}, column {f_col + 1})",
+                    f"'{name}' (first at line {f_line}, column {f_col + 1})",
                     line=a_line,
                     column=a_col,
                 )
             seen[atom] = (a_line, a_col)
             current.append(atom)
     if not rows:
-        raise ParseError(
-            f"table '{name_tok.text}' has no rows",
-            line=first_line.line_number,
-            column=value_tokens[0].start_column,
-        )
-    return GripTable(name_tok.text, rows, name_tok.line_number), j
+        raise ParseError(f"table '{name}' has no rows", line=first_line, column=value_column)
+    return GripTable(name, rows, name_line), j
 
 
-def _table_atoms(tokens: list[Token]):
-    """Re-lex table tokens: parens separate even when glued to symbols.
+def _table_atoms(collected: list[tuple[int, list[tuple[str, int]]]]):
+    """Re-lex each table line's tokens: parens separate even when glued to symbols.
 
     Yields ``(atom, line, column)``; a quoted token is one atom whole.
     """
-    for tok in tokens:
-        if tok.text[0] == '"':
-            yield tok.text, tok.line_number, tok.start_column
-            continue
-        run_start: int | None = None
-        for i, ch in enumerate(tok.text):
-            if ch in "()":
-                if run_start is not None:
-                    yield tok.text[run_start:i], tok.line_number, tok.start_column + run_start
-                    run_start = None
-                yield ch, tok.line_number, tok.start_column + i
-            elif run_start is None:
-                run_start = i
-        if run_start is not None:
-            yield tok.text[run_start:], tok.line_number, tok.start_column + run_start
+    for line_number, tokens in collected:
+        for text, column in tokens:
+            if text[0] == '"':
+                yield text, line_number, column
+                continue
+            run_start: int | None = None
+            for i, ch in enumerate(text):
+                if ch in "()":
+                    if run_start is not None:
+                        yield text[run_start:i], line_number, column + run_start
+                        run_start = None
+                    yield ch, line_number, column + i
+                elif run_start is None:
+                    run_start = i
+            if run_start is not None:
+                yield text[run_start:], line_number, column + run_start
 
 
 def apply_assignment(

@@ -17,6 +17,8 @@ The prelude and the model read these line kinds and work none out again.
 
 A scanned line keeps its number, kind and tokens, not its text: an error
 names a line and column, and ``errors.format_diagnostic`` shows the line.
+A token is a plain ``(text, start column)`` pair; its line number is the
+``SourceLine``'s, and every stage reads it from there.
 """
 
 from __future__ import annotations
@@ -38,16 +40,10 @@ class LineKind(Enum):
     PARAM_TRACK = "paramTrackLine"
 
 
-class Token(NamedTuple):
-    text: str
-    start_column: int  # 0-based scalar offset from line start
-    line_number: int  # 1-based
-
-
 class SourceLine(NamedTuple):
     line_number: int  # 1-based
     kind: LineKind
-    tokens: list[Token]
+    tokens: list[tuple[str, int]]  # (text, 0-based scalar start column)
 
 
 def strip_comments(raw_line: str) -> str:
@@ -63,29 +59,32 @@ def strip_comments(raw_line: str) -> str:
 _TOKEN_RE = re.compile(r'("[^"]*"\S*)|\S+')
 
 
-def tokenize_columns(text: str, line_number: int = 0) -> list[Token]:
-    """Split into maximal non-whitespace runs annotated with start columns.
+def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
+    """Split into maximal non-whitespace runs, each a ``(text, start column)`` pair.
 
     A token opening with a double quote runs to the closing quote and then
     swallows any directly attached suffix characters (the source format
     writes ``"..."!``), so quoted annotations with internal spaces stay one
-    token. The opening quote's column is the token's column.
+    token. The opening quote's column is the token's column; ``line_number``
+    only locates the unterminated-quote error.
     """
-    tokens: list[Token] = []
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
         tok = m.group()
         if tok[0] == '"' and m.lastindex is None:
             raise ScanError("unterminated quote", line=line_number, column=m.start())
-        tokens.append(Token(tok, m.start(), line_number))
+        tokens.append((tok, m.start()))
     return tokens
 
 
-def paren_balance(tokens: list[Token]) -> int:
+def paren_balance(tokens: list[tuple[str, int]]) -> int:
     """Count ``(`` minus ``)`` outside tokens that open with a quote (text, suffix included)."""
-    return sum(t.text.count("(") - t.text.count(")") for t in tokens if t.text[0] != '"')
+    return sum(text.count("(") - text.count(")") for text, _ in tokens if text[0] != '"')
 
 
-def classify_line(tokens: list[Token], paren_depth: int, prev_kind: LineKind) -> LineKind:
+def classify_line(
+    tokens: list[tuple[str, int]], paren_depth: int, prev_kind: LineKind, line_number: int
+) -> LineKind:
     """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
 
     Open parenthesis groups turn any line into a table continuation;
@@ -98,26 +97,23 @@ def classify_line(tokens: list[Token], paren_depth: int, prev_kind: LineKind) ->
         return LineKind.BLANK
     if paren_depth > 0:
         return LineKind.TABLE_CONTINUATION
-    head = tokens[0]
-    first = head.text
+    first, column = tokens[0]
     if first == "PARS":
         return LineKind.PARS_HEADER
     if first == "T":
         return LineKind.TEMPUS
     if first == "VOX":
         return LineKind.VOX
-    if (first[0] != '"' and "=" in first) or any(t.text == "=" for t in tokens):
+    if (first[0] != '"' and "=" in first) or any(text == "=" for text, _ in tokens):
         return LineKind.ASSIGNMENT
     if first.isidentifier():
-        if prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and head.start_column > 0:
+        if prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and column > 0:
             return LineKind.PARAM_TRACK
         if len(tokens) == 1:
             # Bare name; the prelude expects "= value" on a following line.
             return LineKind.ASSIGNMENT
     raise ScanError(
-        f"cannot classify line starting with {first!r}",
-        line=head.line_number,
-        column=head.start_column,
+        f"cannot classify line starting with {first!r}", line=line_number, column=column
     )
 
 
@@ -155,15 +151,14 @@ def scan_text(text: str) -> list[SourceLine]:
                 column=tab_at,
             )
         tokens = tokenize_columns(strip_comments(raw), idx)
-        kind = classify_line(tokens, paren_depth, kind)
+        kind = classify_line(tokens, paren_depth, kind, idx)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
             paren_depth += paren_balance(tokens)
             if paren_depth < 0:
-                last = next(t for t in reversed(tokens) if t.text[0] != '"' and ")" in t.text)
-                raise ScanError(
-                    "unmatched ')'",
-                    line=idx,
-                    column=last.start_column + last.text.rfind(")"),
+                tok, column = next(
+                    (tok, column) for tok, column in reversed(tokens)
+                    if tok[0] != '"' and ")" in tok
                 )
+                raise ScanError("unmatched ')'", line=idx, column=column + tok.rfind(")"))
         lines.append(SourceLine(idx, kind, tokens))
     return lines

@@ -12,8 +12,9 @@ all their sums, are exact integer ticks of 1/64 whole note.
 A ``DurationToken`` is a value: what a spelling means, not where it
 stands. Each of the 35 spellings other than the carry is parsed once, at
 import, and every column that holds it shares that one record; the column
-(``model.Columna``) keeps the position, and errors read it from the T
-line's ``SourceLine``.
+(``model.Columna``) keeps the position. A T line's symbols are the
+scanner's ``(text, column)`` pairs, and errors take their line number from
+the T line's ``SourceLine``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import ModelError, ParseError
 from .prelude import Parameters
-from .scanner import SourceLine, Token
+from .scanner import SourceLine
 
 KLASS_DOTS = "dots"
 KLASS_CARRY = "carry"
@@ -64,10 +65,12 @@ _SPELLINGS = {
 
 
 def parse_duration_token(
-    token: Token, params: Parameters, prev: DurationToken | None
+    text: str, column: int, line_number: int, params: Parameters, prev: DurationToken | None
 ) -> DurationToken:
-    """The shared value of one T-line symbol; a carry takes its value from ``prev``."""
-    text = token.text
+    """The shared value of the T-line symbol ``text``; a carry takes its value from ``prev``.
+
+    ``column`` and ``line_number`` only locate an error.
+    """
     parsed = _SPELLINGS.get(text)
     if parsed is not None:
         return parsed
@@ -75,21 +78,21 @@ def parse_duration_token(
         if not params.duratio_manet:
             raise ParseError(
                 "carry token '-' requires the prelude parameter 'duratioManet = est'",
-                line=token.line_number,
-                column=token.start_column,
+                line=line_number,
+                column=column,
             )
         if prev is None:
             raise ParseError(
                 "carry token '-' has no preceding duration to repeat",
-                line=token.line_number,
-                column=token.start_column,
+                line=line_number,
+                column=column,
             )
         return DurationToken(text, KLASS_CARRY, 0, False, False, prev.value)
     if "-" in text:
         msg = f"carry token '-' takes no dots or beam markers: '{text}'"
     else:
         msg = f"invalid duration token '{text}'"
-    raise ParseError(msg, line=token.line_number, column=token.start_column)
+    raise ParseError(msg, line=line_number, column=column)
 
 
 def parse_tempus_line(
@@ -100,17 +103,16 @@ def parse_tempus_line(
     ``prev`` seeds the carry chain, so a line that continues an earlier
     system of the same PARS may begin with ``-``.
     """
-    assert line.tokens and line.tokens[0].text == "T"
-    body = line.tokens[1:]
+    (head, head_column), *body = line.tokens
+    assert head == "T"
     if not body:
         raise ParseError(
-            "time line has no duration symbols",
-            line=line.line_number,
-            column=line.tokens[0].start_column,
+            "time line has no duration symbols", line=line.line_number, column=head_column
         )
+    line_number = line.line_number
     out: list[DurationToken] = []
-    for tok in body:
-        prev = parse_duration_token(tok, params, prev)
+    for text, column in body:
+        prev = parse_duration_token(text, column, line_number, params, prev)
         out.append(prev)
     return out
 
@@ -150,5 +152,5 @@ def validate_beams(tempus: SourceLine, tokens: list[DurationToken]) -> None:
         if not open_at:
             return
         i, message = open_at, f"unclosed beam group (begun at '{tokens[open_at - 1].source_text}')"
-    # tempus.tokens[0] is the line's "T"
-    raise ModelError(message, line=tempus.line_number, column=tempus.tokens[i].start_column)
+    _, column = tempus.tokens[i]  # tempus.tokens[0] is the line's "T"
+    raise ModelError(message, line=tempus.line_number, column=column)

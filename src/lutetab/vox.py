@@ -13,9 +13,11 @@ line that starts in the same column. A payload may hold any text but a
 double quote or ``//``, which starts a comment even inside quotes. Only
 the ``edit`` track is emitted; the model warns about any other.
 
-A grip stays the scanner's ``Token``: ``parse_vox_line`` only checks the
-``+`` suffix. ``model.build_system`` looks its ``(text, ypos)`` up among its
-PARS's grips and builds a ``Sonum`` only for a new one or an annotated one.
+A grip stays the scanner's ``(text, column)`` pair: ``parse_vox_line`` only
+checks the ``+`` suffix, and errors and annotations take their line number
+from the ``SourceLine``. ``model.build_system`` looks a grip's
+``(text, ypos)`` up among its PARS's grips and builds a ``Sonum`` only for
+a new one or an annotated one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ParseError
-from .scanner import SourceLine, Token
+from .scanner import SourceLine
 
 PROLONGATE_SUFFIX = "+"
 EDIT_TRACK = "edit"
@@ -36,31 +38,34 @@ class Annotation(NamedTuple):
     line_number: int
 
 
-def parse_vox_line(line: SourceLine) -> tuple[str, list[Token]]:
+def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:
     """Return the voice name and its grip tokens, whose ``+`` suffix is checked."""
-    assert line.tokens and line.tokens[0].text == "VOX"
-    if len(line.tokens) < 2:
+    tokens = line.tokens
+    head, head_column = tokens[0]
+    assert head == "VOX"
+    if len(tokens) < 2:
         raise ParseError(
             "VOX line is missing a voice name",
             line=line.line_number,
-            column=line.tokens[0].start_column + len("VOX"),
+            column=head_column + len("VOX"),
         )
-    grips = line.tokens[2:]
-    for tok in grips:
-        symbol = tok.text.removesuffix(PROLONGATE_SUFFIX)
+    name, _ = tokens[1]
+    grips = tokens[2:]
+    for text, column in grips:
+        symbol = text.removesuffix(PROLONGATE_SUFFIX)
         if not symbol:
             raise ParseError(
                 "bare '+' is not a grip (the marker suffixes a symbol)",
-                line=tok.line_number,
-                column=tok.start_column,
+                line=line.line_number,
+                column=column,
             )
         if PROLONGATE_SUFFIX in symbol:
             raise ParseError(
-                f"misplaced '+' in grip token '{tok.text}' (only one, at the end)",
-                line=tok.line_number,
-                column=tok.start_column,
+                f"misplaced '+' in grip token '{text}' (only one, at the end)",
+                line=line.line_number,
+                column=column,
             )
-    return line.tokens[1].text, grips
+    return name, grips
 
 
 def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
@@ -68,20 +73,19 @@ def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
 
     A terminal backslash token is an end-of-track marker, not a payload.
     """
-    assert line.tokens
-    track = line.tokens[0].text
-    payload = list(line.tokens[1:])
-    if payload and set(payload[-1].text) == {"\\"}:
+    (track, _), *payload = line.tokens
+    if payload and set(payload[-1][0]) == {"\\"}:
         payload.pop()
     annotations: list[Annotation] = []
-    for tok in payload:
-        if not tok.text.startswith('"'):
+    for text, column in payload:
+        if not text.startswith('"'):
             raise ParseError(
-                f"parameter track '{track}' payload must be quoted, got '{tok.text}'",
-                line=tok.line_number,
-                column=tok.start_column,
+                f"parameter track '{track}' payload must be quoted, got '{text}'",
+                line=line.line_number,
+                column=column,
             )
-        close = tok.text.index('"', 1)  # guaranteed by the scanner
-        text = tok.text[1:close] + tok.text[close + 1 :]
-        annotations.append(Annotation(track, text, tok.start_column, tok.line_number))
+        close = text.index('"', 1)  # guaranteed by the scanner
+        annotations.append(
+            Annotation(track, text[1:close] + text[close + 1 :], column, line.line_number)
+        )
     return track, annotations

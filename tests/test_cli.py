@@ -533,6 +533,52 @@ def test_pars_filter_miss_lists_names_with_visible_control_characters(tmp_path, 
     )
 
 
+def test_read_error_shows_control_characters_in_the_path(tmp_path, capsys):
+    path = tmp_path / "no\x1b[31mfile.tab"
+    assert main([str(path), "--check"]) == 2
+    shown = str(path).replace("\x1b", "\u241b")
+    assert capsys.readouterr().err == (
+        f"{shown}: error: cannot read input: [Errno 2] No such file or directory: {str(path)!r}\n"
+    )
+
+
+def test_warning_shows_control_characters_in_the_path(tmp_path, capsys):
+    path = tmp_path / "w\x1bx.tab"
+    path.write_text("tonus = d\n" + _SMALL_PARS, encoding="utf-8")
+    assert main([str(path), "--check"]) == 0
+    shown = str(path).replace("\x1b", "\u241b")
+    assert capsys.readouterr().err == (
+        f"{shown}: warning: unrecognized parameter 'tonus' at line 1 (ignored)\n"
+    )
+
+
+def test_write_error_shows_control_characters_in_the_path(newsidler_file, tmp_path, capsys):
+    blocker = tmp_path / "FILE"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "\x1bout")
+    assert main([str(newsidler_file), "--xml", out]) == 2
+    shown = out.replace("\x1b", "\u241b")
+    assert capsys.readouterr().err == (
+        f"{shown}: error: cannot write {shown}: Not a directory\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value,shown,reason",
+    [("\x1b[31m", "\u241b[31m", "is not a number"),
+     ("\x0c-1", "\u240c-1", "is not finite and strictly positive")],
+    ids=["not-a-number", "not-positive"],
+)
+def test_geometry_error_shows_control_characters(
+    newsidler_file, tmp_path, capsys, value, shown, reason
+):
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), "--svg", str(tmp_path / "svg"), f"--margin={value}"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"lutetab: error: argument --margin: {shown} {reason}"
+
+
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def gc_before(request):
     """Set the collector's state before a run; restore the test run's own after it."""

@@ -3,10 +3,12 @@ validate, or fail to compile with a located ``CompileError`` whose excerpt
 is the line it names; the model owns every emitted bound, so
 ``emit_pars`` never raises on a compiled model; and the writers, which
 format each repeated fragment once, write the same bytes as the
-per-element reference writers in ``helpers``."""
+per-element reference writers in ``helpers``. An error locates the token
+it names on that token's own line."""
 
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lutetab import (
@@ -173,3 +175,35 @@ def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
         elif col.sona:
             col.sona[0] = col.sona[0]._replace(ypos=row)
     assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)
+
+
+_HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
+
+
+@pytest.mark.parametrize(
+    "source,message,line,column",
+    [
+        ("tbl = (\n  (1 a b)\n  (2 c a)\n)\n",
+         "grip symbol 'a' appears twice in table 'tbl' (first at line 2, column 6)", 3, 7),
+        ("tbl = (\n  x (1 a)\n)\n", "symbol 'x' outside a table row", 2, 2),
+        ("tbl = ( (1 a)\n  ((2 b))\n)\n", "table 'tbl' nests deeper than rows of symbols", 2, 3),
+        ("tonus\n\n= a b\n", "expected a single value for 'tonus'", 3, 4),
+        (_HEAD + "T      I  I\nVOX v  a  a+b\n",
+         "misplaced '+' in grip token 'a+b' (only one, at the end)", 5, 10),
+        (_HEAD + "T      I  I\nVOX v  a  z\n",
+         "unknown grip symbol 'z' (not in table 'tbl')", 5, 10),
+        (_HEAD + 'T           I  I\nVOX v       a  a\n    edit    "x"\n    edit        "y"\n',
+         "annotation in track 'edit' does not start under any event of voice 'v'", 7, 16),
+        ('PARS a\nT  I\nfoo "bar\n', "unterminated quote", 3, 4),
+        ("PARS a\nT  I\n  what is this\n", "cannot classify line starting with 'what'", 3, 2),
+    ],
+    ids=["duplicate-symbol", "symbol-outside-row", "third-level", "single-value",
+         "misplaced-plus", "unknown-grip", "stray-annotation", "unterminated-quote",
+         "unclassifiable"],
+)
+def test_errors_name_the_line_of_their_token(source, message, line, column):
+    """An error stands on the line of the token it names, which may lie
+    below the line that began its table, assignment or voice."""
+    with pytest.raises(CompileError) as exc:
+        compile_source(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)

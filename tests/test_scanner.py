@@ -30,14 +30,12 @@ def test_strip_comments(raw, expected):
 def test_strip_comments_preserves_columns():
     before = tokenize_columns("T  I I")
     after = tokenize_columns(strip_comments("T  I I // rest"))
-    assert [(t.text, t.start_column) for t in after] == [
-        (t.text, t.start_column) for t in before
-    ]
+    assert after == before
 
 
 def test_tokenize_columns_basic():
     tokens = tokenize_columns("        I I T")
-    assert [(t.text, t.start_column) for t in tokens] == [("I", 8), ("I", 10), ("T", 12)]
+    assert tokens == [("I", 8), ("I", 10), ("T", 12)]
 
 
 def test_tokenize_columns_empty():
@@ -47,12 +45,12 @@ def test_tokenize_columns_empty():
 
 def test_tokenize_columns_suffix():
     tokens = tokenize_columns("4+ 5")
-    assert [(t.text, t.start_column) for t in tokens] == [("4+", 0), ("5", 3)]
+    assert tokens == [("4+", 0), ("5", 3)]
 
 
 def test_tokenize_quoted_region_is_one_token():
     tokens = tokenize_columns('    edit  "hardly readable"! x')
-    assert [(t.text, t.start_column) for t in tokens] == [
+    assert tokens == [
         ("edit", 4),
         ('"hardly readable"!', 10),
         ("x", 29),
@@ -81,11 +79,11 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK) is kind
+    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, 1) is kind
 
 
 def classify(line: str, paren_depth: int = 0, prev_kind: LineKind = LineKind.BLANK):
-    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind)
+    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, 2)
 
 
 def test_classify_param_track_needs_preceding_vox():
@@ -105,7 +103,7 @@ def test_classify_table_continuation():
 def test_classify_rejects_unknown_shape():
     raw = "  what is this // a comment"
     with pytest.raises(ScanError) as exc:
-        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK)
+        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK, 7)
     assert (exc.value.line, exc.value.column) == (7, 2)
 
 
@@ -163,8 +161,8 @@ def test_scan_reports_an_earlier_line_first():
 
 def test_scan_strips_crlf():
     lines = scan_text("PARS a\r\nT  I\r\n")
-    assert [(t.text, t.start_column) for t in lines[0].tokens] == [("PARS", 0), ("a", 5)]
-    assert [t.start_column for t in lines[1].tokens] == [0, 3]
+    assert lines[0].tokens == [("PARS", 0), ("a", 5)]
+    assert [column for _, column in lines[1].tokens] == [0, 3]
 
 
 def test_scan_kinds_for_full_fixture(newsidler_text):
@@ -205,16 +203,16 @@ def test_tokenize_round_trip(layout):
         line += " " * gap + text
     tokens = tokenize_columns(line)
     rebuilt = [" "] * len(line)
-    for tok in tokens:
-        rebuilt[tok.start_column : tok.start_column + len(tok.text)] = tok.text
+    for text, column in tokens:
+        rebuilt[column : column + len(text)] = text
     assert "".join(rebuilt) == line
 
 
-def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int, int]]:
+def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int]]:
     """Reference tokenizer: a character loop over ``str.isspace``.
 
-    Returns ``(text, start_column, line_number)`` triples; raises ScanError
-    at the opening quote of a quote that never closes.
+    Returns ``(text, start_column)`` pairs; raises ScanError at the opening
+    quote of a quote that never closes, on ``line_number``.
     """
     tokens = []
     i, n = 0, len(text)
@@ -230,7 +228,7 @@ def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int,
             i = close + 1
         while i < n and not text[i].isspace():
             i += 1
-        tokens.append((text[start:i], start, line_number))
+        tokens.append((text[start:i], start))
     return tokens
 
 
@@ -251,7 +249,7 @@ def test_tokenize_matches_character_loop(text):
         assert (exc.value.line, exc.value.column) == (5, err.column)
         return
     got = tokenize_columns(text, 5)
-    assert [(t.text, t.start_column, t.line_number) for t in got] == expected
+    assert got == expected
 
 
 # Quote-free annotation text that survives an XML attribute round trip:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from lutetab.errors import ModelError, ParseError
 from lutetab.prelude import Parameters
-from lutetab.scanner import Token, scan_text
+from lutetab.scanner import scan_text
 from lutetab.tempus import (
     DurationToken,
     KLASS_CARRY,
@@ -22,7 +22,7 @@ MANET = Parameters(duratio_manet=True)
 
 
 def parse_one(text: str, params: Parameters = PLAIN, prev: DurationToken | None = None):
-    return parse_duration_token(Token(text, 0, 1), params, prev)
+    return parse_duration_token(text, 0, 1, params, prev)
 
 
 def parse_line(text: str, params: Parameters = PLAIN, prev: DurationToken | None = None):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from lutetab import compile_source
 from lutetab.errors import ParseError
-from lutetab.scanner import LineKind, SourceLine, Token, scan_text, tokenize_columns
+from lutetab.scanner import LineKind, SourceLine, scan_text, tokenize_columns
 from lutetab.vox import parse_param_track, parse_vox_line
 
 import helpers
@@ -35,7 +35,7 @@ def test_parse_vox_basic():
     assert name == "v2"
     # the grips are the scanner's own tokens, suffix and all
     assert grips == line.tokens[2:]
-    assert grips == [Token("f", 8, 1), Token("f", 10, 1), Token("f", 12, 1), Token("e+", 14, 1)]
+    assert grips == [("f", 8), ("f", 10), ("f", 12), ("e+", 14)]
 
 
 def test_parse_vox_prolongate():
