@@ -68,12 +68,18 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
     token. The opening quote's column is the token's column; ``line_number``
     only locates the unterminated-quote error.
     """
+    # Not ``finditer``: each call of it makes a new "search" string, which
+    # the interpreter's method cache may keep alive. Kept among the token
+    # pairs, such strings stop the pairs' memory from being reused for the
+    # output once the scanned lines are dropped.
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    m = _TOKEN_RE.search(text)
+    while m:
         tok = m.group()
         if tok[0] == '"' and m.lastindex is None:
             raise ScanError("unterminated quote", line=line_number, column=m.start())
         tokens.append((tok, m.start()))
+        m = _TOKEN_RE.search(text, m.end())
     return tokens
 
 
