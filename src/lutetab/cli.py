@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 cannot be written). The input is read as UTF-8, with or without a
 byte-order mark. Diagnostics go to stderr with a caret excerpt of the
 offending line. Every line the CLI itself prints (diagnostics, warnings,
-the read and write errors, a bad geometry value) shows each control
+the read and write errors, argparse's usage errors) shows each control
 character visibly (``errors.visible``), the input and output paths too.
 
 Output files are written in two phases (``_write_outputs``): every temp
@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .errors import CompileError, format_diagnostic, visible
@@ -43,14 +44,21 @@ def _positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{visible(text)} is not a number") from None
+        raise argparse.ArgumentTypeError(f"{text} is not a number") from None
     if not positive_finite(value):
-        raise argparse.ArgumentTypeError(f"{visible(text)} is not finite and strictly positive")
+        raise argparse.ArgumentTypeError(f"{text} is not finite and strictly positive")
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors, echoed arguments and all, go through ``visible``."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(visible(message))
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lutetab",
         description=(
             "Compile a column-aligned German lute tablature source into an XML "

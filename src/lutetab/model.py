@@ -7,10 +7,11 @@ hold at least one grip. Temporal positions are integer ticks of 1/64 whole
 note, the exact sums of all preceding durations, and do not reset at
 system boundaries.
 
-``build_score`` walks the scanned lines once, by their scanner kinds. An
-assignment sets the file's parameters before the first ``PARS`` header and
-the current PARS's after it; each PARS starts from a copy of the file's.
-A PARS is built from its final parameters, so an assignment below its
+``build_score`` walks the scanned lines once, by their scanner kinds, and
+``parse_assignment`` reads each assignment whole, its table lines too.
+``apply_assignment`` returns the scope it makes; the scope at the first
+``PARS`` header is the file's, and each PARS starts from it, not from a
+copy. A PARS is built from its final scope, so an assignment below its
 first system applies to all its systems and to no other PARS.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
@@ -202,7 +203,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
     """Build the full score model from scanned lines."""
     warnings: list[str] = []
     tables: dict[str, GripTable] = {}
-    file_params = params = Parameters()
+    params = file_params = Parameters()
     partes: list[ParsModel] = []
     seen_names: dict[str, int] = {}
     header: SourceLine | None = None
@@ -215,17 +216,19 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
         kind = line.kind
         if kind is LineKind.ASSIGNMENT:
             item, i = parse_assignment(lines, i)
-            apply_assignment(item, params, tables, warnings)
+            params = apply_assignment(item, params, tables, warnings)
             continue
         i += 1
         if kind is LineKind.BLANK:
             continue
         if kind is LineKind.PARS_HEADER:
-            if header is not None:
+            if header is None:
+                file_params = params
+            else:
                 partes.append(_build_pars(header, systems, params, tables, warnings))
             header = line
             _check_header(header, seen_names)
-            params = file_params.copy()
+            params = file_params
             systems = []
         elif header is None:
             _, column = line.tokens[0]
@@ -242,15 +245,10 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                     line=line.line_number,
                 )
             systems[-1].voices.append((line, []))
-        elif kind is LineKind.PARAM_TRACK:
-            # The scanner makes a track only of a line directly below a
-            # voice or track line, and that line has just been added.
-            systems[-1].voices[-1][1].append(line)
         else:
-            raise ParseError(
-                "table continuation outside a table assignment",
-                line=line.line_number,
-            )
+            # A track: the scanner makes one only of a line directly below
+            # a voice or track line, and that line has just been added.
+            systems[-1].voices[-1][1].append(line)
     if header is not None:
         partes.append(_build_pars(header, systems, params, tables, warnings))
     return ScoreModel(partes, warnings)

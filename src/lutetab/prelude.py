@@ -15,11 +15,16 @@ symbol. A PARS selects its table with a ``bünde`` assignment, and
 ``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
 with a warning.
 
-``Parameters`` is a slotted ``Record`` that ``apply_assignment`` sets in
-place; the parsed assignments and tables are ``NamedTuple`` records. An
-assignment's name and value may stand on different lines, so the parser
-keeps the name's line beside the value's ``(text, column)`` pairs, and a
-table keeps each of its lines' numbers beside that line's tokens.
+A value is a table when a token of it that ``scanner.paren_balance``
+counts holds a ``(``: the prelude reads a parenthesis as the scanner does,
+so every continuation line belongs to the assignment above it.
+
+``Parameters`` is a value that ``apply_assignment`` folds, returning the
+new scope; it and the parsed assignments and tables are ``NamedTuple``
+records. An assignment's name and value may stand on different lines, so
+the parser keeps the name's line beside the value's ``(text, column)``
+pairs, and a table keeps each of its lines' numbers beside that line's
+tokens.
 """
 
 from __future__ import annotations
@@ -27,32 +32,22 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ModelError, ParseError
-from .records import Record
 from .scanner import LineKind, SourceLine, paren_balance
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 
 _FLAG_VALUES = {"est": True, "nonEst": False}
-_BOOL_PARAMS = ("duratioManet", "duratioCadens")
+_FLAG_FIELDS = {"duratioManet": "duratio_manet", "duratioCadens": "duratio_cadens"}
 TABLE_PARAM = "bünde"
 _TABLE_BODY = (LineKind.TABLE_CONTINUATION, LineKind.BLANK)
 
 
-class Parameters(Record):
-    """Effective parameter set for a file or a single PARS; ``apply_assignment`` sets it."""
+class Parameters(NamedTuple):
+    """Effective parameters of a file or a single PARS; ``apply_assignment`` folds into them."""
 
-    __slots__ = ("duratio_manet", "duratio_cadens", "table_name")
-
-    def __init__(
-        self, duratio_manet: bool = False, duratio_cadens: bool = False,
-        table_name: str | None = None,
-    ) -> None:
-        self.duratio_manet = duratio_manet
-        self.duratio_cadens = duratio_cadens
-        self.table_name = table_name
-
-    def copy(self) -> Parameters:
-        return Parameters(self.duratio_manet, self.duratio_cadens, self.table_name)
+    duratio_manet: bool = False
+    duratio_cadens: bool = False
+    table_name: str | None = None
 
 
 class ScalarAssignment(NamedTuple):
@@ -131,8 +126,7 @@ def parse_assignment(
             column=last_column + len(last),
         )
 
-    value, _ = tokens[0]
-    if value.startswith("("):
+    if any(text[0] != '"' and "(" in text for text, _ in tokens):
         return _parse_table(name, name_line, tokens, lines, idx)
 
     if len(tokens) > 1:
@@ -140,7 +134,7 @@ def parse_assignment(
         raise ParseError(
             f"expected a single value for '{name}'", line=line.line_number, column=extra_column
         )
-    return ScalarAssignment(name, value, name_line, column), idx + 1
+    return ScalarAssignment(name, tokens[0][0], name_line, column), idx + 1
 
 
 def _parse_table(
@@ -153,7 +147,8 @@ def _parse_table(
     """Collect a table value on ``lines[idx]`` and the continuation and blank lines below it.
 
     Those lines run while the value's parentheses stay open, so only a file
-    ending inside the table leaves them unbalanced.
+    ending inside the table leaves them unbalanced. The value is one group
+    of rows: nothing may follow its closing ``)``.
     """
     first_line = lines[idx].line_number
     _, value_column = value_tokens[0]
@@ -170,9 +165,14 @@ def _parse_table(
     rows: list[list[str]] = []
     seen: dict[str, tuple[int, int]] = {}  # symbol -> (line, column) of first sighting
     level = 0
+    closed = False  # the outermost group has closed: nothing may follow
     current: list[str] | None = None
     for atom, a_line, a_col in _table_atoms(collected):
         if atom == "(":
+            if closed:
+                raise ParseError(
+                    f"table '{name}' goes on after its closing ')'", line=a_line, column=a_col
+                )
             level += 1
             if level == 2:
                 current = []
@@ -183,10 +183,13 @@ def _parse_table(
                     column=a_col,
                 )
         elif atom == ")":
+            if level == 0:
+                raise ParseError("unmatched ')'", line=a_line, column=a_col)
             if level == 2:
                 rows.append(current or [])
                 current = None
             level -= 1
+            closed = level == 0
         else:
             if level != 2:
                 raise ParseError(
@@ -237,29 +240,26 @@ def apply_assignment(
     params: Parameters,
     tables: dict[str, GripTable],
     warnings: list[str],
-) -> None:
-    """Fold one parsed assignment into the active scope (last one wins)."""
+) -> Parameters:
+    """Fold one parsed assignment into the scope ``params`` and return the new scope.
+
+    The last assignment of a name wins; a table joins ``tables``.
+    """
     if isinstance(item, GripTable):
         tables[item.name] = item
-        return
-    if item.name in _BOOL_PARAMS:
+        return params
+    if item.name in _FLAG_FIELDS:
         if item.value not in _FLAG_VALUES:
             raise ParseError(
                 f"parameter '{item.name}' expects 'est' or 'nonEst', got '{item.value}'",
                 line=item.line_number,
                 column=item.column,
             )
-        flag = _FLAG_VALUES[item.value]
-        if item.name == "duratioManet":
-            params.duratio_manet = flag
-        else:
-            params.duratio_cadens = flag
-    elif item.name == TABLE_PARAM:
-        params.table_name = item.value
-    else:
-        warnings.append(
-            f"unrecognized parameter '{item.name}' at line {item.line_number} (ignored)"
-        )
+        return params._replace(**{_FLAG_FIELDS[item.name]: _FLAG_VALUES[item.value]})
+    if item.name == TABLE_PARAM:
+        return params._replace(table_name=item.value)
+    warnings.append(f"unrecognized parameter '{item.name}' at line {item.line_number} (ignored)")
+    return params
 
 
 def build_symbol_map(table: GripTable) -> dict[str, tuple[int, int]]:

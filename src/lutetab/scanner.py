@@ -88,6 +88,19 @@ def paren_balance(tokens: list[tuple[str, int]]) -> int:
     return sum(text.count("(") - text.count(")") for text, _ in tokens if text[0] != '"')
 
 
+def _unmatched_close(tokens: list[tuple[str, int]], depth: int) -> int:
+    """Column of the first ``)`` that takes ``depth`` below zero, counting as ``paren_balance``.
+
+    The caller has seen the line's balance take ``depth`` below zero, so one does.
+    """
+    for text, column in tokens:
+        if text[0] != '"':
+            for i, ch in enumerate(text):
+                depth += (ch == "(") - (ch == ")")
+                if depth < 0:
+                    return column + i
+
+
 def classify_line(
     tokens: list[tuple[str, int]], paren_depth: int, prev_kind: LineKind, line_number: int
 ) -> LineKind:
@@ -159,12 +172,11 @@ def scan_text(text: str) -> list[SourceLine]:
         tokens = tokenize_columns(strip_comments(raw), idx)
         kind = classify_line(tokens, paren_depth, kind, idx)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
-            paren_depth += paren_balance(tokens)
-            if paren_depth < 0:
-                tok, column = next(
-                    (tok, column) for tok, column in reversed(tokens)
-                    if tok[0] != '"' and ")" in tok
+            balance = paren_balance(tokens)
+            if paren_depth + balance < 0:
+                raise ScanError(
+                    "unmatched ')'", line=idx, column=_unmatched_close(tokens, paren_depth)
                 )
-                raise ScanError("unmatched ')'", line=idx, column=column + tok.rfind(")"))
+            paren_depth += balance
         lines.append(SourceLine(idx, kind, tokens))
     return lines

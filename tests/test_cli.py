@@ -579,6 +579,16 @@ def test_geometry_error_shows_control_characters(
     assert last == f"lutetab: error: argument --margin: {shown} {reason}"
 
 
+def test_usage_error_shows_control_characters(newsidler_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), "--check", "\x1b[31mx"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        cli.build_arg_parser().format_usage()
+        + "lutetab: error: unrecognized arguments: \u241b[31mx\n"
+    )
+
+
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def gc_before(request):
     """Set the collector's state before a run; restore the test run's own after it."""

@@ -207,3 +207,52 @@ def test_errors_name_the_line_of_their_token(source, message, line, column):
     with pytest.raises(CompileError) as exc:
         compile_source(source)
     assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize(
+    "source,name,line,column",
+    [("tonus = a(\n", "tonus", 1, 8), ("x = a(\nfoo\n", "x", 1, 4),
+     ("PARS p\nbünde = t(\nT I\n", "bünde", 2, 8)],
+    ids=["end-of-file", "continued", "in-pars"],
+)
+def test_unquoted_paren_anywhere_in_a_value_makes_a_table(source, name, line, column):
+    """The prelude reads a parenthesis as the scanner does, so the scanner's
+    continuation lines are the table's, and the error is at the value."""
+    with pytest.raises(CompileError) as exc:
+        compile_source(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        f"unbalanced parentheses in table '{name}'", line, column
+    )
+
+
+@pytest.mark.parametrize(
+    "source,message,column",
+    [("t = ( (1 a) ) ( (2 b) )\n", "table 't' goes on after its closing ')'", 14),
+     ("t = ( (1 a) ) ) (\n", "unmatched ')'", 14),
+     ("t = ( (1 a) ) b\n", "symbol 'b' outside a table row", 14)],
+    ids=["open", "close", "symbol"],
+)
+def test_nothing_follows_a_tables_closing_paren(source, message, column):
+    with pytest.raises(CompileError) as exc:
+        compile_source(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+@pytest.mark.parametrize(
+    "source,message,column",
+    [("t = ( )\n", "table 't' has no rows", 4),
+     ("PARS a b\n", "unexpected tokens after PARS name 'a'", 7)],
+    ids=["empty-table", "pars-extra-token"],
+)
+def test_rarely_reached_errors_are_located(source, message, column):
+    with pytest.raises(CompileError) as exc:
+        compile_source(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+def test_readme_minimal_example_compiles():
+    """README's first fenced block is the minimal file it describes, and it compiles."""
+    readme = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    source = readme.split("```\n", 2)[1]
+    (pars,) = compile_source(source).partes
+    assert pars.name == "prima"

@@ -34,7 +34,7 @@ def apply_source(source: str):
             i += 1
             continue
         item, i = parse_assignment(lines, i)
-        apply_assignment(item, params, tables, warnings)
+        params = apply_assignment(item, params, tables, warnings)
     return params, tables, warnings
 
 

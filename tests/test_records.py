@@ -89,25 +89,17 @@ def test_positional_construction_keeps_field_order():
 
 
 def test_mutable_records_are_unhashable_and_render_config_is_frozen():
-    for record in (_columna(), Parameters()):
-        with pytest.raises(TypeError):
-            hash(record)
+    with pytest.raises(TypeError):
+        hash(_columna())
     config = RenderConfig()
     assert hash(config) == hash(RenderConfig())
     with pytest.raises(AttributeError):
         config.margin = 1.0
 
 
-def test_parameters_copy_is_independent():
-    params = Parameters(duratio_manet=True, table_name="tbl")
-    copy = params.copy()
-    assert copy == params and copy is not params
-    copy.table_name = "other"
-    assert params.table_name == "tbl"
-
-
 def test_grips_and_durations_are_immutable_values():
-    for value, field in ((_sonum(), "ypos"), (_duration(), "value")):
+    """So are parameter scopes: ``apply_assignment`` returns a new one."""
+    for value, field in ((_sonum(), "ypos"), (_duration(), "value"), (Parameters(), "table_name")):
         assert hash(value) == hash(type(value)(*value))
         with pytest.raises(AttributeError):
             setattr(value, field, 2)

@@ -297,6 +297,8 @@ def test_quoted_parens_change_no_line_kind(text):
 
 
 def test_unmatched_close_paren_located_outside_quotes():
-    with pytest.raises(ScanError, match="unmatched") as exc:
-        scan_text('x = a) ")"\n')
-    assert (exc.value.line, exc.value.column) == (1, 5)
+    """The caret goes on the ``)`` that takes the depth below zero, not the line's last one."""
+    for source, column in [('x = a) ")"\n', 5), ("x = ( (1 a) ) ) ( (2 b) )\n", 14)]:
+        with pytest.raises(ScanError, match="unmatched") as exc:
+            scan_text(source)
+        assert (exc.value.line, exc.value.column) == (1, column)
