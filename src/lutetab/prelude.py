@@ -16,8 +16,9 @@ symbol. A PARS selects its table with a ``bünde`` assignment, and
 with a warning.
 
 A value is a table when a token of it that ``scanner.paren_balance``
-counts holds a ``(``: the prelude reads a parenthesis as the scanner does,
-so every continuation line belongs to the assignment above it.
+counts holds a ``(``, a compact value split off by ``counted_tokens``:
+the prelude reads a parenthesis as the scanner does, so every
+continuation line belongs to the assignment above it.
 
 ``Parameters`` is a value that ``apply_assignment`` folds, returning the
 new scope; it and the parsed assignments and tables are ``NamedTuple``
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ModelError, ParseError
-from .scanner import LineKind, SourceLine, paren_balance
+from .scanner import LineKind, SourceLine, counted_tokens, paren_balance
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 
@@ -105,8 +106,8 @@ def parse_assignment(
         )
     elif "=" in name:
         # compact "name=value" form
-        name, _, rest = name.partition("=")
-        tokens = [(rest, column + len(name) + 1), *tokens[1:]] if rest else tokens[1:]
+        name = name.partition("=")[0]
+        tokens = counted_tokens(tokens)[1:]  # past "name="
     else:
         if len(tokens) < 2 or tokens[1][0] != "=":
             raise ParseError(

@@ -12,7 +12,8 @@ Each line is lexed once: ``tokenize_columns`` splits it, and
 ``classify_line`` decides its kind from those tokens, so a quoted token
 is one token whatever it contains: an ``=`` inside quotes makes no
 assignment, and a parenthesis inside quotes opens or closes no table
-(``paren_balance``). ``//`` starts a comment everywhere, inside quotes too.
+(``paren_balance``), nor does one in a compact ``x="(y"`` (``counted_tokens``).
+``//`` starts a comment everywhere, inside quotes too.
 The prelude and the model read these line kinds and work none out again.
 
 A scanned line keeps its number, kind and tokens, not its text: an error
@@ -86,6 +87,19 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
 def paren_balance(tokens: list[tuple[str, int]]) -> int:
     """Count ``(`` minus ``)`` outside tokens that open with a quote (text, suffix included)."""
     return sum(text.count("(") - text.count(")") for text, _ in tokens if text[0] != '"')
+
+
+def counted_tokens(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """An assignment line's tokens as ``paren_balance`` counts and the prelude reads them.
+
+    A compact ``name=value`` first token splits into ``name=`` and ``value``.
+    """
+    text, column = tokens[0]
+    if text[0] == '"' or "=" not in text:
+        return tokens
+    name, _, rest = text.partition("=")
+    head = (name + "=", column)
+    return [head, (rest, column + len(name) + 1), *tokens[1:]] if rest else [head, *tokens[1:]]
 
 
 def _unmatched_close(tokens: list[tuple[str, int]], depth: int) -> int:
@@ -172,10 +186,11 @@ def scan_text(text: str) -> list[SourceLine]:
         tokens = tokenize_columns(strip_comments(raw), idx)
         kind = classify_line(tokens, paren_depth, kind, idx)
         if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
-            balance = paren_balance(tokens)
+            counted = counted_tokens(tokens) if kind is LineKind.ASSIGNMENT else tokens
+            balance = paren_balance(counted)
             if paren_depth + balance < 0:
                 raise ScanError(
-                    "unmatched ')'", line=idx, column=_unmatched_close(tokens, paren_depth)
+                    "unmatched ')'", line=idx, column=_unmatched_close(counted, paren_depth)
                 )
             paren_depth += balance
         lines.append(SourceLine(idx, kind, tokens))

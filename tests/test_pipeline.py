@@ -196,10 +196,14 @@ _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
          "annotation in track 'edit' does not start under any event of voice 'v'", 7, 16),
         ('PARS a\nT  I\nfoo "bar\n', "unterminated quote", 3, 4),
         ("PARS a\nT  I\n  what is this\n", "cannot classify line starting with 'what'", 3, 2),
+        # the quote hides the "(" as in 'bünde = "(x"': no line below is a table's
+        ('PARS p\nbünde="(x"\nT I\n', "PARS 'p' selects undefined grip table '\"(x\"'", 1, None),
+        ('PARS p\nT I\nVOX v a\nbünde="(x"\n  edit "q"\n',
+         "cannot classify line starting with 'edit'", 5, 2),
     ],
     ids=["duplicate-symbol", "symbol-outside-row", "third-level", "single-value",
          "misplaced-plus", "unknown-grip", "stray-annotation", "unterminated-quote",
-         "unclassifiable"],
+         "unclassifiable", "compact-quoted-value", "compact-quoted-value-after-vox"],
 )
 def test_errors_name_the_line_of_their_token(source, message, line, column):
     """An error stands on the line of the token it names, which may lie

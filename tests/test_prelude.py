@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lutetab.errors import ModelError, ParseError
+from lutetab.errors import CompileError, ModelError, ParseError
 from lutetab.prelude import (
     GripTable,
     Parameters,
@@ -9,7 +10,7 @@ from lutetab.prelude import (
     lookup_grip,
     parse_assignment,
 )
-from lutetab.scanner import scan_text
+from lutetab.scanner import LineKind, scan_text
 
 STANDARD_TABLE = """\
   Standard_1531_Newsidler_etAlii
@@ -192,3 +193,28 @@ def test_table_row_too_long():
     table, _ = parse_first(f"wide = ( ({cells}) )\n")
     with pytest.raises(ModelError, match="longer"):
         build_symbol_map(table)
+
+
+_PIECES = ["t", "=", "t=", " ", "(", ")", "a", '"a"', '"(a"', '")"', '"a"(']
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_PIECES), max_size=6).map("".join), max_size=4))
+@example(["bünde=\"(x\"", "T I"])
+def test_every_continuation_line_belongs_to_the_assignment_above_it(rows):
+    """Where the scanner marks continuation lines, the prelude reads a table
+    that takes them all, or refuses the assignment."""
+    try:
+        lines = scan_text("\n".join(rows) + "\n")
+    except CompileError:
+        return
+    i = 0
+    while i < len(lines):
+        assert lines[i].kind is not LineKind.TABLE_CONTINUATION, i
+        if lines[i].kind is not LineKind.ASSIGNMENT:
+            i += 1
+            continue
+        try:
+            _, i = parse_assignment(lines, i)
+        except CompileError:
+            return
