@@ -15,10 +15,12 @@ symbol. A PARS selects its table with a ``bünde`` assignment, and
 ``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
 with a warning.
 
-A value is a table when a token of it that ``scanner.paren_balance``
-counts holds a ``(``, a compact value split off by ``counted_tokens``:
-the prelude reads a parenthesis as the scanner does, so every
-continuation line belongs to the assignment above it.
+The scanner has split an assignment line into its name tokens, a lone
+``=`` token and its value tokens, and split every unquoted ``(`` and
+``)`` off as a token of its own; the prelude reads those tokens as they
+are. A value is a table when one of its tokens is ``(``: the prelude
+reads a parenthesis as the scanner does, so every continuation line
+belongs to the assignment above it.
 
 ``Parameters`` is a value that ``apply_assignment`` folds, returning the
 new scope; it and the parsed assignments and tables are ``NamedTuple``
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ModelError, ParseError
-from .scanner import LineKind, SourceLine, counted_tokens, paren_balance
+from .scanner import LineKind, SourceLine
 
 MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 
@@ -81,7 +83,11 @@ def parse_assignment(
     name_line = line.line_number
     name, column = tokens[0]
 
-    if len(tokens) == 1 and "=" not in name:
+    if name == "=":
+        raise ParseError(
+            "assignment value without a preceding name", line=name_line, column=column
+        )
+    if len(tokens) == 1:
         j = idx + 1
         while j < len(lines) and lines[j].kind is LineKind.BLANK:
             j += 1
@@ -89,7 +95,6 @@ def parse_assignment(
         if (
             follower is None
             or follower.kind is not LineKind.ASSIGNMENT
-            or not follower.tokens
             or follower.tokens[0][0] != "="
         ):
             raise ParseError(
@@ -100,19 +105,11 @@ def parse_assignment(
         idx = j
         line = follower
         tokens = follower.tokens[1:]  # past the "="
-    elif name == "=":
+    elif tokens[1][0] != "=":
         raise ParseError(
-            "assignment value without a preceding name", line=name_line, column=column
+            "malformed assignment (expected 'name = value')", line=name_line, column=column
         )
-    elif "=" in name:
-        # compact "name=value" form
-        name = name.partition("=")[0]
-        tokens = counted_tokens(tokens)[1:]  # past "name="
     else:
-        if len(tokens) < 2 or tokens[1][0] != "=":
-            raise ParseError(
-                "malformed assignment (expected 'name = value')", line=name_line, column=column
-            )
         tokens = tokens[2:]
 
     if not name.isidentifier():
@@ -127,7 +124,7 @@ def parse_assignment(
             column=last_column + len(last),
         )
 
-    if any(text[0] != '"' and "(" in text for text, _ in tokens):
+    if any(text == "(" for text, _ in tokens):
         return _parse_table(name, name_line, tokens, lines, idx)
 
     if len(tokens) > 1:
@@ -148,8 +145,9 @@ def _parse_table(
     """Collect a table value on ``lines[idx]`` and the continuation and blank lines below it.
 
     Those lines run while the value's parentheses stay open, so only a file
-    ending inside the table leaves them unbalanced. The value is one group
-    of rows: nothing may follow its closing ``)``.
+    ending inside the table leaves them unbalanced; and the scanner has
+    refused a ``)`` that closes no group. The value is one group of rows:
+    nothing may follow its closing ``)``.
     """
     first_line = lines[idx].line_number
     _, value_column = value_tokens[0]
@@ -158,7 +156,8 @@ def _parse_table(
     while j < len(lines) and lines[j].kind in _TABLE_BODY:
         collected.append((lines[j].line_number, lines[j].tokens))
         j += 1
-    if sum(paren_balance(tokens) for _, tokens in collected) != 0:
+    atoms = [(atom, a_line, a_col) for a_line, tokens in collected for atom, a_col in tokens]
+    if sum((atom == "(") - (atom == ")") for atom, _, _ in atoms):
         raise ParseError(
             f"unbalanced parentheses in table '{name}'", line=first_line, column=value_column
         )
@@ -168,7 +167,7 @@ def _parse_table(
     level = 0
     closed = False  # the outermost group has closed: nothing may follow
     current: list[str] | None = None
-    for atom, a_line, a_col in _table_atoms(collected):
+    for atom, a_line, a_col in atoms:
         if atom == "(":
             if closed:
                 raise ParseError(
@@ -184,8 +183,6 @@ def _parse_table(
                     column=a_col,
                 )
         elif atom == ")":
-            if level == 0:
-                raise ParseError("unmatched ')'", line=a_line, column=a_col)
             if level == 2:
                 rows.append(current or [])
                 current = None
@@ -211,29 +208,6 @@ def _parse_table(
     if not rows:
         raise ParseError(f"table '{name}' has no rows", line=first_line, column=value_column)
     return GripTable(name, rows, name_line), j
-
-
-def _table_atoms(collected: list[tuple[int, list[tuple[str, int]]]]):
-    """Re-lex each table line's tokens: parens separate even when glued to symbols.
-
-    Yields ``(atom, line, column)``; a quoted token is one atom whole.
-    """
-    for line_number, tokens in collected:
-        for text, column in tokens:
-            if text[0] == '"':
-                yield text, line_number, column
-                continue
-            run_start: int | None = None
-            for i, ch in enumerate(text):
-                if ch in "()":
-                    if run_start is not None:
-                        yield text[run_start:i], line_number, column + run_start
-                        run_start = None
-                    yield ch, line_number, column + i
-                elif run_start is None:
-                    run_start = i
-            if run_start is not None:
-                yield text[run_start:], line_number, column + run_start
 
 
 def apply_assignment(

@@ -11,10 +11,14 @@ U+FFFE and U+FFFF), since the text reaches the XML and SVG documents.
 Each line is lexed once: ``tokenize_columns`` splits it, and
 ``classify_line`` decides its kind from those tokens, so a quoted token
 is one token whatever it contains: an ``=`` inside quotes makes no
-assignment, and a parenthesis inside quotes opens or closes no table
-(``paren_balance``), nor does one in a compact ``x="(y"`` (``counted_tokens``).
-``//`` starts a comment everywhere, inside quotes too.
-The prelude and the model read these line kinds and work none out again.
+assignment, and a parenthesis inside quotes opens or closes no table.
+``//`` starts a comment everywhere, inside quotes too. An assignment line
+splits further at its first unquoted ``=``, into its name tokens, a lone
+``=`` token and its value tokens, so ``x=y``, ``x =y`` and ``x = y`` give
+the same tokens. In a value or a table continuation line, each unquoted
+``(`` and ``)`` becomes a token of its own, and only those tokens open
+and close tables. The prelude and the model read these tokens and line
+kinds and work none out again.
 
 A scanned line keeps its number, kind and tokens, not its text: an error
 names a line and column, and ``errors.format_diagnostic`` shows the line.
@@ -84,35 +88,46 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
     return tokens
 
 
-def paren_balance(tokens: list[tuple[str, int]]) -> int:
-    """Count ``(`` minus ``)`` outside tokens that open with a quote (text, suffix included)."""
-    return sum(text.count("(") - text.count(")") for text, _ in tokens if text[0] != '"')
+def _split_assignment(tokens: list[tuple[str, int]]) -> tuple[list, list]:
+    """Split an assignment line at its first unquoted ``=``: name tokens and ``=``, and value.
 
-
-def counted_tokens(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    """An assignment line's tokens as ``paren_balance`` counts and the prelude reads them.
-
-    A compact ``name=value`` first token splits into ``name=`` and ``value``.
+    A bare name line holds no ``=`` and is all name.
     """
-    text, column = tokens[0]
-    if text[0] == '"' or "=" not in text:
-        return tokens
-    name, _, rest = text.partition("=")
-    head = (name + "=", column)
-    return [head, (rest, column + len(name) + 1), *tokens[1:]] if rest else [head, *tokens[1:]]
+    for k, (text, column) in enumerate(tokens):
+        if text[0] != '"' and "=" in text:
+            name, _, value = text.partition("=")
+            at = column + len(name)
+            head = [*tokens[:k], (name, column), ("=", at)] if name else [*tokens[:k], ("=", at)]
+            return head, [(value, at + 1), *tokens[k + 1 :]] if value else tokens[k + 1 :]
+    return tokens, []
 
 
-def _unmatched_close(tokens: list[tuple[str, int]], depth: int) -> int:
-    """Column of the first ``)`` that takes ``depth`` below zero, counting as ``paren_balance``.
+_PARENS = re.compile("([()])")
 
-    The caller has seen the line's balance take ``depth`` below zero, so one does.
+
+def _split_parens(tokens: list[tuple[str, int]], depth: int, line_number: int) -> tuple[list, int]:
+    """Split each ``(`` and ``)`` off as a token; return the tokens and the depth after them.
+
+    A token that opens with a quote is text, parentheses included. ``depth``
+    counts the groups open before ``tokens``; a ``)`` taking it below zero
+    is an error.
     """
+    split = []
     for text, column in tokens:
-        if text[0] != '"':
-            for i, ch in enumerate(text):
-                depth += (ch == "(") - (ch == ")")
+        if text[0] == '"' or ("(" not in text and ")" not in text):
+            split.append((text, column))
+            continue
+        for piece in _PARENS.split(text):
+            if piece == "(":
+                depth += 1
+            elif piece == ")":
+                depth -= 1
                 if depth < 0:
-                    return column + i
+                    raise ScanError("unmatched ')'", line=line_number, column=column)
+            if piece:
+                split.append((piece, column))
+                column += len(piece)
+    return split, depth
 
 
 def classify_line(
@@ -121,10 +136,11 @@ def classify_line(
     """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
 
     Open parenthesis groups turn any line into a table continuation;
-    otherwise the first token decides; an unquoted ``=`` makes an
-    assignment; a lone identifier starts an assignment whose ``= value``
-    follows on the next line; an indented identifier line directly below
-    a voice line is a parameter track.
+    otherwise ``PARS``, ``T`` or ``VOX`` as the first token decides; an
+    unquoted ``=`` in any token makes an assignment; a lone identifier
+    starts an assignment whose ``= value`` follows on the next line; an
+    indented identifier line directly below a voice line is a parameter
+    track.
     """
     if not tokens:
         return LineKind.BLANK
@@ -137,7 +153,7 @@ def classify_line(
         return LineKind.TEMPUS
     if first == "VOX":
         return LineKind.VOX
-    if (first[0] != '"' and "=" in first) or any(text == "=" for text, _ in tokens):
+    if any(text[0] != '"' and "=" in text for text, _ in tokens):
         return LineKind.ASSIGNMENT
     if first.isidentifier():
         if prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and column > 0:
@@ -185,13 +201,11 @@ def scan_text(text: str) -> list[SourceLine]:
             )
         tokens = tokenize_columns(strip_comments(raw), idx)
         kind = classify_line(tokens, paren_depth, kind, idx)
-        if kind in (LineKind.ASSIGNMENT, LineKind.TABLE_CONTINUATION):
-            counted = counted_tokens(tokens) if kind is LineKind.ASSIGNMENT else tokens
-            balance = paren_balance(counted)
-            if paren_depth + balance < 0:
-                raise ScanError(
-                    "unmatched ')'", line=idx, column=_unmatched_close(counted, paren_depth)
-                )
-            paren_depth += balance
+        if kind is LineKind.ASSIGNMENT:
+            name, value = _split_assignment(tokens)
+            value, paren_depth = _split_parens(value, paren_depth, idx)
+            tokens = name + value
+        elif kind is LineKind.TABLE_CONTINUATION:
+            tokens, paren_depth = _split_parens(tokens, paren_depth, idx)
         lines.append(SourceLine(idx, kind, tokens))
     return lines

@@ -8,7 +8,6 @@ from lutetab.errors import ScanError
 from lutetab.scanner import (
     LineKind,
     classify_line,
-    paren_balance,
     scan_text,
     strip_comments,
     tokenize_columns,
@@ -278,9 +277,13 @@ def test_quoted_edit_text_compiles_verbatim(text):
 # --- parentheses inside quotes ---------------------------------------------
 
 
-def test_paren_balance_skips_quoted_tokens():
-    tokens = tokenize_columns('x = "(" ( ")"! a) "((" (')
-    assert paren_balance(tokens) == 1
+def test_paren_split_skips_quoted_tokens():
+    """Each unquoted parenthesis is a token; one opening with a quote stays whole."""
+    (line,) = scan_text('x = "(" ( ")"! a) "((" (\n')
+    assert line.tokens == [
+        ("x", 0), ("=", 2), ('"("', 4), ("(", 8), ('")"!', 10), ("a", 15), (")", 16),
+        ('"(("', 18), ("(", 23),
+    ]
 
 
 @pytest.mark.parametrize("text", ["(", ")", "a)", "((x", ") (", "(b) )"])
