@@ -309,9 +309,11 @@ def _build_pars(
         )
     table = tables.get(params.table_name)
     if table is None:
+        line, column = params.table_location
         raise ModelError(
             f"PARS '{name}' selects undefined grip table '{params.table_name}'",
-            line=header.line_number,
+            line=line,
+            column=column,
         )
     symbol_map = build_symbol_map(table)
 

@@ -24,10 +24,12 @@ belongs to the assignment above it.
 
 ``Parameters`` is a value that ``apply_assignment`` folds, returning the
 new scope; it and the parsed assignments and tables are ``NamedTuple``
-records. An assignment's name and value may stand on different lines, so
-the parser keeps the name's line beside the value's ``(text, column)``
-pairs, and a table keeps each of its lines' numbers beside that line's
-tokens.
+records. An assignment's name and value may stand on different lines,
+so a ``ScalarAssignment`` keeps the name's line beside the value's line
+and column, and a table keeps each of its lines' numbers beside that
+line's tokens. An error about a value points at the value: a flag's bad
+value, and a ``bünde`` value naming no table (``Parameters`` keeps where
+it was set).
 """
 
 from __future__ import annotations
@@ -51,13 +53,15 @@ class Parameters(NamedTuple):
     duratio_manet: bool = False
     duratio_cadens: bool = False
     table_name: str | None = None
+    table_location: tuple[int, int] | None = None  # (line, column) of ``table_name``
 
 
 class ScalarAssignment(NamedTuple):
     name: str
     value: str
-    line_number: int
-    column: int
+    line_number: int  # the name's
+    value_line: int
+    value_column: int
 
 
 class GripTable(NamedTuple):
@@ -132,7 +136,8 @@ def parse_assignment(
         raise ParseError(
             f"expected a single value for '{name}'", line=line.line_number, column=extra_column
         )
-    return ScalarAssignment(name, tokens[0][0], name_line, column), idx + 1
+    value, value_column = tokens[0]
+    return ScalarAssignment(name, value, name_line, line.line_number, value_column), idx + 1
 
 
 def _parse_table(
@@ -227,12 +232,14 @@ def apply_assignment(
         if item.value not in _FLAG_VALUES:
             raise ParseError(
                 f"parameter '{item.name}' expects 'est' or 'nonEst', got '{item.value}'",
-                line=item.line_number,
-                column=item.column,
+                line=item.value_line,
+                column=item.value_column,
             )
         return params._replace(**{_FLAG_FIELDS[item.name]: _FLAG_VALUES[item.value]})
     if item.name == TABLE_PARAM:
-        return params._replace(table_name=item.value)
+        return params._replace(
+            table_name=item.value, table_location=(item.value_line, item.value_column)
+        )
     warnings.append(f"unrecognized parameter '{item.name}' at line {item.line_number} (ignored)")
     return params
 

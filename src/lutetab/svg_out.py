@@ -12,13 +12,16 @@ float expression as per-element code would use, so no byte can change.
 
 ``RenderConfig`` owns the rule for that geometry: every length is finite
 and strictly positive (``positive_finite``, which the CLI's geometry flags
-apply too), and a built config cannot change.
+apply too), and a built config cannot change. Finite lengths can still
+sum to a coordinate that is not, and ``_fmt`` refuses that with an
+``EmitError``.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import EmitError
 from .model import Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
 from .records import Memo, Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
@@ -55,6 +58,9 @@ class RenderConfig(Record):
 
 
 def _fmt(v: float) -> str:
+    """``v`` as an SVG number. Finite lengths can still add up to ``inf``, which no SVG holds."""
+    if not math.isfinite(v):
+        raise EmitError(f"render geometry too large: an SVG coordinate would be {v:g}")
     return f"{v:g}"
 
 

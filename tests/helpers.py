@@ -256,6 +256,15 @@ def reference_emit_pars(pars) -> str:
     return "".join(out)
 
 
+# A number that is not finite in an attribute value: text nodes (grip
+# labels) never stand inside quotes.
+_NON_FINITE = re.compile(r"'[^'<>]*\b(inf|nan)\b")
+
+
+def holds_non_finite_number(svg: str) -> bool:
+    return _NON_FINITE.search(svg) is not None
+
+
 def _ref_fmt(v: float) -> str:
     return f"{v:g}"
 

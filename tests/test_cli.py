@@ -313,10 +313,20 @@ def test_byte_order_mark_keeps_line_one_columns(tmp_path, capsys):
     path.write_text("\ufeff   duratioManet = maybe\n" + _SMALL_PARS, encoding="utf-8")
     assert main([str(path), "--check"]) == 1
     assert capsys.readouterr().err == (
-        f"{path}:1:4: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
+        f"{path}:1:19: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
         "     duratioManet = maybe\n"
-        "     ^\n"
+        "                    ^\n"
     )
+
+
+def test_geometry_overflowing_to_inf_is_refused(newsidler_file, tmp_path, capsys):
+    """Every length is finite, but the width is not: nothing is written."""
+    out = tmp_path / "svg"
+    assert main([str(newsidler_file), "--svg", str(out), "--col-spacing", "1e308"]) == 1
+    assert capsys.readouterr().err == (
+        f"{newsidler_file}: error: render geometry too large: an SVG coordinate would be inf\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -420,14 +430,14 @@ def test_format_diagnostic_reads_the_line_from_text(line, column, expected):
 _SMALL_PARS = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I\nVOX v  a\n"
 
 
-def test_bare_name_error_located_at_name(tmp_path, capsys):
+def test_bare_name_value_error_located_at_value(tmp_path, capsys):
     path = tmp_path / "bare.tab"
     path.write_text("   duratioManet\n= maybe\n" + _SMALL_PARS, encoding="utf-8")
     assert main([str(path), "--check"]) == 1
     assert capsys.readouterr().err == (
-        f"{path}:1:4: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
-        "     duratioManet\n"
-        "     ^\n"
+        f"{path}:2:3: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'maybe'\n"
+        "  = maybe\n"
+        "    ^\n"
     )
 
 

@@ -6,6 +6,7 @@ format each repeated fragment once, write the same bytes as the
 per-element reference writers in ``helpers``. An error locates the token
 it names on that token's own line."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lutetab import (
     CompileError,
+    EmitError,
     RenderConfig,
     compile_source,
     emit_dtd,
@@ -149,14 +151,27 @@ _GEOMETRY = st.builds(
 )
 
 
+def _assert_render_matches_reference(pars, config=None):
+    """Same bytes as the reference renderer, or an ``EmitError`` exactly when
+    the reference output holds a number that is not finite."""
+    expected = helpers.reference_render_pars(pars, config)
+    if helpers.holds_non_finite_number(expected):
+        with pytest.raises(EmitError) as exc:
+            render_pars(pars, config)
+        assert exc.value.line is None and exc.value.column is None
+    else:
+        assert render_pars(pars, config) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS, _GEOMETRY)
 @example("newsidler", [("insert", 0, "\n")], RenderConfig(13.5, 7.25, 30.0, 9.5, 0.5))
+@example("newsidler", [], RenderConfig(column_spacing=1e308))
 def test_writers_match_the_reference_writers(name, mutations, config):
     for pars in _compile_or_locate(helpers.mutate(SOURCES[name], mutations)):
         assert emit_pars(pars) == helpers.reference_emit_pars(pars)
-        assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)
-        assert render_pars(pars) == helpers.reference_render_pars(pars)
+        _assert_render_matches_reference(pars, config)
+        _assert_render_matches_reference(pars)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,7 +189,7 @@ def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
             col.duration_ypos = row
         elif col.sona:
             col.sona[0] = col.sona[0]._replace(ypos=row)
-    assert render_pars(pars, config) == helpers.reference_render_pars(pars, config)
+    _assert_render_matches_reference(pars, config)
 
 
 _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
@@ -188,6 +203,9 @@ _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
         ("tbl = (\n  x (1 a)\n)\n", "symbol 'x' outside a table row", 2, 2),
         ("tbl = ( (1 a)\n  ((2 b))\n)\n", "table 'tbl' nests deeper than rows of symbols", 2, 3),
         ("tonus\n\n= a b\n", "expected a single value for 'tonus'", 3, 4),
+        ("duratioManet\n\n  = yes\n",
+         "parameter 'duratioManet' expects 'est' or 'nonEst', got 'yes'", 3, 4),
+        ("PARS p\nbünde = nope\nT I\n", "PARS 'p' selects undefined grip table 'nope'", 2, 8),
         (_HEAD + "T      I  I\nVOX v  a  a+b\n",
          "misplaced '+' in grip token 'a+b' (only one, at the end)", 5, 10),
         (_HEAD + "T      I  I\nVOX v  a  z\n",
@@ -197,11 +215,12 @@ _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
         ('PARS a\nT  I\nfoo "bar\n', "unterminated quote", 3, 4),
         ("PARS a\nT  I\n  what is this\n", "cannot classify line starting with 'what'", 3, 2),
         # the quote hides the "(" as in 'bünde = "(x"': no line below is a table's
-        ('PARS p\nbünde="(x"\nT I\n', "PARS 'p' selects undefined grip table '\"(x\"'", 1, None),
+        ('PARS p\nbünde="(x"\nT I\n', "PARS 'p' selects undefined grip table '\"(x\"'", 2, 6),
         ('PARS p\nT I\nVOX v a\nbünde="(x"\n  edit "q"\n',
          "cannot classify line starting with 'edit'", 5, 2),
     ],
     ids=["duplicate-symbol", "symbol-outside-row", "third-level", "single-value",
+         "bare-name-flag-value", "undefined-table",
          "misplaced-plus", "unknown-grip", "stray-annotation", "unterminated-quote",
          "unclassifiable", "compact-quoted-value", "compact-quoted-value-after-vox"],
 )
@@ -252,6 +271,20 @@ def test_rarely_reached_errors_are_located(source, message, column):
     with pytest.raises(CompileError) as exc:
         compile_source(source)
     assert (exc.value.message, exc.value.line, exc.value.column) == (message, 1, column)
+
+
+def test_readme_python_blocks_run_on_their_own(capsys):
+    """Each Python block of README runs in a fresh namespace that holds only
+    its inputs; the second prints the pinned diagnostic of ``broken.tab``."""
+    readme = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    library, diagnostic = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {"text": SOURCES["newsidler"]}
+    exec(library, namespace)
+    assert namespace["xml"].startswith("<?xml") and namespace["svg"].startswith("<svg")
+    broken = FIXTURES / "broken.tab"
+    text = broken.read_text(encoding="utf-8")
+    exec(diagnostic, {"text": text, "path": "tests/fixtures/broken.tab"})
+    assert capsys.readouterr().out == (FIXTURES / "broken.err").read_text(encoding="utf-8")
 
 
 def test_readme_minimal_example_compiles():

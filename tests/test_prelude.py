@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lutetab import compile_source, emit_pars
 from lutetab.errors import CompileError, ModelError, ParseError
 from lutetab.prelude import (
     GripTable,
@@ -68,6 +69,22 @@ def test_unrecognized_parameter_warns_and_keeps():
 def test_table_selection():
     params, _, _ = apply_source("bünde = Standard_1531_Newsidler_etAlii\n")
     assert params.table_name == "Standard_1531_Newsidler_etAlii"
+
+
+def test_every_spelling_of_an_assignment_is_one_assignment():
+    """Whitespace around ``=`` is optional, and a bare name may take its ``=`` on a later line."""
+    spellings = [
+        "duratioManet = est", "duratioManet=est", "duratioManet= est", "duratioManet =est",
+        "duratioManet\n= est", "duratioManet\n=est",
+    ]
+    body = "\ntbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I  -\nVOX v  a  a\n"
+    xml = []
+    for spelling in spellings:
+        params, _, _ = apply_source(spelling + "\n")
+        assert params == Parameters(duratio_manet=True), spelling
+        (pars,) = compile_source(spelling + body).partes
+        xml.append(emit_pars(pars))
+    assert xml == xml[:1] * len(spellings)
 
 
 def test_standard_table_shape():

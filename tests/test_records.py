@@ -73,7 +73,8 @@ def test_repr_names_every_field(name):
 
 def test_repr_lists_fields_in_order():
     assert repr(Parameters()) == (
-        "Parameters(duratio_manet=False, duratio_cadens=False, table_name=None)"
+        "Parameters(duratio_manet=False, duratio_cadens=False, table_name=None, "
+        "table_location=None)"
     )
     assert repr(RenderConfig()) == (
         "RenderConfig(column_spacing=28.0, row_spacing=18.0, stem_height=24.0, "
