@@ -97,8 +97,9 @@ def _split_assignment(tokens: list[tuple[str, int]]) -> tuple[list, list]:
         if text[0] != '"' and "=" in text:
             name, _, value = text.partition("=")
             at = column + len(name)
-            head = [*tokens[:k], (name, column), ("=", at)] if name else [*tokens[:k], ("=", at)]
-            return head, [(value, at + 1), *tokens[k + 1 :]] if value else tokens[k + 1 :]
+            head = [*tokens[:k], (name, column)] if name else tokens[:k]
+            tail = [(value, at + 1)] if value else []
+            return [*head, ("=", at)], [*tail, *tokens[k + 1 :]]
     return tokens, []
 
 

@@ -58,7 +58,7 @@ class RenderConfig(Record):
 
 
 def _fmt(v: float) -> str:
-    """``v`` as an SVG number. Finite lengths can still add up to ``inf``, which no SVG holds."""
+    """``v`` as an SVG number; ``inf`` and ``nan`` are none."""
     if not math.isfinite(v):
         raise EmitError(f"render geometry too large: an SVG coordinate would be {v:g}")
     return f"{v:g}"
