@@ -300,8 +300,18 @@ def test_quoted_parens_change_no_line_kind(text):
 
 
 def test_unmatched_close_paren_located_outside_quotes():
-    """The caret goes on the ``)`` that takes the depth below zero, not the line's last one."""
-    for source, column in [('x = a) ")"\n', 5), ("x = ( (1 a) ) ) ( (2 b) )\n", 14)]:
+    """The caret goes on the ``)`` that takes the depth below zero, not the line's last one,
+    even where later parentheses balance the line."""
+    for source, column in [
+        ('x = a) ")"\n', 5), ("x = ( (1 a) ) ) ( (2 b) )\n", 14), ("x = a) (\n", 5),
+        ("x = ( (1 a)) ) (\n", 13),
+    ]:
         with pytest.raises(ScanError, match="unmatched") as exc:
             scan_text(source)
         assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_parentheses_before_the_equals_open_no_table():
+    """Only a value's parentheses are counted; the prelude refuses such a name."""
+    kinds = [line.kind for line in scan_text("t( = a\nPARS p\nu) =b\nT  I\n")]
+    assert kinds == [LineKind.ASSIGNMENT, LineKind.PARS_HEADER, LineKind.ASSIGNMENT, LineKind.TEMPUS]
