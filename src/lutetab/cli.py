@@ -95,14 +95,20 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
+# Code points encoded per write: the document's UTF-8 copy is never held
+# whole, only one slice of it (at most four bytes per code point).
+_WRITE_SLICE = 1 << 16
+
+
 def _write_temp(path: Path, data: str) -> str:
     """Write ``data`` whole to a fresh randomly named temp file beside ``path``; return its name."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         try:
-            view = memoryview(data.encode("utf-8"))
-            while view:
-                view = view[os.write(fd, view) :]
+            for at in range(0, len(data), _WRITE_SLICE):
+                view = memoryview(data[at : at + _WRITE_SLICE].encode("utf-8"))
+                while view:
+                    view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
     except BaseException:

@@ -22,9 +22,11 @@ from: a grip's is its voice line's, an annotation's its track line's.
 ``Sonum`` and ``tempus.DurationToken`` are ``NamedTuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
 ``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
-one ``DurationToken`` per spelling. Where a column's duration symbol
-stands is the ``Columna``'s own; it is a slotted ``Record`` because
-``compute_summa`` sets its time position after it is built.
+one ``DurationToken`` per spelling. A PARS keeps its ``Sonum`` values by
+ypos, then by grip text, so finding a grip's builds no key tuple. Where a
+column's duration symbol stands is the ``Columna``'s own; it is a slotted
+``Record`` because ``compute_summa`` sets its time position after it is
+built.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def build_system(
     tempus: SourceLine,
     durations: list[DurationToken],
     voices: list[tuple[str, list[tuple[str, int]], list[Annotation], SourceLine]],
-    shared: dict[tuple[str, int], Sonum],
+    shared: dict[int, dict[str, Sonum]],
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
     first_numerus: int,
@@ -118,8 +120,9 @@ def build_system(
     column; voice order gives the vertical position (the T line is row 0).
     A grip's line is its voice's ``SourceLine``, the last of its entry.
     A grip without an annotation is the PARS's one ``Sonum`` for its
-    ``(text, ypos)`` in ``shared``, built on first use; a grip with one gets
-    its own record. Columns are numbered on from ``first_numerus``.
+    ``(text, ypos)``, built on first use and kept in ``shared[ypos][text]``;
+    a grip with an annotation gets its own record. Columns are numbered on
+    from ``first_numerus``.
 
     A duration symbol sits on the top row (0). With ``duratioCadens = est``
     (``cadens``) it drops to the free row directly above its column's
@@ -136,6 +139,7 @@ def build_system(
     symbols = tempus.tokens[1:]
     sona_by_column: dict[int, list[Sonum]] = {column: [] for _, column in symbols}
     for ypos, (voice_name, grips, annotations, vox_line) in enumerate(voices, 1):
+        row = shared.setdefault(ypos, {})
         notes: dict[int, list[Annotation]] = {}
         for ann in annotations:
             notes.setdefault(ann.start_column, []).append(ann)
@@ -148,11 +152,11 @@ def build_system(
                     line=vox_line.line_number,
                     column=column,
                 )
-            sonum = shared.get((text, ypos))
+            sonum = row.get(text)
             if sonum is None:
                 symbol = text.removesuffix(PROLONGATE_SUFFIX)
                 position = lookup_grip(symbol_map, table_name, symbol, vox_line.line_number, column)
-                sonum = shared[text, ypos] = Sonum(symbol, *position, symbol != text, ypos)
+                sonum = row[text] = Sonum(symbol, *position, symbol != text, ypos)
             note = notes.pop(column, None) if notes else None
             sona.append(sonum if note is None else sonum._replace(annotations=tuple(note)))
         if notes:  # the first annotation, in line order, under no grip of this voice
@@ -174,20 +178,17 @@ def build_system(
                 line=tempus.line_number,
                 column=column,
             )
-        columns.append(
-            Columna(
-                numerus=numerus,
-                duration=token,
-                duration_ypos=sona[0].ypos - 1 if cadens else 0,  # sona run top down
-                # validate_beams has rejected a stem with both markers
-                trabes=TRABES_INITIALIS if token.beam_begin
-                else TRABES_TERMINALIS if token.beam_end else None,
-                summa_praecedentium=0,  # set by compute_summa
-                sona=sona,
-                line_number=tempus.line_number,
-                start_column=column,
-            )
-        )
+        columns.append(Columna(
+            numerus,
+            token,
+            sona[0].ypos - 1 if cadens else 0,  # duration_ypos; sona run top down
+            # trabes; validate_beams has rejected a stem with both markers
+            TRABES_INITIALIS if token.beam_begin else TRABES_TERMINALIS if token.beam_end else None,
+            0,  # summa_praecedentium, set by compute_summa
+            sona,
+            tempus.line_number,
+            column,
+        ))
     return columns
 
 
@@ -317,7 +318,7 @@ def _build_pars(
         )
     symbol_map = build_symbol_map(table)
 
-    shared: dict[tuple[str, int], Sonum] = {}  # by (grip text, ypos): one table per PARS
+    shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: one per PARS
     columns: list[Columna] = []
     system_ranges: list[tuple[int, int]] = []
     prev: DurationToken | None = None

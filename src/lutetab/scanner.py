@@ -8,7 +8,8 @@ silently shifted column would corrupt the score. So is every code point
 that XML 1.0 cannot hold (C0 controls but TAB, LF and CR; surrogates;
 U+FFFE and U+FFFF), since the text reaches the XML and SVG documents.
 
-Each line is lexed once: ``tokenize_columns`` splits it, and
+Each line is lexed once: ``tokenize_columns`` splits it with one
+``re.split``, which makes no ``Match`` object per token, and
 ``classify_line`` decides its kind from those tokens, so a quoted token
 is one token whatever it contains: an ``=`` inside quotes makes no
 assignment, and a parenthesis inside quotes opens or closes no table.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ScanError
@@ -57,11 +59,12 @@ def strip_comments(raw_line: str) -> str:
     return raw_line if i < 0 else raw_line[:i]
 
 
-# A quoted run (to the closing quote, plus any attached suffix) or a plain
+# The separators and the tokens of a line, alternately: a token is a quoted
+# run (to the closing quote, plus any attached suffix) or a plain
 # non-whitespace run; ``\s`` matches exactly the characters ``str.isspace``
-# accepts. A match opening with ``"`` but without group 1 is a quote that
-# never closes.
-_TOKEN_RE = re.compile(r'("[^"]*"\S*)|\S+')
+# accepts. A token that opens with ``"`` and holds no second one is a quote
+# that never closes.
+_SPLIT = re.compile(r'("[^"]*"\S*|\S+)')
 
 
 def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
@@ -73,18 +76,13 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
     token. The opening quote's column is the token's column; ``line_number``
     only locates the unterminated-quote error.
     """
-    # Not ``finditer``: each call of it makes a new "search" string, which
-    # the interpreter's method cache may keep alive. Kept among the token
-    # pairs, such strings stop the pairs' memory from being reused for the
-    # output once the scanned lines are dropped.
-    tokens = []
-    m = _TOKEN_RE.search(text)
-    while m:
-        tok = m.group()
-        if tok[0] == '"' and m.lastindex is None:
-            raise ScanError("unterminated quote", line=line_number, column=m.start())
-        tokens.append((tok, m.start()))
-        m = _TOKEN_RE.search(text, m.end())
+    parts = _SPLIT.split(text)  # separator, token, separator, ..., separator
+    starts = list(accumulate(map(len, parts), initial=0))
+    tokens = list(zip(parts[1::2], starts[1::2]))
+    if '"' in text:
+        for tok, column in tokens:
+            if tok[0] == '"' and tok.find('"', 1) < 0:
+                raise ScanError("unterminated quote", line=line_number, column=column)
     return tokens
 
 
@@ -137,11 +135,13 @@ def classify_line(
     """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
 
     Open parenthesis groups turn any line into a table continuation;
-    otherwise ``PARS``, ``T`` or ``VOX`` as the first token decides; an
-    unquoted ``=`` in any token makes an assignment; a lone identifier
-    starts an assignment whose ``= value`` follows on the next line; an
-    indented identifier line directly below a voice line is a parameter
-    track.
+    otherwise ``PARS``, ``T`` or ``VOX`` as the first token decides. An
+    indented identifier line directly below a voice or track line is a
+    parameter track, unless its first unquoted ``=`` stands in its first
+    token or opens its second (``name = value``, ``name=value``): that
+    makes an assignment, and a later ``=`` is part of the track's payload.
+    Elsewhere an unquoted ``=`` in any token makes an assignment, and a
+    lone identifier starts one whose ``= value`` follows on the next line.
     """
     if not tokens:
         return LineKind.BLANK
@@ -154,22 +154,50 @@ def classify_line(
         return LineKind.TEMPUS
     if first == "VOX":
         return LineKind.VOX
-    if any(text[0] != '"' and "=" in text for text, _ in tokens):
+    track = (
+        column > 0 and prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and first.isidentifier()
+    )
+    for k, (text, _) in enumerate(tokens):
+        if text[0] != '"' and "=" in text:
+            if not track or k == 0 or (k == 1 and text[0] == "="):
+                return LineKind.ASSIGNMENT
+            break
+    if track:
+        return LineKind.PARAM_TRACK
+    if len(tokens) == 1 and first.isidentifier():
+        # Bare name; the prelude expects "= value" on a following line.
         return LineKind.ASSIGNMENT
-    if first.isidentifier():
-        if prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and column > 0:
-            return LineKind.PARAM_TRACK
-        if len(tokens) == 1:
-            # Bare name; the prelude expects "= value" on a following line.
-            return LineKind.ASSIGNMENT
     raise ScanError(
         f"cannot classify line starting with {first!r}", line=line_number, column=column
     )
 
 
 # Code points outside XML 1.0's ``Char`` production, which no emitted
-# document may hold; TAB is legal XML but has its own refusal below.
-_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# document may hold; TAB is legal XML but has its own refusal below. The
+# class reaches past U+00FF, so compiling it builds a large charset: ``re``
+# compiles it, and caches it, only for a text that holds such a code point.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+_C0_NOT_XML = bytes(range(0x20)).translate(None, b"\t\n\r")
+
+
+def _first_not_xml_char(text: str) -> re.Match | None:
+    """The leftmost code point of ``text`` that XML 1.0 cannot hold, if any.
+
+    Three cheap tests clear a text first: UTF-8 encoding refuses a
+    surrogate, ``in`` finds U+FFFE and U+FFFF, and deleting the C0 controls
+    from the encoded text shortens it only if it holds one.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        pass
+    else:
+        if (
+            "\ufffe" not in text and "\uffff" not in text
+            and len(data.translate(None, _C0_NOT_XML)) == len(data)
+        ):
+            return None
+    return re.search(_NOT_XML_CHAR, text)
 
 
 def scan_text(text: str) -> list[SourceLine]:
@@ -177,8 +205,8 @@ def scan_text(text: str) -> list[SourceLine]:
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
-    # One search over the whole text; its line is worked out only on a hit.
-    bad = _NOT_XML_CHAR.search(text)
+    # One test of the whole text; its line is worked out only on a hit.
+    bad = _first_not_xml_char(text)
     bad_line = text.count("\n", 0, bad.start()) + 1 if bad else 0
 
     paren_depth = 0

@@ -176,5 +176,5 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         out.extend(shapes)
         out.extend(texts)
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -11,8 +11,9 @@ all their sums, are exact integer ticks of 1/64 whole note.
 
 A ``DurationToken`` is a value: what a spelling means, not where it
 stands. Each of the 35 spellings other than the carry is parsed once, at
-import, and every column that holds it shares that one record; the column
-(``model.Columna``) keeps the position. A T line's symbols are the
+import; a T line finds each of its symbols among them with one dict
+lookup, and every column that holds a spelling shares its one record. The
+column (``model.Columna``) keeps the position. A T line's symbols are the
 scanner's ``(text, column)`` pairs, and errors take their line number from
 the T line's ``SourceLine``.
 """
@@ -67,13 +68,11 @@ _SPELLINGS = {
 def parse_duration_token(
     text: str, column: int, line_number: int, params: Parameters, prev: DurationToken | None
 ) -> DurationToken:
-    """The shared value of the T-line symbol ``text``; a carry takes its value from ``prev``.
+    """The value of a T-line symbol that is none of the fixed spellings: a carry, or an error.
 
-    ``column`` and ``line_number`` only locate an error.
+    A carry takes its value from ``prev``. ``column`` and ``line_number``
+    only locate an error.
     """
-    parsed = _SPELLINGS.get(text)
-    if parsed is not None:
-        return parsed
     if text == "-":
         if not params.duratio_manet:
             raise ParseError(
@@ -110,9 +109,10 @@ def parse_tempus_line(
             "time line has no duration symbols", line=line.line_number, column=head_column
         )
     line_number = line.line_number
+    spelling = _SPELLINGS.get
     out: list[DurationToken] = []
     for text, column in body:
-        prev = parse_duration_token(text, column, line_number, params, prev)
+        prev = spelling(text) or parse_duration_token(text, column, line_number, params, prev)
         out.append(prev)
     return out
 

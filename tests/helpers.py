@@ -34,6 +34,12 @@ def visible(text: str) -> str:
     return "".join(shown)
 
 
+# The scanner's refusal as one regular expression over the whole text: the
+# code points outside XML 1.0's ``Char`` production but TAB, which has its
+# own refusal. The scanner clears a text with cheaper tests first.
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def count_t_line_tokens(source: str) -> int:
     """Whitespace-token count over all T lines, minus the leading T each.
 

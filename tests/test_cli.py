@@ -297,6 +297,26 @@ def test_write_fault_at_every_call_leaves_a_clean_file_set(
             assert all(contents[t] in (b"old\n", fresh[t]) for t in contents)
 
 
+def test_write_temp_round_trips_a_document_longer_than_one_slice(tmp_path, monkeypatch):
+    """The document is encoded one bounded slice of code points at a time, and the
+    file holds exactly its UTF-8 bytes, with multi-byte characters on either side
+    of a slice boundary."""
+    step = cli._WRITE_SLICE
+    data = "a" * (step - 2) + "\u00fc\u20ac" + "\U0001f600lectio dubia \u00df" + "b" * step + "\u00e4"
+    writes = []
+    real = os.write
+
+    def recording(fd, view):
+        writes.append(len(view))
+        return real(fd, view)
+
+    monkeypatch.setattr(os, "write", recording)
+    tmp = cli._write_temp(tmp_path / "doc.svg", data)
+    assert Path(tmp).parent == tmp_path
+    assert Path(tmp).read_bytes() == data.encode("utf-8")
+    assert len(writes) == 3 and max(writes) <= 4 * step
+
+
 def test_byte_order_mark_is_skipped(newsidler_text, tmp_path):
     plain, marked = tmp_path / "plain.tab", tmp_path / "marked.tab"
     plain.write_text(newsidler_text, encoding="utf-8")

@@ -342,6 +342,27 @@ def test_each_column_holds_where_its_duration_symbol_stands():
     assert pars.columns[1].duration is pars.columns[2].duration
 
 
+def test_grips_of_one_text_and_row_share_one_sonum_across_systems():
+    """One ``Sonum`` per (grip text, ypos) of a PARS, in every system; an
+    annotated grip gets a record of its own, and the next plain one shares again."""
+    cols = grid_cols(3)
+    first = system_lines(["I", "I", "I"], {0: "a", 1: "a", 2: "b"}, {0: "a"})
+    second = system_lines(["I", "I", "I"], {0: "a", 1: "a", 2: "a"})
+    second.append(lay("    edit", [(cols[1], '"lectio dubia"')]))
+    pars = compile_one(*first, *second)
+    a1 = pars.columns[0].sona[0]
+    assert (a1.source, a1.ypos) == ("a", 1)
+    plain = [pars.columns[k].sona[0] for k in (1, 3, 5)]
+    assert all(sonum is a1 for sonum in plain)
+    a2 = pars.columns[0].sona[1]  # the same text one row down
+    assert a2 is not a1 and (a2.source, a2.ypos) == ("a", 2)
+    annotated = pars.columns[4].sona[0]
+    assert annotated is not a1
+    assert annotated._replace(annotations=()) == a1
+    assert [ann.text for ann in annotated.annotations] == ["lectio dubia"]
+    assert a1.annotations == ()
+
+
 def test_annotation_attaches_to_matching_column():
     cols = grid_cols(2)
     lines = system_lines(["I", "I"], {0: "1", 1: "a"})

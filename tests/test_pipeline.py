@@ -218,11 +218,15 @@ _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
         ('PARS p\nbünde="(x"\nT I\n', "PARS 'p' selects undefined grip table '\"(x\"'", 2, 6),
         ('PARS p\nT I\nVOX v a\nbünde="(x"\n  edit "q"\n',
          "cannot classify line starting with 'edit'", 5, 2),
+        # an '=' past the track name is the track's payload, not an assignment
+        (_HEAD + "T      I\nVOX v  a\n    edit  x=y\n",
+         "parameter track 'edit' payload must be quoted, got 'x=y'", 6, 10),
     ],
     ids=["duplicate-symbol", "symbol-outside-row", "third-level", "single-value",
          "bare-name-flag-value", "undefined-table",
          "misplaced-plus", "unknown-grip", "stray-annotation", "unterminated-quote",
-         "unclassifiable", "compact-quoted-value", "compact-quoted-value-after-vox"],
+         "unclassifiable", "compact-quoted-value", "compact-quoted-value-after-vox",
+         "track-payload-with-equals"],
 )
 def test_errors_name_the_line_of_their_token(source, message, line, column):
     """An error stands on the line of the token it names, which may lie

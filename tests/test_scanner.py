@@ -13,6 +13,8 @@ from lutetab.scanner import (
     tokenize_columns,
 )
 
+import helpers
+
 
 @pytest.mark.parametrize(
     "raw,expected",
@@ -238,7 +240,29 @@ _SOURCE_CHARS = st.sampled_from(
 )
 
 
-@given(st.text(alphabet=st.one_of(_SOURCE_CHARS, st.characters()), max_size=40))
+_GAPS = st.text(
+    st.sampled_from([" ", "\u00a0", "\u2003", "\u3000", "\x85", "\u2028", "\x1c"]),
+    min_size=1, max_size=3,
+)
+_WORDS = st.one_of(
+    _token_text,
+    st.text(st.sampled_from('ab =(\u00fc\u2003!'), max_size=5).map(lambda s: f'"{s}"'),
+    st.tuples(_token_text, _token_text).map(lambda pair: f'"{pair[0]}"{pair[1]}'),
+)
+
+
+def _long_line(motif: list[tuple[str, str]], unterminated: bool) -> str:
+    """``motif`` repeated to 3000 tokens or more, optionally ending in a quote that never closes."""
+    line = "".join(gap + word for gap, word in motif) * -(-3000 // len(motif))
+    return line + ' "never closed' if unterminated else line
+
+
+_LONG_LINES = st.builds(_long_line, st.lists(st.tuples(_GAPS, _WORDS), min_size=1, max_size=8),
+                        st.booleans())
+
+
+@given(st.one_of(st.text(alphabet=st.one_of(_SOURCE_CHARS, st.characters()), max_size=40),
+                 _LONG_LINES))
 def test_tokenize_matches_character_loop(text):
     try:
         expected = _tokenize_by_characters(text, 5)
@@ -252,11 +276,12 @@ def test_tokenize_matches_character_loop(text):
 
 
 # Quote-free annotation text that survives an XML attribute round trip:
-# no control characters, and no "//", which starts a comment even inside
-# quotes.
+# no control characters, no U+FFFE or U+FFFF (the scanner refuses all
+# three, since no XML document can hold them), and no "//", which starts a
+# comment even inside quotes.
 _ANNOTATION_TEXT = st.one_of(
-    st.text(st.characters(exclude_categories=("Cc", "Cs"), exclude_characters='"')),
-    st.from_regex(r"[A-Za-z_]\w* *= *[^\"\x00-\x1f/]*", fullmatch=True),
+    st.text(st.characters(exclude_categories=("Cc", "Cs"), exclude_characters='"\ufffe\uffff')),
+    st.from_regex(r"[A-Za-z_]\w* *= *[^\"\x00-\x1f/\ufffe\uffff]*", fullmatch=True),
 ).filter(lambda s: "//" not in s)
 
 
@@ -315,3 +340,61 @@ def test_parentheses_before_the_equals_open_no_table():
     """Only a value's parentheses are counted; the prelude refuses such a name."""
     kinds = [line.kind for line in scan_text("t( = a\nPARS p\nu) =b\nT  I\n")]
     assert kinds == [LineKind.ASSIGNMENT, LineKind.PARS_HEADER, LineKind.ASSIGNMENT, LineKind.TEMPUS]
+
+
+# --- lines directly below a voice line -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line,kind",
+    [("    duratioManet = est", LineKind.ASSIGNMENT), ("    duratioManet=est", LineKind.ASSIGNMENT),
+     ("    duratioManet =est", LineKind.ASSIGNMENT), ("    edit  x=y", LineKind.PARAM_TRACK),
+     ('    edit  "a" b=c', LineKind.PARAM_TRACK), ("    edit  =y", LineKind.ASSIGNMENT)],
+)
+def test_equals_below_a_voice_line(line, kind):
+    """Below a voice line, an ``=`` in or opening the second token makes an
+    assignment; a later one is part of a track's payload."""
+    lines = scan_text("PARS p\nT      I\nVOX v  a\n" + line + "\n")
+    assert lines[-1].kind is kind
+
+
+@pytest.mark.parametrize("line", ["    duratioManet = est", "    duratioManet=est"])
+def test_assignment_below_a_voice_line_compiles(line):
+    source = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I\nVOX v  a\n" + line + "\n"
+    (pars,) = compile_source(source).partes
+    assert len(pars.columns) == 1
+
+
+# --- refused characters ----------------------------------------------------
+
+_REFUSED = ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@given(
+    st.lists(
+        st.text(
+            st.one_of(
+                st.sampled_from(_REFUSED + ["\r", "\x7f", "\x85", "\ufffd", "\U00010000"]),
+                st.characters(exclude_characters="\t\n"),
+            ),
+            max_size=12,
+        ),
+        max_size=6,
+    )
+)
+def test_refused_character_is_the_leftmost_of_the_xml_class(comments):
+    """Comment lines scan blank unless they hold a code point XML cannot hold;
+    then the error names the leftmost one, where the class's search finds it."""
+    text = "".join(f"//{comment}\n" for comment in comments)
+    bad = helpers.NOT_XML_CHAR.search(text)
+    if bad is None:
+        assert all(line.kind is LineKind.BLANK for line in scan_text(text))
+        return
+    with pytest.raises(ScanError) as exc:
+        scan_text(text)
+    at = bad.start()
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        f"character U+{ord(bad.group()):04X} cannot appear in an XML document",
+        text.count("\n", 0, at) + 1,
+        at - text.rfind("\n", 0, at) - 1,
+    )

@@ -5,12 +5,11 @@ from hypothesis import given, strategies as st
 
 from lutetab.errors import ModelError, ParseError
 from lutetab.prelude import Parameters
-from lutetab.scanner import scan_text
+from lutetab.scanner import LineKind, SourceLine, scan_text
 from lutetab.tempus import (
     DurationToken,
     KLASS_CARRY,
     KLASS_DOTS,
-    parse_duration_token,
     parse_tempus_line,
     validate_beams,
 )
@@ -22,7 +21,9 @@ MANET = Parameters(duratio_manet=True)
 
 
 def parse_one(text: str, params: Parameters = PLAIN, prev: DurationToken | None = None):
-    return parse_duration_token(text, 0, 1, params, prev)
+    """The value of one T-line symbol standing at column 0."""
+    (tok,) = parse_tempus_line(SourceLine(1, LineKind.TEMPUS, [("T", 0), (text, 0)]), params, prev)
+    return tok
 
 
 def parse_line(text: str, params: Parameters = PLAIN, prev: DurationToken | None = None):
