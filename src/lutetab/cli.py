@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 any scan/parse/model/emit error in the source,
 2 for unusable invocations (unreadable input, bad flags, an output that
 cannot be written). The input is read as UTF-8, with or without a
-byte-order mark. Diagnostics go to stderr with a caret excerpt of the
+byte-order mark, and with universal newlines: LF, CRLF and a lone CR
+each end a line. Diagnostics go to stderr with a caret excerpt of the
 offending line. Every line the CLI itself prints (diagnostics, warnings,
 the read and write errors, argparse's usage errors) shows each control
 character visibly (``errors.visible``), the input and output paths too.
@@ -12,9 +13,13 @@ Output files are written in two phases (``_write_outputs``): every temp
 file is complete before the first is renamed over its target, so a failure
 before the renames changes no target, and no failure leaves a temp file.
 
-Each selected PARS is emitted as XML before any file is written, whatever
-the flags, so ``--check`` covers scanning, the model and XML emission.
-The SVG graphic is rendered only when ``--svg`` asks for it to be written.
+Each output is produced only when a flag writes it: a PARS is emitted as
+XML only for ``--xml`` and rendered as SVG only for ``--svg``, and
+``--dtd`` needs neither writer. ``--check`` ends once the model is built
+and the ``--pars`` filter has passed, so it checks scanning and the model
+and emits no XML and renders no SVG; it relies on ``xml_out``'s rule that
+no compiled model reaches ``EmitError``. Every document is complete
+before the first file is written.
 
 ``run`` pauses the cyclic garbage collector: the score model holds no
 reference cycles, yet the collector would walk all its objects in vain.
@@ -194,25 +199,22 @@ def _run(args: argparse.Namespace) -> int:
             print(format_diagnostic(CompileError(message), path, text), file=sys.stderr)
             return 1
 
-    stem = Path(path).stem
-    try:
-        documents = [(pars, emit_pars(pars)) for pars in partes]
-        graphics = []
-        if args.svg is not None and not args.check:
-            config = _render_config(args)
-            graphics = [(pars, render_pars(pars, config)) for pars in partes]
-    except CompileError as err:
-        print(format_diagnostic(err, path, text), file=sys.stderr)
-        return 1
-
     if args.check:
         return 0
 
+    stem = Path(path).stem
     outputs = []  # (directory as given, [(file name, text)])
-    if args.xml is not None:
-        outputs.append((args.xml, [(f"{stem}.{pars.name}.xml", doc) for pars, doc in documents]))
-    if args.svg is not None:
-        outputs.append((args.svg, [(f"{stem}.{pars.name}.svg", svg) for pars, svg in graphics]))
+    try:
+        if args.xml is not None:
+            outputs.append((args.xml, [(f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes]))
+        if args.svg is not None:
+            config = _render_config(args)
+            outputs.append(
+                (args.svg, [(f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes])
+            )
+    except CompileError as err:
+        print(format_diagnostic(err, path, text), file=sys.stderr)
+        return 1
     if args.dtd:
         outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
     error = _write_outputs(outputs)

@@ -4,9 +4,12 @@ The input format is column-sensitive: vertical alignment of token start
 columns carries the meaning, so the scanner's one hard job is to preserve
 exact 0-based start columns (counted in Unicode scalars). TAB characters
 are rejected outright because their expansion width is ambiguous and a
-silently shifted column would corrupt the score. So is every code point
-that XML 1.0 cannot hold (C0 controls but TAB, LF and CR; surrogates;
-U+FFFE and U+FFFF), since the text reaches the XML and SVG documents.
+silently shifted column would corrupt the score. So is a CR anywhere but
+at the end of a line, which many editors show as a line break (the CLI
+reads its input with universal newlines, so there it is one). So is
+every code point that XML 1.0 cannot hold (C0 controls but TAB, LF and
+CR; surrogates; U+FFFE and U+FFFF), since the text reaches the XML and
+SVG documents.
 
 Each line is lexed once: ``tokenize_columns`` splits it with one
 ``re.split``, which makes no ``Match`` object per token, and
@@ -86,19 +89,25 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
     return tokens
 
 
+def _first_equals(tokens: list[tuple[str, int]]) -> int:
+    """The index of the first token holding an unquoted ``=``, or -1."""
+    return next((k for k, (text, _) in enumerate(tokens) if text[0] != '"' and "=" in text), -1)
+
+
 def _split_assignment(tokens: list[tuple[str, int]]) -> tuple[list, list]:
     """Split an assignment line at its first unquoted ``=``: name tokens and ``=``, and value.
 
     A bare name line holds no ``=`` and is all name.
     """
-    for k, (text, column) in enumerate(tokens):
-        if text[0] != '"' and "=" in text:
-            name, _, value = text.partition("=")
-            at = column + len(name)
-            head = [*tokens[:k], (name, column)] if name else tokens[:k]
-            tail = [(value, at + 1)] if value else []
-            return [*head, ("=", at)], [*tail, *tokens[k + 1 :]]
-    return tokens, []
+    k = _first_equals(tokens)
+    if k < 0:
+        return tokens, []
+    text, column = tokens[k]
+    name, _, value = text.partition("=")
+    at = column + len(name)
+    head = [*tokens[:k], (name, column)] if name else tokens[:k]
+    tail = [(value, at + 1)] if value else []
+    return [*head, ("=", at)], [*tail, *tokens[k + 1 :]]
 
 
 _PARENS = re.compile("([()])")
@@ -157,11 +166,9 @@ def classify_line(
     track = (
         column > 0 and prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and first.isidentifier()
     )
-    for k, (text, _) in enumerate(tokens):
-        if text[0] != '"' and "=" in text:
-            if not track or k == 0 or (k == 1 and text[0] == "="):
-                return LineKind.ASSIGNMENT
-            break
+    k = _first_equals(tokens)
+    if k >= 0 and (not track or k == 0 or (k == 1 and tokens[1][0][0] == "=")):
+        return LineKind.ASSIGNMENT
     if track:
         return LineKind.PARAM_TRACK
     if len(tokens) == 1 and first.isidentifier():
@@ -228,6 +235,9 @@ def scan_text(text: str) -> list[SourceLine]:
                 line=idx,
                 column=tab_at,
             )
+        if "\r" in raw:
+            message = "CR character not at the end of a line (editors may show a line break)"
+            raise ScanError(message, line=idx, column=raw.find("\r"))
         tokens = tokenize_columns(strip_comments(raw), idx)
         kind = classify_line(tokens, paren_depth, kind, idx)
         if kind is LineKind.ASSIGNMENT:

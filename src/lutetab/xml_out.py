@@ -18,9 +18,10 @@ reused: nearly all grip lines of a long piece repeat.
 
 The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
-below the voice count, so no compiled model reaches ``EmitError``.
-``_check_position`` stays deliberately as the library's guard for models
-built or changed by hand.
+below the voice count, so no compiled model reaches ``EmitError``. The
+CLI relies on that rule: ``--check`` ends at the model and emits nothing,
+yet reports every error ``--xml`` would. ``_check_position`` stays
+deliberately as the library's guard for models built or changed by hand.
 
 The document type mixes graphical and temporal properties (ypos next to
 exact time positions) and is meant as an intermediate model for

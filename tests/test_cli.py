@@ -83,6 +83,30 @@ def test_unrequested_svg_is_not_rendered(newsidler_file, tmp_path, monkeypatch):
     assert (out / "newsidler.sola.xml").exists()
 
 
+def test_unrequested_xml_is_not_emitted(newsidler_file, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit_pars called although no XML is written")
+
+    def written():
+        return sorted(str(p.relative_to(work)) for p in work.rglob("*") if p.is_file())
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr("lutetab.cli.emit_pars", refuse)
+    assert main([str(newsidler_file), "--check"]) == 0
+    assert written() == []
+    assert main([str(newsidler_file), "--svg", "svg"]) == 0
+    assert written() == ["svg/newsidler.sola.svg"]
+    assert main([str(newsidler_file), "--dtd"]) == 0
+    assert written() == ["svg/newsidler.sola.svg", "tabulatura.dtd"]
+    monkeypatch.setattr("lutetab.cli.emit_pars", lutetab.emit_pars)
+    assert main([str(newsidler_file), "--xml", "xml"]) == 0
+    assert (work / "xml" / "newsidler.sola.xml").read_bytes() == (
+        FIXTURES / "newsidler.xml"
+    ).read_bytes()
+
+
 def test_beam_over_dot_group_is_located_error(tmp_path, capsys):
     head = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
     t_line, vox_line = helpers.system_lines(["E_", ".", "_E"], {0: "a", 1: "f", 2: "1"})
@@ -337,6 +361,17 @@ def test_byte_order_mark_keeps_line_one_columns(tmp_path, capsys):
         "     duratioManet = maybe\n"
         "                    ^\n"
     )
+
+
+def test_lone_cr_ends_a_line_for_the_cli(tmp_path):
+    # universal newlines: the scanner, which refuses a lone CR, never sees one
+    lf, cr = tmp_path / "lf.tab", tmp_path / "cr.tab"
+    lf.write_bytes(_SMALL_PARS.encode("utf-8"))
+    cr.write_bytes(_SMALL_PARS.replace("\n", "\r").encode("utf-8"))
+    assert main([str(lf), "--xml", str(tmp_path / "lf")]) == 0
+    assert main([str(cr), "--xml", str(tmp_path / "cr")]) == 0
+    xml = (tmp_path / "lf" / "lf.p.xml").read_bytes()
+    assert (tmp_path / "cr" / "cr.p.xml").read_bytes() == xml
 
 
 def test_geometry_overflowing_to_inf_is_refused(newsidler_file, tmp_path, capsys):
@@ -721,3 +756,26 @@ def test_mutated_sources_write_cleanly(write_root, name, mutations):
     assert all(path.parent == out for path in written), written
     assert not any(path.suffix == ".tmp" for path in written)
     assert all(path.is_dir() for path in write_root.iterdir())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("newsidler", "schlick")),
+    helpers.MUTATIONS,
+    st.sampled_from(("", "tonus = d\n")),  # an unknown parameter, so a warning
+)
+def test_check_reports_what_xml_reports(write_root, name, mutations, head):
+    """``--check`` stops at the model, yet its exit code and stderr are those of ``--xml``."""
+    work = Path(tempfile.mkdtemp(dir=write_root))
+    source = work / "mutated.tab"
+    source.write_text(
+        head + helpers.mutate((FIXTURES / f"{name}.tab").read_text(encoding="utf-8"), mutations),
+        encoding="utf-8",
+    )
+    results = []
+    for flags in (["--check"], ["--xml", str(work / "out")]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([str(source), *flags])
+        results.append((code, stderr.getvalue()))
+    assert results[0] == results[1]

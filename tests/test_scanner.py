@@ -149,7 +149,7 @@ def test_scan_rejects_characters_xml_cannot_hold(char):
 
 
 def test_scan_keeps_characters_xml_can_hold():
-    text = "PARS a\r\nT  I // \x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff \r x\n"
+    text = "PARS a\r\nT  I // \x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff x\r\n"
     assert [line.kind for line in scan_text(text)] == [LineKind.PARS_HEADER, LineKind.TEMPUS]
 
 
@@ -164,6 +164,58 @@ def test_scan_strips_crlf():
     lines = scan_text("PARS a\r\nT  I\r\n")
     assert lines[0].tokens == [("PARS", 0), ("a", 5)]
     assert [column for _, column in lines[1].tokens] == [0, 3]
+
+
+_LONE_CR = "CR character not at the end of a line (editors may show a line break)"
+
+
+@pytest.mark.parametrize(
+    "source,line,column",
+    [
+        ("PARS a\rT  I\n", 1, 6),  # an old Mac line break
+        ('VOX v  a\n    edit "a\rb"\n', 2, 11),  # XML would read it back as a space
+        ("PARS a // x\ry\n", 1, 11),  # comments included, as for TAB
+        ("PARS a\r\r\n", 1, 6),  # only the last CR before the LF ends the line
+    ],
+    ids=["line-break", "quoted-payload", "comment", "cr-cr-lf"],
+)
+def test_scan_rejects_a_lone_cr(source, line, column):
+    with pytest.raises(ScanError) as exc:
+        scan_text(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (_LONE_CR, line, column)
+
+
+def test_scan_strips_a_cr_that_ends_the_text():
+    assert scan_text("PARS a\r")[0].tokens == [("PARS", 0), ("a", 5)]
+
+
+_COMMENT_PIECES = st.sampled_from(["\r", "\t", "\x01", "a", " "])
+
+
+@given(st.lists(st.lists(_COMMENT_PIECES, max_size=8).map("".join), max_size=6))
+def test_scan_refuses_in_line_order_then_xml_tab_cr(comments):
+    """Comment lines scan blank unless one holds a refused character. The first
+    such line is reported, and on it a code point XML cannot hold comes before
+    a TAB, and a TAB before a CR that does not end the line."""
+    text = "".join(f"//{comment}\n" for comment in comments)
+    for number, line in enumerate(text.split("\n")[:-1], start=1):
+        line = line[:-1] if line.endswith("\r") else line
+        if "\x01" in line or "\t" in line or "\r" in line:
+            break
+    else:
+        assert all(line.kind is LineKind.BLANK for line in scan_text(text))
+        return
+    with pytest.raises(ScanError) as exc:
+        scan_text(text)
+    refused = next(char for char in "\x01\t\r" if char in line)
+    message = {
+        "\x01": "character U+0001 cannot appear in an XML document",
+        "\t": "TAB character (column alignment would be ambiguous; use spaces)",
+        "\r": _LONE_CR,
+    }[refused]
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        message, number, line.index(refused)
+    )
 
 
 def test_scan_kinds_for_full_fixture(newsidler_text):
@@ -374,8 +426,8 @@ _REFUSED = ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe"
     st.lists(
         st.text(
             st.one_of(
-                st.sampled_from(_REFUSED + ["\r", "\x7f", "\x85", "\ufffd", "\U00010000"]),
-                st.characters(exclude_characters="\t\n"),
+                st.sampled_from(_REFUSED + ["\x7f", "\x85", "\ufffd", "\U00010000"]),
+                st.characters(exclude_characters="\t\n\r"),
             ),
             max_size=12,
         ),
