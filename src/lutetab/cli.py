@@ -107,7 +107,8 @@ _WRITE_SLICE = 1 << 16
 
 def _write_temp(path: Path, data: str) -> str:
     """Write ``data`` whole to a fresh randomly named temp file beside ``path``; return its name."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # A fixed prefix: the temp name does not grow with the target name.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="lutetab-", suffix=".tmp")
     try:
         try:
             for at in range(0, len(data), _WRITE_SLICE):
@@ -227,6 +228,8 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if "" in (args.xml, args.svg):
+        parser.error("--xml and --svg need a DIR that is not empty")
     if not (args.xml or args.svg or args.dtd or args.check):
         parser.error("nothing to do: pass at least one of --xml, --svg, --dtd, --check")
     return run(args)

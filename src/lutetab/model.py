@@ -14,6 +14,9 @@ system boundaries.
 copy. A PARS is built from its final scope, so an assignment below its
 first system applies to all its systems and to no other PARS.
 
+``vox`` owns the shape of voice and track lines; ``build_system`` owns
+every rule about a grip's spelling: the ``+`` suffix and the symbol's table.
+
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text. A token is a ``(text, column)``
 pair, so an error's line is that of the ``SourceLine`` its token came
@@ -39,7 +42,6 @@ from .prelude import (
     Parameters,
     apply_assignment,
     build_symbol_map,
-    lookup_grip,
     parse_assignment,
     MAX_POSITION,
     TABLE_PARAM,
@@ -47,7 +49,9 @@ from .prelude import (
 from .records import Record
 from .scanner import LineKind, SourceLine
 from .tempus import DurationToken, parse_tempus_line, validate_beams
-from .vox import EDIT_TRACK, PROLONGATE_SUFFIX, Annotation, parse_param_track, parse_vox_line
+from .vox import EDIT_TRACK, Annotation, parse_param_track, parse_vox_line
+
+PROLONGATE_SUFFIX = "+"  # laissez vibrer: one, at the end of a grip symbol
 
 TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
@@ -124,6 +128,9 @@ def build_system(
     a grip with an annotation gets its own record. Columns are numbered on
     from ``first_numerus``.
 
+    A spelling is checked once, where it is first met in its row; a grip's
+    checks run the ``+`` rule, its column, its table, grip by grip.
+
     A duration symbol sits on the top row (0). With ``duratioCadens = est``
     (``cadens``) it drops to the free row directly above its column's
     topmost grip, mirroring the jumping duration signs of the originals.
@@ -144,6 +151,19 @@ def build_system(
         for ann in annotations:
             notes.setdefault(ann.start_column, []).append(ann)
         for text, column in grips:
+            sonum = row.get(text)
+            if sonum is None:  # a spelling new to this row: its own checks, once
+                symbol = text.removesuffix(PROLONGATE_SUFFIX)
+                if not symbol or PROLONGATE_SUFFIX in symbol:  # one '+', after a symbol
+                    raise ParseError(
+                        f"misplaced '+' in grip token '{text}' (only one, at the end)" if symbol
+                        else "bare '+' is not a grip (the marker suffixes a symbol)",
+                        line=vox_line.line_number,
+                        column=column,
+                    )
+                position = symbol_map.get(symbol)
+                if position is not None:
+                    sonum = row[text] = Sonum(symbol, *position, symbol != text, ypos)
             sona = sona_by_column.get(column)
             if sona is None:
                 raise ModelError(
@@ -152,11 +172,12 @@ def build_system(
                     line=vox_line.line_number,
                     column=column,
                 )
-            sonum = row.get(text)
-            if sonum is None:
-                symbol = text.removesuffix(PROLONGATE_SUFFIX)
-                position = lookup_grip(symbol_map, table_name, symbol, vox_line.line_number, column)
-                sonum = row[text] = Sonum(symbol, *position, symbol != text, ypos)
+            if sonum is None:  # reported after the column, as a grip's last check
+                raise ModelError(
+                    f"unknown grip symbol '{symbol}' (not in table '{table_name}')",
+                    line=vox_line.line_number,
+                    column=column,
+                )
             note = notes.pop(column, None) if notes else None
             sona.append(sonum if note is None else sonum._replace(annotations=tuple(note)))
         if notes:  # the first annotation, in line order, under no grip of this voice

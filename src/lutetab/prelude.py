@@ -265,19 +265,3 @@ def build_symbol_map(table: GripTable) -> dict[str, tuple[int, int]]:
             entries[symbol] = (string_index, fret)
     return entries
 
-
-def lookup_grip(
-    symbol_map: dict[str, tuple[int, int]],
-    table_name: str,
-    symbol: str,
-    line: int,
-    column: int,
-) -> tuple[int, int]:
-    try:
-        return symbol_map[symbol]
-    except KeyError:
-        raise ModelError(
-            f"unknown grip symbol '{symbol}' (not in table '{table_name}')",
-            line=line,
-            column=column,
-        ) from None

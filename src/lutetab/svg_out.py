@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmitError
-from .model import Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
+from .model import PROLONGATE_SUFFIX, Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
 from .records import Memo, Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
@@ -101,7 +101,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     numerus_tail = (
         f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
     )
-    labels = Memo(lambda sonum: _escape_text(sonum.source + ("+" if sonum.prolongate else "")))
+    labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
 
     for band, (a, b) in enumerate(pars.system_ranges):
         cols = pars.columns[a:b]

@@ -13,11 +13,12 @@ line that starts in the same column. A payload may hold any text but a
 double quote or ``//``, which starts a comment even inside quotes. Only
 the ``edit`` track is emitted; the model warns about any other.
 
-A grip stays the scanner's ``(text, column)`` pair: ``parse_vox_line`` only
-checks the ``+`` suffix, and errors and annotations take their line number
-from the ``SourceLine``. ``model.build_system`` looks a grip's
-``(text, ypos)`` up among its PARS's grips and builds a ``Sonum`` only for
-a new one or an annotated one.
+This module owns the shape of the lines: a voice line's head and name, a
+track line's quoted payloads. It reads no grip spelling. A grip stays the
+scanner's ``(text, column)`` pair, and errors and annotations take their
+line number from the ``SourceLine``. ``model.build_system`` owns every
+rule about a spelling: the ``+`` rule (one ``+``, at the end, after a
+symbol), stripping it, and looking the symbol up in the PARS's table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import NamedTuple
 from .errors import ParseError
 from .scanner import SourceLine
 
-PROLONGATE_SUFFIX = "+"
 EDIT_TRACK = "edit"
 
 
@@ -39,7 +39,7 @@ class Annotation(NamedTuple):
 
 
 def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:
-    """Return the voice name and its grip tokens, whose ``+`` suffix is checked."""
+    """Return the voice name and its grip tokens, spelled as written."""
     tokens = line.tokens
     head, head_column = tokens[0]
     assert head == "VOX"
@@ -50,22 +50,7 @@ def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:
             column=head_column + len("VOX"),
         )
     name, _ = tokens[1]
-    grips = tokens[2:]
-    for text, column in grips:
-        symbol = text.removesuffix(PROLONGATE_SUFFIX)
-        if not symbol:
-            raise ParseError(
-                "bare '+' is not a grip (the marker suffixes a symbol)",
-                line=line.line_number,
-                column=column,
-            )
-        if PROLONGATE_SUFFIX in symbol:
-            raise ParseError(
-                f"misplaced '+' in grip token '{text}' (only one, at the end)",
-                line=line.line_number,
-                column=column,
-            )
-    return name, grips
+    return name, tokens[2:]
 
 
 def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:

@@ -304,10 +304,16 @@ def test_criterion_06_grip_table(newsidler_text):
             if probe in symbol_map:
                 continue
             tried += 1
-            with pytest.raises(ModelError):
-                from lutetab.prelude import lookup_grip
-
-                lookup_grip(symbol_map, table.name, probe, table.line_number, 0)
+            # the probe takes the place of voice v1's last grip, "o"
+            source = newsidler_text.replace(" o\nVOX v2", f" {probe}\nVOX v2", 1)
+            head = source[: source.index(f" {probe}\nVOX v2") + 1]
+            with pytest.raises(ModelError) as exc:
+                compile_source(source)
+            assert (exc.value.message, exc.value.line, exc.value.column) == (
+                f"unknown grip symbol '{probe}' (not in table '{table.name}')",
+                head.count("\n") + 1,
+                len(head) - head.rindex("\n") - 1,
+            )
 
 
 # --- 7: semantic XML round trip ----------------------------------------------

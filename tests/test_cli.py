@@ -151,6 +151,25 @@ def test_no_action_flag_is_usage_error(newsidler_file, capsys):
     assert "nothing to do" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--xml", ""], ["--svg", ""], ["--xml", "", "--svg", "out"], ["--svg", "", "--xml", "out"]],
+    ids=["xml-alone", "svg-alone", "xml-with-svg", "svg-with-xml"],
+)
+def test_empty_output_directory_is_usage_error(
+    newsidler_file, tmp_path, monkeypatch, capsys, flags
+):
+    """An empty DIR names no directory: alone or beside another output, exit 2, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "lutetab: error: --xml and --svg need a DIR that is not empty\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [newsidler_file]
+
+
 def test_unknown_flag_is_usage_error(newsidler_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main([str(newsidler_file), "--frobnicate"])
@@ -339,6 +358,18 @@ def test_write_temp_round_trips_a_document_longer_than_one_slice(tmp_path, monke
     assert Path(tmp).parent == tmp_path
     assert Path(tmp).read_bytes() == data.encode("utf-8")
     assert len(writes) == 3 and max(writes) <= 4 * step
+
+
+def test_longest_target_name_the_file_system_takes_is_written(tmp_path):
+    """A 246-byte target name leaves no room to build a temp name on it; the
+    fixed temp prefix writes it all the same."""
+    name = "p" * 240
+    path = tmp_path / "t.tab"
+    path.write_text(f"tbl = ( (1 a) )\nPARS {name}\nbünde = tbl\nT      I\nVOX v  a\n", "utf-8")
+    out = tmp_path / "out"
+    assert main([str(path), "--xml", str(out), "--svg", str(out)]) == 0
+    assert len(f"t.{name}.xml".encode()) == 246
+    assert sorted(p.name for p in out.iterdir()) == [f"t.{name}.svg", f"t.{name}.xml"]
 
 
 def test_byte_order_mark_is_skipped(newsidler_text, tmp_path):

@@ -8,10 +8,11 @@ from lutetab.prelude import (
     Parameters,
     apply_assignment,
     build_symbol_map,
-    lookup_grip,
     parse_assignment,
 )
 from lutetab.scanner import LineKind, scan_text
+
+import helpers
 
 STANDARD_TABLE = """\
   Standard_1531_Newsidler_etAlii
@@ -180,22 +181,29 @@ def test_symbol_map_coordinates():
 
 
 def test_symbol_map_matches_every_cell():
+    """Each cell of the table, written as a grip, compiles to its (string, fret)."""
     table, _ = parse_first(STANDARD_TABLE)
-    symbol_map = build_symbol_map(table)
-    assert len(symbol_map) == sum(len(row) for row in table.rows)
-    for i, row in enumerate(table.rows):
-        for j, symbol in enumerate(row):
-            assert lookup_grip(symbol_map, table.name, symbol, 1, 0) == (i, j)
+    assert len(build_symbol_map(table)) == sum(len(row) for row in table.rows)
+    cells = [(symbol, (i, j)) for i, row in enumerate(table.rows) for j, symbol in enumerate(row)]
+    columns = helpers.grid_cols(len(cells))
+    source = STANDARD_TABLE + f"PARS p\nbünde = {table.name}\n" + "\n".join([
+        helpers.lay("T", [(c, "I") for c in columns]),
+        helpers.lay("VOX v", zip(columns, [symbol for symbol, _ in cells])),
+    ]) + "\n"
+    (pars,) = compile_source(source).partes
+    assert [(col.start_column, [(s.source, (s.string, s.fret)) for s in col.sona])
+            for col in pars.columns] == [(c, [cell]) for c, cell in zip(columns, cells)]
 
 
 def test_lookup_unknown_symbol():
-    table, _ = parse_first(STANDARD_TABLE)
-    symbol_map = build_symbol_map(table)
+    source = STANDARD_TABLE + (
+        "PARS p\nbünde = Standard_1531_Newsidler_etAlii\nT      I  I\nVOX v  a  zz\n"
+    )
     with pytest.raises(ModelError) as exc:
-        lookup_grip(symbol_map, table.name, "zz", line=7, column=3)
-    assert "zz" in exc.value.message
-    assert "Standard_1531_Newsidler_etAlii" in exc.value.message
-    assert (exc.value.line, exc.value.column) == (7, 3)
+        compile_source(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "unknown grip symbol 'zz' (not in table 'Standard_1531_Newsidler_etAlii')", 10, 10
+    )
 
 
 def test_table_too_many_rows():
