@@ -14,8 +14,14 @@ system boundaries.
 copy. A PARS is built from its final scope, so an assignment below its
 first system applies to all its systems and to no other PARS.
 
-``vox`` owns the shape of voice and track lines; ``build_system`` owns
-every rule about a grip's spelling: the ``+`` suffix and the symbol's table.
+Each line is checked where the walk reads it; a system waits for its
+PARS's end, as its T line and then its voice and track lines. There
+``_build_pars`` reads the T line (durations, then beams) and
+``build_system`` each voice and track line in order. Three checks wait
+for an end: an empty column for its system's, the table selection and a
+PARS with no system for the PARS's. ``vox`` owns the shape of voice and
+track lines; ``build_system`` owns every rule about a grip's spelling:
+the ``+`` suffix and the symbol's table.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text. A token is a ``(text, column)``
@@ -103,29 +109,26 @@ class ScoreModel(NamedTuple):
     warnings: list[str]
 
 
-class _System(NamedTuple):
-    tempus: SourceLine
-    voices: list[tuple[SourceLine, list[SourceLine]]]
-
-
 def build_system(
     tempus: SourceLine,
     durations: list[DurationToken],
-    voices: list[tuple[str, list[tuple[str, int]], list[Annotation], SourceLine]],
+    lines: list[SourceLine],
     shared: dict[int, dict[str, Sonum]],
     symbol_map: dict[str, tuple[int, int]],
     table_name: str,
     first_numerus: int,
     cadens: bool,
+    warnings: list[str],
 ) -> list[Columna]:
-    """Assemble one system's columns from its T line, durations and voices.
+    """Assemble one system's columns from its T line, durations and voice and track lines.
 
-    Each grip token stands under the duration symbol sharing its start
-    column; voice order gives the vertical position (the T line is row 0).
-    A grip's line is its voice's ``SourceLine``, the last of its entry.
-    A grip without an annotation is the PARS's one ``Sonum`` for its
-    ``(text, ypos)``, built on first use and kept in ``shared[ypos][text]``;
-    a grip with an annotation gets its own record. Columns are numbered on
+    The lines are checked in order. Each grip token of a voice line stands
+    under the duration symbol sharing its start column; voice order gives
+    the vertical position (the T line is row 0). A grip without an
+    annotation is the PARS's one ``Sonum`` for its ``(text, ypos)``, built
+    on first use and kept in ``shared[ypos][text]``. A track line's
+    annotations go onto the grip of the voice above that starts in the
+    same column, which then gets its own record. Columns are numbered on
     from ``first_numerus``.
 
     A spelling is checked once, where it is first met in its row; a grip's
@@ -135,21 +138,38 @@ def build_system(
     (``cadens``) it drops to the free row directly above its column's
     topmost grip, mirroring the jumping duration signs of the originals.
     """
-    if len(voices) > MAX_POSITION:
-        over = voices[MAX_POSITION]
-        raise ModelError(
-            f"more than {MAX_POSITION} voices in one system; row positions beyond "
-            f"{MAX_POSITION} are not encodable",
-            line=over[3].line_number,
-        )
-
     symbols = tempus.tokens[1:]
     sona_by_column: dict[int, list[Sonum]] = {column: [] for _, column in symbols}
-    for ypos, (voice_name, grips, annotations, vox_line) in enumerate(voices, 1):
+    notes: dict[tuple[int, int], list[Annotation]] = {}  # by grip: column, index in its sona
+    ypos = 0
+    for line in lines:
+        if line.kind is LineKind.PARAM_TRACK:  # directly below voice ``ypos`` or its tracks
+            track, annotations = parse_param_track(line)
+            if track != EDIT_TRACK:
+                warnings.append(
+                    f"unrecognized parameter track '{track}' at line {line.line_number} "
+                    "(not emitted)"
+                )
+            for ann in annotations:
+                sona = sona_by_column.get(ann.start_column)
+                if not sona or sona[-1].ypos != ypos:
+                    raise ModelError(
+                        f"annotation in track '{track}' does not start under any "
+                        f"event of voice '{voice_name}'",
+                        line=line.line_number,
+                        column=ann.start_column,
+                    )
+                notes.setdefault((ann.start_column, len(sona) - 1), []).append(ann)
+            continue
+        voice_name, grips = parse_vox_line(line)
+        ypos += 1
+        if ypos > MAX_POSITION:
+            raise ModelError(
+                f"more than {MAX_POSITION} voices in one system; row positions beyond "
+                f"{MAX_POSITION} are not encodable",
+                line=line.line_number,
+            )
         row = shared.setdefault(ypos, {})
-        notes: dict[int, list[Annotation]] = {}
-        for ann in annotations:
-            notes.setdefault(ann.start_column, []).append(ann)
         for text, column in grips:
             sonum = row.get(text)
             if sonum is None:  # a spelling new to this row: its own checks, once
@@ -158,7 +178,7 @@ def build_system(
                     raise ParseError(
                         f"misplaced '+' in grip token '{text}' (only one, at the end)" if symbol
                         else "bare '+' is not a grip (the marker suffixes a symbol)",
-                        line=vox_line.line_number,
+                        line=line.line_number,
                         column=column,
                     )
                 position = symbol_map.get(symbol)
@@ -169,25 +189,21 @@ def build_system(
                 raise ModelError(
                     f"grip '{text.removesuffix(PROLONGATE_SUFFIX)}' in voice '{voice_name}' "
                     "does not start under any duration symbol of its system",
-                    line=vox_line.line_number,
+                    line=line.line_number,
                     column=column,
                 )
             if sonum is None:  # reported after the column, as a grip's last check
                 raise ModelError(
                     f"unknown grip symbol '{symbol}' (not in table '{table_name}')",
-                    line=vox_line.line_number,
+                    line=line.line_number,
                     column=column,
                 )
-            note = notes.pop(column, None) if notes else None
-            sona.append(sonum if note is None else sonum._replace(annotations=tuple(note)))
-        if notes:  # the first annotation, in line order, under no grip of this voice
-            ann = next(iter(notes.values()))[0]
-            raise ModelError(
-                f"annotation in track '{ann.track}' does not start under any "
-                f"event of voice '{voice_name}'",
-                line=ann.line_number,
-                column=ann.start_column,
-            )
+            sona.append(sonum)
+    # Each annotated grip is replaced once: a tuple grown once per track line
+    # would copy it once per track line.
+    for (column, index), note in notes.items():
+        sona = sona_by_column[column]
+        sona[index] = sona[index]._replace(annotations=tuple(note))
 
     columns: list[Columna] = []
     for numerus, (token, (_, column)) in enumerate(zip(durations, symbols), first_numerus):
@@ -229,7 +245,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
     partes: list[ParsModel] = []
     seen_names: dict[str, int] = {}
     header: SourceLine | None = None
-    systems: list[_System] = []
+    systems: list[list[SourceLine]] = []  # per system: its T line, then its voice and track lines
 
     i = 0
     n = len(lines)
@@ -258,19 +274,17 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 f"{kind.value} outside of any PARS section", line=line.line_number, column=column
             )
         elif kind is LineKind.TEMPUS:
-            systems.append(_System(line, []))
-        elif kind is LineKind.VOX:
+            systems.append([line])
+        else:
+            # A voice or track line. A track stands directly below a voice
+            # or track line, so only a voice line can come before any T line.
             if not systems:
                 name, _ = header.tokens[1]
                 raise ModelError(
                     f"voice line before any time line in PARS '{name}'",
                     line=line.line_number,
                 )
-            systems[-1].voices.append((line, []))
-        else:
-            # A track: the scanner makes one only of a line directly below
-            # a voice or track line, and that line has just been added.
-            systems[-1].voices[-1][1].append(line)
+            systems[-1].append(line)
     if header is not None:
         partes.append(_build_pars(header, systems, params, tables, warnings))
     return ScoreModel(partes, warnings)
@@ -313,7 +327,7 @@ def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
 
 def _build_pars(
     header: SourceLine,
-    systems: list[_System],
+    systems: list[list[SourceLine]],
     params: Parameters,
     tables: dict[str, GripTable],
     warnings: list[str],
@@ -343,27 +357,14 @@ def _build_pars(
     columns: list[Columna] = []
     system_ranges: list[tuple[int, int]] = []
     prev: DurationToken | None = None
-    for system in systems:
-        tokens = parse_tempus_line(system.tempus, params, prev)
-        prev = tokens[-1]
-        voices = []
-        for vox_line, track_lines in system.voices:
-            voice_name, grips = parse_vox_line(vox_line)
-            annotations: list[Annotation] = []
-            for track_line in track_lines:
-                track, track_annotations = parse_param_track(track_line)
-                if track != EDIT_TRACK:
-                    warnings.append(
-                        f"unrecognized parameter track '{track}' at line "
-                        f"{track_line.line_number} (not emitted)"
-                    )
-                annotations.extend(track_annotations)
-            voices.append((voice_name, grips, annotations, vox_line))
+    for tempus, *lines in systems:
+        durations = parse_tempus_line(tempus, params, prev)
+        prev = durations[-1]
+        validate_beams(tempus, durations)
         start = len(columns)
-        validate_beams(system.tempus, tokens)
         columns.extend(build_system(
-            system.tempus, tokens, voices, shared, symbol_map, table.name, start,
-            params.duratio_cadens,
+            tempus, durations, lines, shared, symbol_map, table.name, start,
+            params.duratio_cadens, warnings,
         ))
         system_ranges.append((start, len(columns)))
 

@@ -10,7 +10,9 @@ text, not of this program: a table assignment like
 defines one symbol per cell; row index is the string, column index the
 fret (column 0 holds the open-string digits). The table's lines are the
 ones the scanner marked as its continuation, and a quoted cell is one
-symbol. A PARS selects its table with a ``bünde`` assignment, and
+symbol. A table is checked whole where it is defined, its 13×13 bound
+included, so an oversized table is an error whether or not a PARS
+selects it. A PARS selects its table with a ``bünde`` assignment, and
 ``build_symbol_map`` turns the table into a plain
 ``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
 with a warning.
@@ -67,7 +69,6 @@ class ScalarAssignment(NamedTuple):
 class GripTable(NamedTuple):
     name: str
     rows: list[list[str]]
-    line_number: int
 
 
 def parse_assignment(
@@ -152,7 +153,8 @@ def _parse_table(
     Those lines run while the value's parentheses stay open, so only a file
     ending inside the table leaves them unbalanced; and the scanner has
     refused a ``)`` that closes no group. The value is one group of rows:
-    nothing may follow its closing ``)``.
+    nothing may follow its closing ``)``. Rows and cells are checked as they
+    are read, bounds too; a bound error names the name's line.
     """
     first_line = lines[idx].line_number
     _, value_column = value_tokens[0]
@@ -171,7 +173,7 @@ def _parse_table(
     seen: dict[str, tuple[int, int]] = {}  # symbol -> (line, column) of first sighting
     level = 0
     closed = False  # the outermost group has closed: nothing may follow
-    current: list[str] | None = None
+    current: list[str] = []  # the open row's symbols
     for atom, a_line, a_col in atoms:
         if atom == "(":
             if closed:
@@ -180,6 +182,12 @@ def _parse_table(
                 )
             level += 1
             if level == 2:
+                if len(rows) > MAX_POSITION:
+                    raise ModelError(
+                        f"table '{name}' has more than {MAX_POSITION + 1} rows; "
+                        f"string indexes beyond {MAX_POSITION} are not encodable",
+                        line=name_line,
+                    )
                 current = []
             elif level > 2:
                 raise ParseError(
@@ -189,8 +197,7 @@ def _parse_table(
                 )
         elif atom == ")":
             if level == 2:
-                rows.append(current or [])
-                current = None
+                rows.append(current)
             level -= 1
             closed = level == 0
         else:
@@ -199,6 +206,13 @@ def _parse_table(
                     f"symbol '{atom}' outside a table row",
                     line=a_line,
                     column=a_col,
+                )
+            if len(current) > MAX_POSITION:
+                raise ModelError(
+                    f"table '{name}' row {len(rows) + 1} is longer than "
+                    f"{MAX_POSITION + 1} symbols; fret indexes beyond {MAX_POSITION} "
+                    "are not encodable",
+                    line=name_line,
                 )
             if atom in seen:
                 f_line, f_col = seen[atom]
@@ -212,7 +226,7 @@ def _parse_table(
             current.append(atom)
     if not rows:
         raise ParseError(f"table '{name}' has no rows", line=first_line, column=value_column)
-    return GripTable(name, rows, name_line), j
+    return GripTable(name, rows), j
 
 
 def apply_assignment(
@@ -246,22 +260,8 @@ def apply_assignment(
 
 def build_symbol_map(table: GripTable) -> dict[str, tuple[int, int]]:
     """Turn table coordinates into the symbol -> (string, fret) map."""
-    entries: dict[str, tuple[int, int]] = {}
-    for string_index, row in enumerate(table.rows):
-        if string_index > MAX_POSITION:
-            raise ModelError(
-                f"table '{table.name}' has more than {MAX_POSITION + 1} rows; "
-                f"string indexes beyond {MAX_POSITION} are not encodable",
-                line=table.line_number,
-            )
-        for fret, symbol in enumerate(row):
-            if fret > MAX_POSITION:
-                raise ModelError(
-                    f"table '{table.name}' row {string_index + 1} is longer than "
-                    f"{MAX_POSITION + 1} symbols; fret indexes beyond {MAX_POSITION} "
-                    "are not encodable",
-                    line=table.line_number,
-                )
-            entries[symbol] = (string_index, fret)
-    return entries
-
+    return {
+        symbol: (string, fret)
+        for string, row in enumerate(table.rows)
+        for fret, symbol in enumerate(row)
+    }

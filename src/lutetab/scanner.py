@@ -179,20 +179,26 @@ def classify_line(
     )
 
 
-# Code points outside XML 1.0's ``Char`` production, which no emitted
-# document may hold; TAB is legal XML but has its own refusal below. The
-# class reaches past U+00FF, so compiling it builds a large charset: ``re``
-# compiles it, and caches it, only for a text that holds such a code point.
-_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
-_C0_NOT_XML = bytes(range(0x20)).translate(None, b"\t\n\r")
+# The characters a source may not hold: the code points outside XML 1.0's
+# ``Char`` production, which no emitted document may hold, TAB, and a CR that
+# ends no line. The class reaches past U+00FF, so compiling it builds a large
+# charset: ``re`` compiles it, and caches it, only for a text that holds a
+# refused character.
+_REFUSED = "[\x00-\x08\t\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]|\r(?!\n|\\Z)"
+_C0_REFUSED = bytes(range(0x20)).translate(None, b"\n\r")
+_REFUSAL = {
+    "\t": "TAB character (column alignment would be ambiguous; use spaces)",
+    "\r": "CR character not at the end of a line (editors may show a line break)",
+}
 
 
-def _first_not_xml_char(text: str) -> re.Match | None:
-    """The leftmost code point of ``text`` that XML 1.0 cannot hold, if any.
+def _first_refused_char(text: str) -> re.Match | None:
+    """The leftmost character of ``text`` that a source may not hold, if any.
 
-    Three cheap tests clear a text first: UTF-8 encoding refuses a
-    surrogate, ``in`` finds U+FFFE and U+FFFF, and deleting the C0 controls
-    from the encoded text shortens it only if it holds one.
+    Four cheap tests clear a text first: UTF-8 encoding refuses a
+    surrogate, ``in`` finds U+FFFE and U+FFFF, deleting the C0 controls
+    from the encoded text shortens it only if it holds one, and every CR
+    ends a line if each stands before an LF or at the text's end.
     """
     try:
         data = text.encode("utf-8")
@@ -201,10 +207,11 @@ def _first_not_xml_char(text: str) -> re.Match | None:
     else:
         if (
             "\ufffe" not in text and "\uffff" not in text
-            and len(data.translate(None, _C0_NOT_XML)) == len(data)
+            and len(data.translate(None, _C0_REFUSED)) == len(data)
+            and text.count("\r") == text.count("\r\n") + text.endswith("\r")
         ):
             return None
-    return re.search(_NOT_XML_CHAR, text)
+    return re.search(_REFUSED, text)
 
 
 def scan_text(text: str) -> list[SourceLine]:
@@ -213,7 +220,7 @@ def scan_text(text: str) -> list[SourceLine]:
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     # One test of the whole text; its line is worked out only on a hit.
-    bad = _first_not_xml_char(text)
+    bad = _first_refused_char(text)
     bad_line = text.count("\n", 0, bad.start()) + 1 if bad else 0
 
     paren_depth = 0
@@ -223,21 +230,12 @@ def scan_text(text: str) -> list[SourceLine]:
         if raw.endswith("\r"):
             raw = raw[:-1]
         if idx == bad_line:
+            char = bad.group()
             raise ScanError(
-                f"character U+{ord(bad.group()):04X} cannot appear in an XML document",
+                _REFUSAL.get(char, f"character U+{ord(char):04X} cannot appear in an XML document"),
                 line=idx,
                 column=bad.start() - text.rfind("\n", 0, bad.start()) - 1,
             )
-        tab_at = raw.find("\t")
-        if tab_at >= 0:
-            raise ScanError(
-                "TAB character (column alignment would be ambiguous; use spaces)",
-                line=idx,
-                column=tab_at,
-            )
-        if "\r" in raw:
-            message = "CR character not at the end of a line (editors may show a line break)"
-            raise ScanError(message, line=idx, column=raw.find("\r"))
         tokens = tokenize_columns(strip_comments(raw), idx)
         kind = classify_line(tokens, paren_depth, kind, idx)
         if kind is LineKind.ASSIGNMENT:

@@ -15,10 +15,12 @@ the ``edit`` track is emitted; the model warns about any other.
 
 This module owns the shape of the lines: a voice line's head and name, a
 track line's quoted payloads. It reads no grip spelling. A grip stays the
-scanner's ``(text, column)`` pair, and errors and annotations take their
-line number from the ``SourceLine``. ``model.build_system`` owns every
-rule about a spelling: the ``+`` rule (one ``+``, at the end, after a
-symbol), stripping it, and looking the symbol up in the PARS's table.
+scanner's ``(text, column)`` pair, an annotation keeps its track, text and
+column, and errors take their line number from the ``SourceLine``.
+``model.build_system`` calls both parsers as it walks a system's lines in
+order, places each annotation on its grip, and owns every rule about a
+spelling: the ``+`` rule (one ``+``, at the end, after a symbol),
+stripping it, and looking the symbol up in the PARS's table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class Annotation(NamedTuple):
     track: str
     text: str  # quote content plus any attached suffix, verbatim
     start_column: int
-    line_number: int
 
 
 def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:
@@ -70,7 +71,5 @@ def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
                 column=column,
             )
         close = text.index('"', 1)  # guaranteed by the scanner
-        annotations.append(
-            Annotation(track, text[1:close] + text[close + 1 :], column, line.line_number)
-        )
+        annotations.append(Annotation(track, text[1:close] + text[close + 1 :], column))
     return track, annotations

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lutetab import compile_source
-from lutetab.errors import ModelError, ParseError, format_diagnostic
+from lutetab.errors import CompileError, ModelError, ParseError, format_diagnostic
 from lutetab.model import compute_summa
 from lutetab.tempus import KLASS_CARRY
 
@@ -402,3 +402,35 @@ def test_too_many_voices_rejected():
     lines = system_lines(["I"], *voices, names="abcdefghijklm")
     with pytest.raises(ModelError, match="voices"):
         compile_one(*lines)
+
+
+# --- a system's lines are checked in reading order ------------------------
+
+
+def first_error(source: str) -> tuple[str, str, int, int | None]:
+    with pytest.raises(CompileError) as exc:
+        compile_source(source)
+    err = exc.value
+    return type(err).__name__, err.message, err.line, err.column
+
+
+def test_beam_error_on_the_t_line_comes_before_a_bare_vox_line():
+    (t_line,) = system_lines(["E_", "E"])
+    assert first_error(make_source(t_line, "VOX")) == (
+        "ModelError", "unclosed beam group (begun at 'E_')", 6, t_line.index("E_")
+    )
+
+
+def test_grip_error_comes_before_a_bad_payload_on_the_track_below():
+    lines = system_lines(["I", "I"], {0: "1", 1: "z"})
+    assert first_error(make_source(*lines, "    edit  x")) == (
+        "ModelError", "unknown grip symbol 'z' (not in table 'tbl')", 7, grid_cols(2)[1]
+    )
+
+
+def test_grip_error_in_voice_1_comes_before_the_voice_bound():
+    voices = [{0: "z"}] + [{0: "1"} for _ in range(12)]
+    lines = system_lines(["I"], *voices, names="abcdefghijklm")
+    assert first_error(make_source(*lines)) == (
+        "ModelError", "unknown grip symbol 'z' (not in table 'tbl')", 7, grid_cols(1)[0]
+    )

@@ -207,17 +207,41 @@ def test_lookup_unknown_symbol():
 
 
 def test_table_too_many_rows():
-    rows = " ".join(f"(r{i})" for i in range(14))
-    table, _ = parse_first(f"big = ( {rows} )\n")
-    with pytest.raises(ModelError, match="rows"):
-        build_symbol_map(table)
+    rows = " ".join(f"(r{i})" for i in range(13))
+    with pytest.raises(ModelError) as exc:
+        parse_first(f"big\n = ( {rows}\n     (r13) )\n")
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "table 'big' has more than 13 rows; string indexes beyond 12 are not encodable", 1, None
+    )
 
 
 def test_table_row_too_long():
     cells = " ".join(f"c{i}" for i in range(14))
-    table, _ = parse_first(f"wide = ( ({cells}) )\n")
-    with pytest.raises(ModelError, match="longer"):
-        build_symbol_map(table)
+    with pytest.raises(ModelError) as exc:
+        parse_first(f"wide = ( (a)\n  ({cells} c0) )\n")
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "table 'wide' row 2 is longer than 13 symbols; fret indexes beyond 12 are not encodable",
+        1,
+        None,
+    )
+
+
+_OVERSIZED = "big = ( " + " ".join(f"(r{i})" for i in range(14)) + " )\n"
+_SYSTEM = "T     I\nVOX v 1\n"
+
+
+def test_oversized_table_comes_before_a_bad_flag_value_below_it():
+    source = _OVERSIZED + "PARS p\nbünde = big\nduratioManet = x\n" + _SYSTEM
+    with pytest.raises(ModelError, match="more than 13 rows") as exc:
+        compile_source(source)
+    assert (exc.value.line, exc.value.column) == (1, None)
+
+
+def test_oversized_table_that_no_pars_selects_is_an_error():
+    source = _OVERSIZED + "tbl = ( (1) )\nPARS p\nbünde = tbl\n" + _SYSTEM
+    with pytest.raises(ModelError, match="more than 13 rows") as exc:
+        compile_source(source)
+    assert (exc.value.line, exc.value.column) == (1, None)
 
 
 _PIECES = ["t", "=", "t=", " ", "(", ")", "a", '"a"', '"(a"', '")"', '"a"(']

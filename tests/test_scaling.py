@@ -1,0 +1,88 @@
+"""Scanning and building grow linearly with the source: counted, not timed.
+
+Each shape is laid out at n and 2n, and ``scan_text`` and ``build_score``
+run under ``sys.setprofile``, which sees every Python call, generator
+resumption included, and every call into C (``call`` and ``c_call``
+events), and under ``sys.settrace``, whose ``line`` events see the turns
+of a Python loop that calls nothing. The counts are deterministic, so a
+slow or busy host cannot make the test flaky, and a stage that scales
+linearly at most about doubles its count when its input doubles.
+
+A known blind spot: quadratic work done inside one C call per element
+counts once per element. For example ``text.count("\\n", 0, pos)`` once per
+line, ``list.insert(0, ...)``, ``columns = columns + new`` once per system,
+or a tuple that grows by concatenation once per track line. Counts cannot
+see these; only timings can."""
+
+import sys
+
+import pytest
+
+from lutetab.model import build_score
+from lutetab.scanner import scan_text
+
+from helpers import lay
+
+HEAD = "t = ( (1 a b c) )\nPARS p\nbünde = t\n"
+STEP = 4  # columns between duration symbols, room for a quoted "x" and a space
+
+
+def _system(n: int, tracks: list[list[int]]) -> str:
+    """One system of ``n`` stems, one voice with a grip under each, and one
+    ``edit`` track line per entry of ``tracks``, annotating those grips."""
+    cols = [10 + STEP * k for k in range(n)]
+    lines = [lay("T", [(c, "I") for c in cols]), lay("VOX v", [(c, "a") for c in cols])]
+    lines += [lay("    edit", [(cols[k], '"x"') for k in track]) for track in tracks]
+    return "\n".join(lines) + "\n"
+
+
+def wide_system(n: int) -> tuple[str, int]:
+    return HEAD + _system(n, [list(range(n))]), n
+
+
+def many_systems(n: int) -> tuple[str, int]:
+    return HEAD + _system(1, [[0]]) * n, n
+
+
+def many_tracks(n: int) -> tuple[str, int]:
+    return HEAD + _system(n, [[k] for k in range(n)]), n
+
+
+def _events(stage, arg) -> tuple[int, object]:
+    """Run ``stage(arg)``; count its calls, into Python and into C, and its Python lines."""
+    count = 0
+
+    def profile(frame, event, _):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    def trace(frame, event, _):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        result = stage(arg)
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return count, result
+
+
+@pytest.mark.parametrize("shape,n", [(wide_system, 300), (many_systems, 300), (many_tracks, 100)])
+def test_scan_and_build_work_at_most_doubles_when_the_source_doubles(shape, n):
+    counts = {}
+    for size in (n, 2 * n):
+        text, columns = shape(size)
+        scan_events, lines = _events(scan_text, text)
+        build_events, score = _events(build_score, lines)
+        (pars,) = score.partes
+        assert len(pars.columns) == columns
+        assert all(col.sona[0].annotations for col in pars.columns)
+        counts[size] = scan_events, build_events
+    (scan_n, build_n), (scan_2n, build_2n) = counts[n], counts[2 * n]
+    assert scan_2n / scan_n <= 2.2, counts
+    assert build_2n / build_n <= 2.2, counts

@@ -193,29 +193,28 @@ _COMMENT_PIECES = st.sampled_from(["\r", "\t", "\x01", "a", " "])
 
 
 @given(st.lists(st.lists(_COMMENT_PIECES, max_size=8).map("".join), max_size=6))
-def test_scan_refuses_in_line_order_then_xml_tab_cr(comments):
+def test_scan_refuses_in_line_order_then_leftmost(comments):
     """Comment lines scan blank unless one holds a refused character. The first
-    such line is reported, and on it a code point XML cannot hold comes before
-    a TAB, and a TAB before a CR that does not end the line."""
+    such line is reported, and on it the leftmost of a code point XML cannot
+    hold, a TAB and a CR that does not end the line."""
     text = "".join(f"//{comment}\n" for comment in comments)
     for number, line in enumerate(text.split("\n")[:-1], start=1):
         line = line[:-1] if line.endswith("\r") else line
-        if "\x01" in line or "\t" in line or "\r" in line:
+        refused = [column for column, char in enumerate(line) if char in "\x01\t\r"]
+        if refused:
             break
     else:
         assert all(line.kind is LineKind.BLANK for line in scan_text(text))
         return
     with pytest.raises(ScanError) as exc:
         scan_text(text)
-    refused = next(char for char in "\x01\t\r" if char in line)
+    column = refused[0]
     message = {
         "\x01": "character U+0001 cannot appear in an XML document",
         "\t": "TAB character (column alignment would be ambiguous; use spaces)",
         "\r": _LONE_CR,
-    }[refused]
-    assert (exc.value.message, exc.value.line, exc.value.column) == (
-        message, number, line.index(refused)
-    )
+    }[line[column]]
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, number, column)
 
 
 def test_scan_kinds_for_full_fixture(newsidler_text):

@@ -191,9 +191,9 @@ def test_identical_grips_differ_by_their_edit_alone():
     pars = compile_source(_TWIN_GRIPS).partes[0]
     first, second, third = (col.sona[0] for col in pars.columns)
     assert first is second is third  # one shared value; each column gets its own record below
-    pars.columns[1].sona[0] = second._replace(annotations=(Annotation(EDIT_TRACK, "x<y", 14, 6),))
+    pars.columns[1].sona[0] = second._replace(annotations=(Annotation(EDIT_TRACK, "x<y", 14),))
     # not emitted: its line is the plain one
-    pars.columns[2].sona[0] = third._replace(annotations=(Annotation("fg", "p", 17, 6),))
+    pars.columns[2].sona[0] = third._replace(annotations=(Annotation("fg", "p", 17),))
     lines = [ln for ln in emit_pars(pars).split("\n") if "<sonum" in ln]
     plain = "    <sonum source='a' fret='1' string='0' ypos='1' />"
     assert lines == [plain, plain[:-3] + " edit='x&lt;y' />", plain]
