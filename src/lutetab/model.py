@@ -9,10 +9,14 @@ system boundaries.
 
 ``build_score`` walks the scanned lines once, by their scanner kinds, and
 ``parse_assignment`` reads each assignment whole, its table lines too.
-``apply_assignment`` returns the scope it makes; the scope at the first
-``PARS`` header is the file's, and each PARS starts from it, not from a
-copy. A PARS is built from its final scope, so an assignment below its
-first system applies to all its systems and to no other PARS.
+A table is mapped where it is defined: ``build_symbol_map`` makes its
+symbol map, kept by the table's name until a later definition replaces
+it, and a PARS looks up the map its ``bünde`` names at the PARS's end.
+``apply_assignment`` folds every other assignment into the scope and
+returns the scope it makes; the scope at the first ``PARS`` header is
+the file's, and each PARS starts from it, not from a copy. A PARS is
+built from its final scope, so an assignment below its first system
+applies to all its systems and to no other PARS.
 
 Each line is checked where the walk reads it; a system waits for its
 PARS's end, as its T line and then its voice and track lines. There
@@ -240,7 +244,7 @@ def compute_summa(columns: list[Columna]) -> None:
 def build_score(lines: list[SourceLine]) -> ScoreModel:
     """Build the full score model from scanned lines."""
     warnings: list[str] = []
-    tables: dict[str, GripTable] = {}
+    symbol_maps: dict[str, dict[str, tuple[int, int]]] = {}  # by table name: the last definition
     params = file_params = Parameters()
     partes: list[ParsModel] = []
     seen_names: dict[str, int] = {}
@@ -254,7 +258,10 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
         kind = line.kind
         if kind is LineKind.ASSIGNMENT:
             item, i = parse_assignment(lines, i)
-            params = apply_assignment(item, params, tables, warnings)
+            if isinstance(item, GripTable):
+                symbol_maps[item.name] = build_symbol_map(item)
+            else:
+                params = apply_assignment(item, params, warnings)
             continue
         i += 1
         if kind is LineKind.BLANK:
@@ -263,7 +270,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
             if header is None:
                 file_params = params
             else:
-                partes.append(_build_pars(header, systems, params, tables, warnings))
+                partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
             header = line
             _check_header(header, seen_names)
             params = file_params
@@ -286,7 +293,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 )
             systems[-1].append(line)
     if header is not None:
-        partes.append(_build_pars(header, systems, params, tables, warnings))
+        partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
     return ScoreModel(partes, warnings)
 
 
@@ -329,7 +336,7 @@ def _build_pars(
     header: SourceLine,
     systems: list[list[SourceLine]],
     params: Parameters,
-    tables: dict[str, GripTable],
+    symbol_maps: dict[str, dict[str, tuple[int, int]]],
     warnings: list[str],
 ) -> ParsModel:
     name, _ = header.tokens[1]
@@ -343,15 +350,14 @@ def _build_pars(
             f"PARS '{name}' selects no grip table (missing '{TABLE_PARAM}' assignment)",
             line=header.line_number,
         )
-    table = tables.get(params.table_name)
-    if table is None:
+    symbol_map = symbol_maps.get(params.table_name)
+    if symbol_map is None:
         line, column = params.table_location
         raise ModelError(
             f"PARS '{name}' selects undefined grip table '{params.table_name}'",
             line=line,
             column=column,
         )
-    symbol_map = build_symbol_map(table)
 
     shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: one per PARS
     columns: list[Columna] = []
@@ -363,10 +369,10 @@ def _build_pars(
         validate_beams(tempus, durations)
         start = len(columns)
         columns.extend(build_system(
-            tempus, durations, lines, shared, symbol_map, table.name, start,
+            tempus, durations, lines, shared, symbol_map, params.table_name, start,
             params.duratio_cadens, warnings,
         ))
         system_ranges.append((start, len(columns)))
 
     compute_summa(columns)
-    return ParsModel(name, columns, table.name, system_ranges)
+    return ParsModel(name, columns, params.table_name, system_ranges)

@@ -12,10 +12,10 @@ fret (column 0 holds the open-string digits). The table's lines are the
 ones the scanner marked as its continuation, and a quoted cell is one
 symbol. A table is checked whole where it is defined, its 13×13 bound
 included, so an oversized table is an error whether or not a PARS
-selects it. A PARS selects its table with a ``bünde`` assignment, and
-``build_symbol_map`` turns the table into a plain
-``{symbol: (string, fret)}`` dict. An unrecognized parameter is ignored
-with a warning.
+selects it. ``build_symbol_map`` turns a table into a plain
+``{symbol: (string, fret)}`` dict; the model maps each definition once,
+where it stands, and a PARS selects a map by name with a ``bünde``
+assignment. An unrecognized parameter is ignored with a warning.
 
 The scanner has split an assignment line into its name tokens, a lone
 ``=`` token and its value tokens, and split every unquoted ``(`` and
@@ -24,14 +24,14 @@ are. A value is a table when one of its tokens is ``(``: the prelude
 reads a parenthesis as the scanner does, so every continuation line
 belongs to the assignment above it.
 
-``Parameters`` is a value that ``apply_assignment`` folds, returning the
-new scope; it and the parsed assignments and tables are ``NamedTuple``
-records. An assignment's name and value may stand on different lines,
-so a ``ScalarAssignment`` keeps the name's line beside the value's line
-and column, and a table keeps each of its lines' numbers beside that
-line's tokens. An error about a value points at the value: a flag's bad
-value, and a ``bünde`` value naming no table (``Parameters`` keeps where
-it was set).
+``Parameters`` is a value that ``apply_assignment`` folds scalar
+assignments into, returning the new scope; it and the parsed assignments
+and tables are ``NamedTuple`` records. An assignment's name and value
+may stand on different lines, so a ``ScalarAssignment`` keeps the name's
+line beside the value's line and column, and ``_parse_table`` reads each
+table line's number beside its tokens. An error about a value points
+at the value: a flag's bad value, and a ``bünde`` value naming no table
+(``Parameters`` keeps where it was set).
 """
 
 from __future__ import annotations
@@ -230,18 +230,12 @@ def _parse_table(
 
 
 def apply_assignment(
-    item: ScalarAssignment | GripTable,
-    params: Parameters,
-    tables: dict[str, GripTable],
-    warnings: list[str],
+    item: ScalarAssignment, params: Parameters, warnings: list[str]
 ) -> Parameters:
-    """Fold one parsed assignment into the scope ``params`` and return the new scope.
+    """Fold one scalar assignment into the scope ``params`` and return the new scope.
 
-    The last assignment of a name wins; a table joins ``tables``.
+    The last assignment of a name wins.
     """
-    if isinstance(item, GripTable):
-        tables[item.name] = item
-        return params
     if item.name in _FLAG_FIELDS:
         if item.value not in _FLAG_VALUES:
             raise ParseError(

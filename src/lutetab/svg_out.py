@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmitError
-from .model import PROLONGATE_SUFFIX, Columna, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
+from .model import PROLONGATE_SUFFIX, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
 from .records import Memo, Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
@@ -68,19 +68,6 @@ def _escape_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _beam_groups(cols: list[Columna]) -> list[tuple[int, int]]:
-    """Index ranges [begin, end] of beam groups within one system."""
-    groups: list[tuple[int, int]] = []
-    begin: int | None = None
-    for i, col in enumerate(cols):
-        if col.trabes == TRABES_INITIALIS:
-            begin = i
-        elif col.trabes == TRABES_TERMINALIS and begin is not None:
-            groups.append((begin, i))
-            begin = None
-    return groups
-
-
 def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     cfg = config or RenderConfig()
     max_ypos = max((s.ypos for c in pars.columns for s in c.sona), default=1)
@@ -121,13 +108,20 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         numerus_y = ys[max_ypos + 1]
 
         xs = [cfg.margin + j * cfg.column_spacing for j in range(len(cols))]
-        groups = _beam_groups(cols)
-        # per column, the y its stem reaches when a beam replaces the flags:
-        # the top of the highest stem in the column's group
+        # A beam group runs from an initialis to the next terminalis; an
+        # unpaired marker is ignored. Per column, the y its stem reaches when
+        # a beam replaces the flags: the top of the highest stem in its group.
         beam_tops: list[str | None] = [None] * len(cols)
-        for g0, g1 in groups:
-            top = tops[min(c.duration_ypos for c in cols[g0 : g1 + 1])]
-            beam_tops[g0 : g1 + 1] = [top] * (g1 + 1 - g0)
+        groups: list[tuple[int, int]] = []  # [begin, end] column indexes
+        begin: int | None = None
+        for j, col in enumerate(cols):
+            if col.trabes == TRABES_INITIALIS:
+                begin = j
+            elif col.trabes == TRABES_TERMINALIS and begin is not None:
+                top = tops[min(c.duration_ypos for c in cols[begin : j + 1])]
+                beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
+                groups.append((begin, j))
+                begin = None
 
         shapes: list[str] = []
         texts: list[str] = []

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from lutetab import compile_source
+from lutetab import compile_source, model
 from lutetab.errors import CompileError, ModelError, ParseError, format_diagnostic
 from lutetab.model import compute_summa
+from lutetab.prelude import build_symbol_map
 from lutetab.tempus import KLASS_CARRY
 
 import helpers
@@ -381,6 +382,33 @@ def test_table_redefinition_last_wins():
     assert (sonum.string, sonum.fret) == (0, 0)
 
 
+def test_each_table_definition_is_mapped_once(monkeypatch):
+    """Two tables, five PARS, ``t`` redefined at the end of the third: three
+    maps, and each PARS looks a grip up in the definition in force at its end."""
+    calls = []
+
+    def counting(table):
+        calls.append(table.name)
+        return build_symbol_map(table)
+
+    monkeypatch.setattr(model, "build_symbol_map", counting)
+    body = "\n".join(system_lines(["I"], {0: "a"})) + "\n"
+    source = (
+        "t = ( (1 a) )\nu = ( (a 1) )\n"
+        f"PARS p1\nbünde = t\n{body}"
+        f"PARS p2\nbünde = u\n{body}"
+        f"PARS p3\nbünde = t\n{body}t = ( (2) (a) )\n"
+        f"PARS p4\nbünde = t\n{body}"
+        f"PARS p5\nbünde = u\n{body}"
+    )
+    score = compile_source(source)
+    assert calls == ["t", "u", "t"]
+    assert [
+        (pars.table_name, (sonum.string, sonum.fret))
+        for pars in score.partes for sonum in pars.columns[0].sona
+    ] == [("t", (0, 1)), ("u", (0, 0)), ("t", (1, 0)), ("t", (1, 0)), ("u", (0, 0))]
+
+
 def test_carry_may_open_a_later_system():
     first = system_lines(["F"], {0: "1"})
     second = system_lines(["-", "I"], {0: "1", 1: "a"})
@@ -425,6 +453,17 @@ def test_grip_error_comes_before_a_bad_payload_on_the_track_below():
     lines = system_lines(["I", "I"], {0: "1", 1: "z"})
     assert first_error(make_source(*lines, "    edit  x")) == (
         "ModelError", "unknown grip symbol 'z' (not in table 'tbl')", 7, grid_cols(2)[1]
+    )
+
+
+def test_an_assignment_below_a_system_is_checked_before_that_systems_lines():
+    """A PARS's systems wait for its end, since its assignments apply to all
+    of them: a bad flag value on line 6 pre-empts the unknown grip on line 5."""
+    source = "t = ( (1 a) )\nPARS p\nbünde = t\nT     I\nVOX v zz\nduratioManet = x\n"
+    with pytest.raises(ParseError) as exc:
+        compile_source(source)
+    assert format_diagnostic(exc.value, "f.tab", source).split("\n")[0] == (
+        "f.tab:6:16: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'x'"
     )
 
 

@@ -29,7 +29,8 @@ def parse_first(source: str):
 
 
 def apply_source(source: str):
-    params, tables, warnings = Parameters(), {}, []
+    """Fold a source of scalar assignments; return the scope and the warnings."""
+    params, warnings = Parameters(), []
     lines = scan_text(source)
     i = 0
     while i < len(lines):
@@ -37,17 +38,17 @@ def apply_source(source: str):
             i += 1
             continue
         item, i = parse_assignment(lines, i)
-        params = apply_assignment(item, params, tables, warnings)
-    return params, tables, warnings
+        params = apply_assignment(item, params, warnings)
+    return params, warnings
 
 
 def test_scalar_assignment_nonest():
-    params, _, _ = apply_source("duratioManet = nonEst\n")
+    params, _ = apply_source("duratioManet = nonEst\n")
     assert params.duratio_manet is False
 
 
 def test_scalar_assignment_est():
-    params, _, _ = apply_source("duratioCadens = est\n")
+    params, _ = apply_source("duratioCadens = est\n")
     assert params.duratio_cadens is True
 
 
@@ -62,13 +63,13 @@ def test_bool_param_rejects_other_values():
 
 
 def test_unrecognized_parameter_warns_and_keeps():
-    params, _, warnings = apply_source("tonus = d\n")
+    params, warnings = apply_source("tonus = d\n")
     assert params == Parameters()
     assert warnings == ["unrecognized parameter 'tonus' at line 1 (ignored)"]
 
 
 def test_table_selection():
-    params, _, _ = apply_source("bünde = Standard_1531_Newsidler_etAlii\n")
+    params, _ = apply_source("bünde = Standard_1531_Newsidler_etAlii\n")
     assert params.table_name == "Standard_1531_Newsidler_etAlii"
 
 
@@ -81,7 +82,7 @@ def test_every_spelling_of_an_assignment_is_one_assignment():
     body = "\ntbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I  -\nVOX v  a  a\n"
     xml = []
     for spelling in spellings:
-        params, _, _ = apply_source(spelling + "\n")
+        params, _ = apply_source(spelling + "\n")
         assert params == Parameters(duratio_manet=True), spelling
         (pars,) = compile_source(spelling + body).partes
         xml.append(emit_pars(pars))
@@ -164,7 +165,7 @@ def test_multi_token_scalar_rejected():
 
 
 def test_last_assignment_wins():
-    params, _, _ = apply_source("duratioManet = est\nduratioManet = nonEst\n")
+    params, _ = apply_source("duratioManet = est\nduratioManet = nonEst\n")
     assert params.duratio_manet is False
 
 

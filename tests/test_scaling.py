@@ -1,10 +1,11 @@
-"""Scanning and building grow linearly with the source: counted, not timed.
+"""Every stage grows linearly with the source: counted, not timed.
 
-Each shape is laid out at n and 2n, and ``scan_text`` and ``build_score``
-run under ``sys.setprofile``, which sees every Python call, generator
-resumption included, and every call into C (``call`` and ``c_call``
-events), and under ``sys.settrace``, whose ``line`` events see the turns
-of a Python loop that calls nothing. The counts are deterministic, so a
+Each shape is laid out at n and 2n, and ``scan_text``, ``build_score``,
+``emit_pars`` and ``render_pars`` (the writers over every PARS) run under
+``sys.setprofile``, which sees every Python call, generator resumption
+included, and every call into C (``call`` and ``c_call`` events), and
+under ``sys.settrace``, whose ``line`` events see the turns of a Python
+loop that calls nothing. The counts are deterministic, so a
 slow or busy host cannot make the test flaky, and a stage that scales
 linearly at most about doubles its count when its input doubles.
 
@@ -14,12 +15,12 @@ line, ``list.insert(0, ...)``, ``columns = columns + new`` once per system,
 or a tuple that grows by concatenation once per track line. Counts cannot
 see these; only timings can."""
 
+import functools
 import sys
 
 import pytest
 
-from lutetab.model import build_score
-from lutetab.scanner import scan_text
+from lutetab import build_score, emit_pars, render_pars, scan_text
 
 from helpers import lay
 
@@ -48,6 +49,21 @@ def many_tracks(n: int) -> tuple[str, int]:
     return HEAD + _system(n, [[k] for k in range(n)]), n
 
 
+def many_partes(n: int) -> tuple[str, int]:
+    """``n`` PARS, each selecting a table of its own defined inside it."""
+    return "".join(
+        f"PARS p{k}\nt{k} = ( (1 a b c) )\nbünde = t{k}\n" + _system(1, [[0]]) for k in range(n)
+    ), n
+
+
+def emit_all(score) -> list[str]:
+    return [emit_pars(pars) for pars in score.partes]
+
+
+def render_all(score) -> list[str]:
+    return [render_pars(pars) for pars in score.partes]
+
+
 def _events(stage, arg) -> tuple[int, object]:
     """Run ``stage(arg)``; count its calls, into Python and into C, and its Python lines."""
     count = 0
@@ -72,17 +88,37 @@ def _events(stage, arg) -> tuple[int, object]:
     return count, result
 
 
-@pytest.mark.parametrize("shape,n", [(wide_system, 300), (many_systems, 300), (many_tracks, 100)])
+SHAPES = [(wide_system, 300), (many_systems, 300), (many_tracks, 100), (many_partes, 100)]
+
+
+@functools.cache
+def _stage_events(shape, size: int) -> tuple[int, int, int, int]:
+    """Events of scan, build, emit and render on ``shape`` laid out at ``size``."""
+    text, columns = shape(size)
+    scan_events, lines = _events(scan_text, text)
+    build_events, score = _events(build_score, lines)
+    assert sum(len(pars.columns) for pars in score.partes) == columns
+    assert all(col.sona[0].annotations for pars in score.partes for col in pars.columns)
+    emit_events, _ = _events(emit_all, score)
+    render_events, _ = _events(render_all, score)
+    return scan_events, build_events, emit_events, render_events
+
+
+def _ratios(shape, n: int) -> dict[str, float]:
+    stages = ("scan", "build", "emit", "render")
+    events_n, events_2n = _stage_events(shape, n), _stage_events(shape, 2 * n)
+    return {stage: b / a for stage, a, b in zip(stages, events_n, events_2n)}
+
+
+@pytest.mark.parametrize("shape,n", SHAPES)
 def test_scan_and_build_work_at_most_doubles_when_the_source_doubles(shape, n):
-    counts = {}
-    for size in (n, 2 * n):
-        text, columns = shape(size)
-        scan_events, lines = _events(scan_text, text)
-        build_events, score = _events(build_score, lines)
-        (pars,) = score.partes
-        assert len(pars.columns) == columns
-        assert all(col.sona[0].annotations for col in pars.columns)
-        counts[size] = scan_events, build_events
-    (scan_n, build_n), (scan_2n, build_2n) = counts[n], counts[2 * n]
-    assert scan_2n / scan_n <= 2.2, counts
-    assert build_2n / build_n <= 2.2, counts
+    ratios = _ratios(shape, n)
+    assert ratios["scan"] <= 2.2, ratios
+    assert ratios["build"] <= 2.2, ratios
+
+
+@pytest.mark.parametrize("shape,n", SHAPES)
+def test_emit_and_render_work_at_most_doubles_when_the_source_doubles(shape, n):
+    ratios = _ratios(shape, n)
+    assert ratios["emit"] <= 2.2, ratios
+    assert ratios["render"] <= 2.2, ratios

@@ -200,6 +200,19 @@ def test_identical_grips_differ_by_their_edit_alone():
     assert emit_pars(pars) == helpers.reference_emit_pars(pars)
 
 
+def test_a_grip_with_only_another_track_keeps_it_and_writes_no_edit():
+    """A track other than ``edit`` stays on its grip's ``Sonum``; the XML leaves it out."""
+    source = _TWIN_GRIPS + '        fg "p"\n'
+    score = compile_source(source)
+    assert score.warnings == ["unrecognized parameter track 'fg' at line 6 (not emitted)"]
+    pars = score.partes[0]
+    assert [col.sona[0].annotations for col in pars.columns] == [
+        (), (Annotation("fg", "p", 11),), ()
+    ]
+    lines = [ln for ln in emit_pars(pars).split("\n") if "<sonum" in ln]
+    assert lines == ["    <sonum source='a' fret='1' string='0' ypos='1' />"] * 3
+
+
 @pytest.mark.parametrize("field,what", [("fret", "fret"), ("string", "string"), ("ypos", "grip ypos")])
 def test_out_of_range_twin_of_a_written_grip_raises_at_its_own_column(field, what):
     pars = compile_source(_TWIN_GRIPS).partes[0]
