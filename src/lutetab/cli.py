@@ -12,14 +12,19 @@ character visibly (``errors.visible``), the input and output paths too.
 Output files are written in two phases (``_write_outputs``): every temp
 file is complete before the first is renamed over its target, so a failure
 before the renames changes no target, and no failure leaves a temp file.
+At most one document is held at a time: each is written to its temp file
+as soon as it is made, and dropped before the next is made. An output
+directory is made just before its first temp file, so two cases differ
+from a run that makes every document first: a directory made before a
+later render error stays, empty, and an output directory that cannot be
+made is reported (exit 2) before a render error that would come later.
 
 Each output is produced only when a flag writes it: a PARS is emitted as
 XML only for ``--xml`` and rendered as SVG only for ``--svg``, and
 ``--dtd`` needs neither writer. ``--check`` ends once the model is built
 and the ``--pars`` filter has passed, so it checks scanning and the model
 and emits no XML and renders no SVG; it relies on ``xml_out``'s rule that
-no compiled model reaches ``EmitError``. Every document is complete
-before the first file is written.
+no compiled model reaches ``EmitError``.
 
 ``run`` pauses the cyclic garbage collector: the score model holds no
 reference cycles, yet the collector would walk all its objects in vain.
@@ -33,7 +38,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from . import __version__
 from .errors import CompileError, format_diagnostic, visible
@@ -123,24 +128,34 @@ def _write_temp(path: Path, data: str) -> str:
     return tmp
 
 
-def _write_outputs(outputs: list[tuple[str, list[tuple[str, str]]]]) -> str | None:
-    """Write each ``(directory, [(file name, text)])`` in two phases; return the error, if any.
+def _write_outputs(outputs: list[tuple[str, Iterable[tuple[str, str]]]]) -> str | None:
+    """Write each ``(directory, (file name, text) pairs)`` in two phases; return the error, if any.
 
-    Phase one creates every directory and completes every temp file; phase
-    two renames them all. On any failure, every temp not yet renamed is
-    unlinked, and the result is ``DIR: error: cannot write PATH: reason``.
-    The renames are the one step that is not all-or-nothing: a failing
-    rename leaves the files renamed before it in place.
+    Phase one takes the pairs one at a time, so the documents may be made
+    lazily: each is written to its temp file and dropped before the next is
+    made. A directory is made just before its first temp file, or after its
+    pairs if it gets none. Phase two renames every temp. On any failure,
+    every temp not yet renamed is unlinked; an ``OSError`` gives the result
+    ``DIR: error: cannot write PATH: reason``, and any other exception a
+    pair raises, such as a writer's ``CompileError``, propagates. The
+    renames are the one step that is not all-or-nothing: a failing rename
+    leaves the files renamed before it in place.
     """
     temps: list[tuple[str, Path, str]] = []  # (temp name, target, directory as given)
     renamed = 0
     try:
         for directory, files in outputs:
             out = target = Path(directory)
-            out.mkdir(parents=True, exist_ok=True)
+            made = False
             for name, data in files:
+                if not made:
+                    out.mkdir(parents=True, exist_ok=True)
+                    made = True
                 target = out / name
                 temps.append((_write_temp(target, data), target, directory))
+                del data  # else it stays alive while the next document is made
+            if not made:
+                out.mkdir(parents=True, exist_ok=True)
         for tmp, target, directory in temps:
             os.replace(tmp, target)
             renamed += 1
@@ -204,21 +219,23 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     stem = Path(path).stem
-    outputs = []  # (directory as given, [(file name, text)])
+    # (directory as given, (file name, text) pairs); a writer runs only when
+    # _write_outputs takes its pair.
+    outputs: list[tuple[str, Iterable[tuple[str, str]]]] = []
+    if args.xml is not None:
+        outputs.append((args.xml, ((f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes)))
+    if args.svg is not None:
+        config = _render_config(args)
+        outputs.append(
+            (args.svg, ((f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes))
+        )
+    if args.dtd:
+        outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
     try:
-        if args.xml is not None:
-            outputs.append((args.xml, [(f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes]))
-        if args.svg is not None:
-            config = _render_config(args)
-            outputs.append(
-                (args.svg, [(f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes])
-            )
+        error = _write_outputs(outputs)
     except CompileError as err:
         print(format_diagnostic(err, path, text), file=sys.stderr)
         return 1
-    if args.dtd:
-        outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
-    error = _write_outputs(outputs)
     if error is not None:
         print(visible(error), file=sys.stderr)
         return 2

@@ -23,9 +23,11 @@ PARS's end, as its T line and then its voice and track lines. There
 ``_build_pars`` reads the T line (durations, then beams) and
 ``build_system`` each voice and track line in order. Three checks wait
 for an end: an empty column for its system's, the table selection and a
-PARS with no system for the PARS's. ``vox`` owns the shape of voice and
-track lines; ``build_system`` owns every rule about a grip's spelling:
-the ``+`` suffix and the symbol's table.
+PARS with no system for the PARS's. So the first error reported is not
+always the first in line order: an assignment error below a system is
+reported before any error in that system. ``vox`` owns the shape of
+voice and track lines; ``build_system`` owns every rule about a grip's
+spelling: the ``+`` suffix and the symbol's table.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text. A token is a ``(text, column)``

@@ -340,6 +340,91 @@ def test_write_fault_at_every_call_leaves_a_clean_file_set(
             assert all(contents[t] in (b"old\n", fresh[t]) for t in contents)
 
 
+def test_at_most_one_document_is_alive_at_a_time(tmp_path, monkeypatch):
+    """Each document is written to its temp file and dropped before the next is made."""
+    live = peak = 0
+
+    class Document(str):
+        def __del__(self):
+            nonlocal live
+            live -= 1
+
+    def counted(writer):
+        def write(*args):
+            nonlocal live, peak
+            document = Document(writer(*args))
+            live += 1
+            peak = max(peak, live)
+            return document
+
+        return write
+
+    monkeypatch.setattr(cli, "emit_pars", counted(cli.emit_pars))
+    monkeypatch.setattr(cli, "render_pars", counted(cli.render_pars))
+    path = tmp_path / "three.tab"
+    path.write_text(_TWO_PARS + "PARS r\nbünde = tbl\nT      I\nVOX v  a\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([str(path), "--xml", str(out / "xml"), "--svg", str(out / "svg")]) == 0
+    assert len(list(out.rglob("*.*"))) == 6  # three XML, three SVG
+    assert (peak, live) == (1, 0)
+
+
+# At --col-spacing 1e308 the first PARS, three columns wide, is too wide to render.
+_WIDE_FIRST = (
+    "tbl = ( (1 a) )\nPARS p\nbünde = tbl\nT      I  I  I\nVOX v  a  a  a\n"
+    "PARS q\nbünde = tbl\nT      I\nVOX v  a\n"
+)
+
+
+def test_render_error_after_the_xml_temps_leaves_an_empty_xml_directory(tmp_path, capsys):
+    """The XML directory is made for the XML temps before the first render
+    fails; the temps are unlinked, the SVG directory is never made."""
+    path = tmp_path / "two.tab"
+    path.write_text(_WIDE_FIRST, encoding="utf-8")
+    xml, svg = tmp_path / "xml", tmp_path / "svg"
+    argv = [str(path), "--xml", str(xml), "--svg", str(svg), "--col-spacing", "1e308"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: error: render geometry too large: an SVG coordinate would be inf\n"
+    )
+    assert list(xml.iterdir()) == []
+    assert not svg.exists()
+
+
+def test_unmakeable_directory_is_reported_before_a_later_render_error(tmp_path, capsys):
+    path = tmp_path / "two.tab"
+    path.write_text(_WIDE_FIRST, encoding="utf-8")
+    blocker = tmp_path / "notadir"
+    blocker.write_text("", encoding="utf-8")
+    xml, svg = blocker / "xml", tmp_path / "svg"
+    argv = [str(path), "--xml", str(xml), "--svg", str(svg), "--col-spacing", "1e308"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{xml}: error: cannot write {xml}: Not a directory\n"
+    assert not svg.exists()
+
+
+def test_failed_second_temp_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two.tab"
+    path.write_text(_TWO_PARS, encoding="utf-8")
+    out = tmp_path / "xml"
+    real = os.write
+    calls = 0
+
+    def faulty(fd, data):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise OSError(5, "injected failure")
+        return real(fd, data)
+
+    monkeypatch.setattr("lutetab.cli.os.write", faulty)
+    assert main([str(path), "--xml", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{out}: error: cannot write {out / 'two.q.xml'}: injected failure\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_write_temp_round_trips_a_document_longer_than_one_slice(tmp_path, monkeypatch):
     """The document is encoded one bounded slice of code points at a time, and the
     file holds exactly its UTF-8 bytes, with multi-byte characters on either side

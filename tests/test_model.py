@@ -458,13 +458,18 @@ def test_grip_error_comes_before_a_bad_payload_on_the_track_below():
 
 def test_an_assignment_below_a_system_is_checked_before_that_systems_lines():
     """A PARS's systems wait for its end, since its assignments apply to all
-    of them: a bad flag value on line 6 pre-empts the unknown grip on line 5."""
-    source = "t = ( (1 a) )\nPARS p\nbünde = t\nT     I\nVOX v zz\nduratioManet = x\n"
-    with pytest.raises(ParseError) as exc:
-        compile_source(source)
-    assert format_diagnostic(exc.value, "f.tab", source).split("\n")[0] == (
-        "f.tab:6:16: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'x'"
-    )
+    of them: a bad flag value on line 6 pre-empts the unknown grip on line 5,
+    which is reported once line 6 is gone."""
+    system = "t = ( (1 a) )\nPARS p\nbünde = t\nT     I\nVOX v zz\n"
+    cases = [
+        (system + "duratioManet = x\n", ParseError,
+         "f.tab:6:16: error: parameter 'duratioManet' expects 'est' or 'nonEst', got 'x'"),
+        (system, ModelError, "f.tab:5:7: error: unknown grip symbol 'zz' (not in table 't')"),
+    ]
+    for source, kind, first_line in cases:
+        with pytest.raises(kind) as exc:
+            compile_source(source)
+        assert format_diagnostic(exc.value, "f.tab", source).split("\n")[0] == first_line
 
 
 def test_grip_error_in_voice_1_comes_before_the_voice_bound():

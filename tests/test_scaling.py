@@ -28,32 +28,53 @@ HEAD = "t = ( (1 a b c) )\nPARS p\nbünde = t\n"
 STEP = 4  # columns between duration symbols, room for a quoted "x" and a space
 
 
-def _system(n: int, tracks: list[list[int]]) -> str:
-    """One system of ``n`` stems, one voice with a grip under each, and one
-    ``edit`` track line per entry of ``tracks``, annotating those grips."""
+def _system(n: int, tracks: list[list[int]], stems: list[str] | None = None) -> str:
+    """One system of ``n`` stems (``stems``, or each ``I``), one voice with a
+    grip under each, and one ``edit`` track line per entry of ``tracks``,
+    annotating those grips."""
     cols = [10 + STEP * k for k in range(n)]
-    lines = [lay("T", [(c, "I") for c in cols]), lay("VOX v", [(c, "a") for c in cols])]
+    stems = stems or ["I"] * n
+    lines = [lay("T", list(zip(cols, stems))), lay("VOX v", [(c, "a") for c in cols])]
     lines += [lay("    edit", [(cols[k], '"x"') for k in track]) for track in tracks]
     return "\n".join(lines) + "\n"
 
 
-def wide_system(n: int) -> tuple[str, int]:
-    return HEAD + _system(n, [list(range(n))]), n
+# Each shape returns its source, its number of columns and its number of warnings.
 
 
-def many_systems(n: int) -> tuple[str, int]:
-    return HEAD + _system(1, [[0]]) * n, n
+def wide_system(n: int) -> tuple[str, int, int]:
+    return HEAD + _system(n, [list(range(n))]), n, 0
 
 
-def many_tracks(n: int) -> tuple[str, int]:
-    return HEAD + _system(n, [[k] for k in range(n)]), n
+def _beam_group(size: int) -> list[str]:
+    return ["E_"] + ["E"] * (size - 2) + ["_E"]
 
 
-def many_partes(n: int) -> tuple[str, int]:
+def wide_beamed_system(n: int) -> tuple[str, int, int]:
+    """One system of ``n`` stems, ``n`` a multiple of 8: beam groups of 4 over
+    the first half, one beam group over the second."""
+    stems = [stem for _ in range(n // 8) for stem in _beam_group(4)] + _beam_group(n // 2)
+    return HEAD + _system(n, [list(range(n))], stems), n, 0
+
+
+def many_systems(n: int) -> tuple[str, int, int]:
+    return HEAD + _system(1, [[0]]) * n, n, 0
+
+
+def many_tracks(n: int) -> tuple[str, int, int]:
+    return HEAD + _system(n, [[k] for k in range(n)]), n, 0
+
+
+def many_partes(n: int) -> tuple[str, int, int]:
     """``n`` PARS, each selecting a table of its own defined inside it."""
     return "".join(
         f"PARS p{k}\nt{k} = ( (1 a b c) )\nbünde = t{k}\n" + _system(1, [[0]]) for k in range(n)
-    ), n
+    ), n, 0
+
+
+def many_unknown_parameters(n: int) -> tuple[str, int, int]:
+    """``n`` assignments to parameters lutetab does not know, each a warning."""
+    return HEAD + "".join(f"u{k} = 1\n" for k in range(n)) + _system(1, [[0]]), 1, n
 
 
 def emit_all(score) -> list[str]:
@@ -88,16 +109,24 @@ def _events(stage, arg) -> tuple[int, object]:
     return count, result
 
 
-SHAPES = [(wide_system, 300), (many_systems, 300), (many_tracks, 100), (many_partes, 100)]
+SHAPES = [
+    (wide_system, 300),
+    (wide_beamed_system, 200),
+    (many_systems, 300),
+    (many_tracks, 100),
+    (many_partes, 100),
+    (many_unknown_parameters, 200),
+]
 
 
 @functools.cache
 def _stage_events(shape, size: int) -> tuple[int, int, int, int]:
     """Events of scan, build, emit and render on ``shape`` laid out at ``size``."""
-    text, columns = shape(size)
+    text, columns, warnings = shape(size)
     scan_events, lines = _events(scan_text, text)
     build_events, score = _events(build_score, lines)
     assert sum(len(pars.columns) for pars in score.partes) == columns
+    assert len(score.warnings) == warnings
     assert all(col.sona[0].annotations for pars in score.partes for col in pars.columns)
     emit_events, _ = _events(emit_all, score)
     render_events, _ = _events(render_all, score)
