@@ -18,6 +18,13 @@ the file's, and each PARS starts from it, not from a copy. A PARS is
 built from its final scope, so an assignment below its first system
 applies to all its systems and to no other PARS.
 
+``build_score`` consumes the list it is given. The walk drops each line
+from the list as it reads it; a system's lines wait in their PARS's list
+of systems, and ``_build_pars`` drops them once ``build_system`` has
+built the system. So the scanned lines and the model made of them are
+never both held whole: the build's data peak is about the larger of the
+two, not their sum.
+
 Each line is checked where the walk reads it; a system waits for its
 PARS's end, as its T line and then its voice and track lines. There
 ``_build_pars`` reads the T line (durations, then beams) and
@@ -244,7 +251,12 @@ def compute_summa(columns: list[Columna]) -> None:
 
 
 def build_score(lines: list[SourceLine]) -> ScoreModel:
-    """Build the full score model from scanned lines."""
+    """Build the full score model from scanned lines, emptying ``lines``.
+
+    ``lines`` is empty when this returns or raises, so to build twice, scan
+    twice. Each line goes once it is read or, in a system, once its system
+    is built.
+    """
     warnings: list[str] = []
     symbol_maps: dict[str, dict[str, tuple[int, int]]] = {}  # by table name: the last definition
     params = file_params = Parameters()
@@ -255,47 +267,55 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
 
     i = 0
     n = len(lines)
-    while i < n:
-        line = lines[i]
-        kind = line.kind
-        if kind is LineKind.ASSIGNMENT:
-            item, i = parse_assignment(lines, i)
-            if isinstance(item, GripTable):
-                symbol_maps[item.name] = build_symbol_map(item)
-            else:
-                params = apply_assignment(item, params, warnings)
-            continue
-        i += 1
-        if kind is LineKind.BLANK:
-            continue
-        if kind is LineKind.PARS_HEADER:
-            if header is None:
-                file_params = params
-            else:
-                partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
-            header = line
-            _check_header(header, seen_names)
-            params = file_params
-            systems = []
-        elif header is None:
-            _, column = line.tokens[0]
-            raise ModelError(
-                f"{kind.value} outside of any PARS section", line=line.line_number, column=column
-            )
-        elif kind is LineKind.TEMPUS:
-            systems.append([line])
-        else:
-            # A voice or track line. A track stands directly below a voice
-            # or track line, so only a voice line can come before any T line.
-            if not systems:
-                name, _ = header.tokens[1]
+    try:
+        while i < n:
+            line = lines[i]
+            kind = line.kind
+            if kind is LineKind.ASSIGNMENT:
+                item, end = parse_assignment(lines, i)
+                lines[i:end] = [None] * (end - i)
+                i = end
+                if isinstance(item, GripTable):
+                    symbol_maps[item.name] = build_symbol_map(item)
+                else:
+                    params = apply_assignment(item, params, warnings)
+                continue
+            lines[i] = None
+            i += 1
+            if kind is LineKind.BLANK:
+                continue
+            if kind is LineKind.PARS_HEADER:
+                if header is None:
+                    file_params = params
+                else:
+                    partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
+                header = line
+                _check_header(header, seen_names)
+                params = file_params
+                systems = []
+            elif header is None:
+                _, column = line.tokens[0]
                 raise ModelError(
-                    f"voice line before any time line in PARS '{name}'",
+                    f"{kind.value} outside of any PARS section",
                     line=line.line_number,
+                    column=column,
                 )
-            systems[-1].append(line)
-    if header is not None:
-        partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
+            elif kind is LineKind.TEMPUS:
+                systems.append([line])
+            else:
+                # A voice or track line. A track stands directly below a voice
+                # or track line, so only a voice line can come before any T line.
+                if not systems:
+                    name, _ = header.tokens[1]
+                    raise ModelError(
+                        f"voice line before any time line in PARS '{name}'",
+                        line=line.line_number,
+                    )
+                systems[-1].append(line)
+        if header is not None:
+            partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
+    finally:
+        lines.clear()
     return ScoreModel(partes, warnings)
 
 
@@ -365,7 +385,8 @@ def _build_pars(
     columns: list[Columna] = []
     system_ranges: list[tuple[int, int]] = []
     prev: DurationToken | None = None
-    for tempus, *lines in systems:
+    for k, (tempus, *lines) in enumerate(systems):
+        systems[k] = None  # the system's lines go once it is built
         durations = parse_tempus_line(tempus, params, prev)
         prev = durations[-1]
         validate_beams(tempus, durations)

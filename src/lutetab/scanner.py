@@ -27,7 +27,11 @@ kinds and work none out again.
 A scanned line keeps its number, kind and tokens, not its text: an error
 names a line and column, and ``errors.format_diagnostic`` shows the line.
 A token is a plain ``(text, start column)`` pair; its line number is the
-``SourceLine``'s, and every stage reads it from there.
+``SourceLine``'s, and every stage reads it from there. Within one scan,
+``tokenize_columns`` gives one string per distinct token text and one
+tuple per distinct token, so the lines of a source of repeated grips in
+aligned columns hold each only once; only the tokens that an assignment
+line or a table line splits further are new.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ def strip_comments(raw_line: str) -> str:
 _SPLIT = re.compile(r'("[^"]*"\S*|\S+)')
 
 
-def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
+def tokenize_columns(
+    text: str, line_number: int = 0, shared: dict | None = None
+) -> list[tuple[str, int]]:
     """Split into maximal non-whitespace runs, each a ``(text, start column)`` pair.
 
     A token opening with a double quote runs to the closing quote and then
@@ -78,10 +84,18 @@ def tokenize_columns(text: str, line_number: int = 0) -> list[tuple[str, int]]:
     writes ``"..."!``), so quoted annotations with internal spaces stay one
     token. The opening quote's column is the token's column; ``line_number``
     only locates the unterminated-quote error.
+
+    ``shared`` maps each token text and each token met so far to its first
+    copy, so the calls that pass one dict give one object for equal texts
+    and one for equal tokens.
     """
+    if shared is None:
+        shared = {}
     parts = _SPLIT.split(text)  # separator, token, separator, ..., separator
     starts = list(accumulate(map(len, parts), initial=0))
-    tokens = list(zip(parts[1::2], starts[1::2]))
+    texts = parts[1::2]
+    pairs = list(zip(map(shared.setdefault, texts, texts), starts[1::2]))
+    tokens = list(map(shared.setdefault, pairs, pairs))
     if '"' in text:
         for tok, column in tokens:
             if tok[0] == '"' and tok.find('"', 1) < 0:
@@ -215,7 +229,12 @@ def _first_refused_char(text: str) -> re.Match | None:
 
 
 def scan_text(text: str) -> list[SourceLine]:
-    """Scan a whole source text into classified, tokenized lines."""
+    """Scan a whole source text into classified, tokenized lines.
+
+    One dict for the call shares equal token texts and equal tokens across
+    lines (see ``tokenize_columns``). ``model.build_score`` empties the list
+    it builds from, so to build twice, scan twice.
+    """
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
@@ -225,6 +244,7 @@ def scan_text(text: str) -> list[SourceLine]:
 
     paren_depth = 0
     kind = LineKind.BLANK
+    shared: dict = {}  # one object per token text and per token
     lines: list[SourceLine] = []
     for idx, raw in enumerate(raw_lines, start=1):
         if raw.endswith("\r"):
@@ -236,7 +256,7 @@ def scan_text(text: str) -> list[SourceLine]:
                 line=idx,
                 column=bad.start() - text.rfind("\n", 0, bad.start()) - 1,
             )
-        tokens = tokenize_columns(strip_comments(raw), idx)
+        tokens = tokenize_columns(strip_comments(raw), idx, shared)
         kind = classify_line(tokens, paren_depth, kind, idx)
         if kind is LineKind.ASSIGNMENT:
             name, value = _split_assignment(tokens)

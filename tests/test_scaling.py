@@ -13,10 +13,17 @@ A known blind spot: quadratic work done inside one C call per element
 counts once per element. For example ``text.count("\\n", 0, pos)`` once per
 line, ``list.insert(0, ...)``, ``columns = columns + new`` once per system,
 or a tuple that grows by concatenation once per track line. Counts cannot
-see these; only timings can."""
+see these; only timings can.
+
+Each stage's ``tracemalloc`` data peak is checked against the growth of
+the source text too, with the collector off, so it is deterministic. It
+sees memory that grows quadratically, as a copy of a growing list kept
+once per system would, whatever the number of calls that made it."""
 
 import functools
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -151,3 +158,46 @@ def test_emit_and_render_work_at_most_doubles_when_the_source_doubles(shape, n):
     ratios = _ratios(shape, n)
     assert ratios["emit"] <= 2.2, ratios
     assert ratios["render"] <= 2.2, ratios
+
+
+@functools.cache
+def _stage_peaks(shape, size: int) -> tuple[int, list[int]]:
+    """The source's length, and the data peaks of scan, build, emit and render on
+    ``shape`` laid out at ``size``: the most memory ``tracemalloc`` saw held during
+    each stage, above what was held before the scan, in bytes."""
+    text, _, _ = shape(size)
+    peaks = []
+
+    def stage(run, arg):
+        tracemalloc.reset_peak()
+        result = run(arg)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return result
+
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        score = stage(build_score, stage(scan_text, text))
+        stage(emit_all, score)
+        stage(render_all, score)
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return len(text), peaks
+
+
+@pytest.mark.parametrize("shape,n", SHAPES)
+def test_each_stage_data_peak_grows_linearly_with_the_source(shape, n):
+    """Each peak grows at most 1.25 times as fast as the source text (2.5x when it
+    doubles; ``many_tracks``' text grows about 3.8x). Linear code reads up to about
+    1.16 here on CPython 3.10 to 3.13: ints below 257 are cached, not allocated, and
+    lists and dicts grow in steps. A peak that grows quadratically reads about 2."""
+    length_n, peaks_n = _stage_peaks(shape, n)
+    length_2n, peaks_2n = _stage_peaks(shape, 2 * n)
+    growth = length_2n / length_n
+    ratios = {stage: round(b / a / growth, 3)
+              for stage, a, b in zip(("scan", "build", "emit", "render"), peaks_n, peaks_2n)}
+    assert all(ratio <= 1.25 for ratio in ratios.values()), ratios

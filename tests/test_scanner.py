@@ -58,6 +58,19 @@ def test_tokenize_quoted_region_is_one_token():
     ]
 
 
+def test_equal_tokens_of_one_scan_are_one_object():
+    """Across the lines of one scan, equal token texts are one string and
+    equal tokens one tuple; two scans share nothing."""
+    text = "PARS p\nT  I.  E\nVOX v  4+  ab\nT  I.  E\nVOX w  ab  4+\n"
+    lines = scan_text(text)
+    assert all(a is b for a, b in zip(lines[1].tokens, lines[3].tokens))
+    (*_, grip, other), (*_, other_2, grip_2) = lines[2].tokens, lines[4].tokens
+    assert grip[0] is grip_2[0] == "4+" and other[0] is other_2[0] == "ab"
+    assert grip[1] != grip_2[1] and other[1] != other_2[1]
+    again = scan_text(text)
+    assert again == lines and again[2].tokens[2][0] is not grip[0]
+
+
 def test_tokenize_unterminated_quote():
     with pytest.raises(ScanError) as exc:
         tokenize_columns('edit "oops', line_number=3)
@@ -324,6 +337,8 @@ def test_tokenize_matches_character_loop(text):
         return
     got = tokenize_columns(text, 5)
     assert got == expected
+    shared = {}  # as scan_text passes it: a second call meets every text again
+    assert tokenize_columns(text, 5, shared) == tokenize_columns(text, 5, shared) == expected
 
 
 # Quote-free annotation text that survives an XML attribute round trip:
