@@ -26,15 +26,16 @@ never both held whole: the build's data peak is about the larger of the
 two, not their sum.
 
 Each line is checked where the walk reads it; a system waits for its
-PARS's end, as its T line and then its voice and track lines. There
-``_build_pars`` reads the T line (durations, then beams) and
-``build_system`` each voice and track line in order. Three checks wait
-for an end: an empty column for its system's, the table selection and a
-PARS with no system for the PARS's. So the first error reported is not
-always the first in line order: an assignment error below a system is
-reported before any error in that system. ``vox`` owns the shape of
-voice and track lines; ``build_system`` owns every rule about a grip's
-spelling: the ``+`` suffix and the symbol's table.
+PARS's end. There ``_build_pars`` makes the PARS empty, and
+``build_system`` checks each system whole and then extends the PARS:
+the T line (durations, then beams), then each voice and track line in
+order. Three checks wait for an end: an empty column for its system's,
+the table selection and a PARS with no system for the PARS's. So the
+first error reported is not always the first in line order: an
+assignment error below a system is reported before any error in that
+system. ``vox`` owns the shape of voice and track lines;
+``build_system`` owns every rule about a grip's spelling: the ``+``
+suffix and the symbol's table.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
 the line they name from the source text. A token is a ``(text, column)``
@@ -44,11 +45,11 @@ from: a grip's is its voice line's, an annotation's its track line's.
 ``Sonum`` and ``tempus.DurationToken`` are ``NamedTuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
 ``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
-one ``DurationToken`` per spelling. A PARS keeps its ``Sonum`` values by
-ypos, then by grip text, so finding a grip's builds no key tuple. Where a
-column's duration symbol stands is the ``Columna``'s own; it is a slotted
-``Record`` because ``compute_summa`` sets its time position after it is
-built.
+one ``DurationToken`` per spelling but the carry ``-``, whose every column
+holds its own. A PARS keeps its ``Sonum`` values by ypos, then by grip
+text, so finding a grip's builds no key tuple. Where a column's duration
+symbol stands is the ``Columna``'s own; it is a slotted ``Record``
+because ``compute_summa`` sets its time position after it is built.
 """
 
 from __future__ import annotations
@@ -124,33 +125,36 @@ class ScoreModel(NamedTuple):
 
 def build_system(
     tempus: SourceLine,
-    durations: list[DurationToken],
     lines: list[SourceLine],
+    pars: ParsModel,
     shared: dict[int, dict[str, Sonum]],
     symbol_map: dict[str, tuple[int, int]],
-    table_name: str,
-    first_numerus: int,
-    cadens: bool,
+    params: Parameters,
     warnings: list[str],
-) -> list[Columna]:
-    """Assemble one system's columns from its T line, durations and voice and track lines.
+) -> None:
+    """Check one system, then add its columns and its ``(start, end)`` to ``pars``.
 
-    The lines are checked in order. Each grip token of a voice line stands
-    under the duration symbol sharing its start column; voice order gives
-    the vertical position (the T line is row 0). A grip without an
+    The lines are checked in order: the T line's durations, then its
+    beams, then each voice and track line. A carry that opens the T line
+    repeats the last column of ``pars``. Each grip token of a voice line
+    stands under the duration symbol sharing its start column; voice order
+    gives the vertical position (the T line is row 0). A grip without an
     annotation is the PARS's one ``Sonum`` for its ``(text, ypos)``, built
     on first use and kept in ``shared[ypos][text]``. A track line's
     annotations go onto the grip of the voice above that starts in the
     same column, which then gets its own record. Columns are numbered on
-    from ``first_numerus``.
+    from those in ``pars``; a system that fails a check adds nothing.
 
     A spelling is checked once, where it is first met in its row; a grip's
     checks run the ``+`` rule, its column, its table, grip by grip.
 
     A duration symbol sits on the top row (0). With ``duratioCadens = est``
-    (``cadens``) it drops to the free row directly above its column's
-    topmost grip, mirroring the jumping duration signs of the originals.
+    it drops to the free row directly above its column's topmost grip,
+    mirroring the jumping duration signs of the originals.
     """
+    columns = pars.columns
+    durations = parse_tempus_line(tempus, params, columns[-1].duration if columns else None)
+    validate_beams(tempus, durations)
     symbols = tempus.tokens[1:]
     sona_by_column: dict[int, list[Sonum]] = {column: [] for _, column in symbols}
     notes: dict[tuple[int, int], list[Annotation]] = {}  # by grip: column, index in its sona
@@ -207,7 +211,7 @@ def build_system(
                 )
             if sonum is None:  # reported after the column, as a grip's last check
                 raise ModelError(
-                    f"unknown grip symbol '{symbol}' (not in table '{table_name}')",
+                    f"unknown grip symbol '{symbol}' (not in table '{pars.table_name}')",
                     line=line.line_number,
                     column=column,
                 )
@@ -218,8 +222,9 @@ def build_system(
         sona = sona_by_column[column]
         sona[index] = sona[index]._replace(annotations=tuple(note))
 
-    columns: list[Columna] = []
-    for numerus, (token, (_, column)) in enumerate(zip(durations, symbols), first_numerus):
+    start = len(columns)
+    made: list[Columna] = []
+    for numerus, (token, (_, column)) in enumerate(zip(durations, symbols), start):
         sona = sona_by_column[column]
         if not sona:
             raise ModelError(
@@ -228,10 +233,10 @@ def build_system(
                 line=tempus.line_number,
                 column=column,
             )
-        columns.append(Columna(
+        made.append(Columna(
             numerus,
             token,
-            sona[0].ypos - 1 if cadens else 0,  # duration_ypos; sona run top down
+            sona[0].ypos - 1 if params.duratio_cadens else 0,  # duration_ypos; sona run top down
             # trabes; validate_beams has rejected a stem with both markers
             TRABES_INITIALIS if token.beam_begin else TRABES_TERMINALIS if token.beam_end else None,
             0,  # summa_praecedentium, set by compute_summa
@@ -239,7 +244,8 @@ def build_system(
             tempus.line_number,
             column,
         ))
-    return columns
+    columns.extend(made)
+    pars.system_ranges.append((start, len(columns)))
 
 
 def compute_summa(columns: list[Columna]) -> None:
@@ -382,20 +388,9 @@ def _build_pars(
         )
 
     shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: one per PARS
-    columns: list[Columna] = []
-    system_ranges: list[tuple[int, int]] = []
-    prev: DurationToken | None = None
+    pars = ParsModel(name, [], params.table_name, [])
     for k, (tempus, *lines) in enumerate(systems):
         systems[k] = None  # the system's lines go once it is built
-        durations = parse_tempus_line(tempus, params, prev)
-        prev = durations[-1]
-        validate_beams(tempus, durations)
-        start = len(columns)
-        columns.extend(build_system(
-            tempus, durations, lines, shared, symbol_map, params.table_name, start,
-            params.duratio_cadens, warnings,
-        ))
-        system_ranges.append((start, len(columns)))
-
-    compute_summa(columns)
-    return ParsModel(name, columns, params.table_name, system_ranges)
+        build_system(tempus, lines, pars, shared, symbol_map, params, warnings)
+    compute_summa(pars.columns)
+    return pars

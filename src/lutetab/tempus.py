@@ -12,7 +12,11 @@ all their sums, are exact integer ticks of 1/64 whole note.
 A ``DurationToken`` is a value: what a spelling means, not where it
 stands. Each of the 35 spellings other than the carry is parsed once, at
 import; a T line finds each of its symbols among them with one dict
-lookup, and every column that holds a spelling shares its one record. The
+lookup, and every column that holds a spelling shares its one record. A
+symbol that misses is a carry or an error: ``parse_tempus_line`` makes a
+record for each carry, with the value of the duration before it, so each
+carry column holds its own. ``model.build_system`` seeds the chain with
+the last column of its PARS, so a carry may open a later system. The
 column (``model.Columna``) keeps the position. A T line's symbols are the
 scanner's ``(text, column)`` pairs, and errors take their line number from
 the T line's ``SourceLine``.
@@ -34,7 +38,7 @@ TICKS_PER_WHOLE = 64
 
 
 class DurationToken(NamedTuple):
-    """The meaning of one T-line spelling; columns with the same spelling share one."""
+    """The meaning of one T-line symbol; columns with the same spelling but ``-`` share one."""
 
     source_text: str
     klass: str  # "I" | "T" | "F" | "E" | "dots" | "carry"
@@ -65,35 +69,6 @@ _SPELLINGS = {
 }
 
 
-def parse_duration_token(
-    text: str, column: int, line_number: int, params: Parameters, prev: DurationToken | None
-) -> DurationToken:
-    """The value of a T-line symbol that is none of the fixed spellings: a carry, or an error.
-
-    A carry takes its value from ``prev``. ``column`` and ``line_number``
-    only locate an error.
-    """
-    if text == "-":
-        if not params.duratio_manet:
-            raise ParseError(
-                "carry token '-' requires the prelude parameter 'duratioManet = est'",
-                line=line_number,
-                column=column,
-            )
-        if prev is None:
-            raise ParseError(
-                "carry token '-' has no preceding duration to repeat",
-                line=line_number,
-                column=column,
-            )
-        return DurationToken(text, KLASS_CARRY, 0, False, False, prev.value)
-    if "-" in text:
-        msg = f"carry token '-' takes no dots or beam markers: '{text}'"
-    else:
-        msg = f"invalid duration token '{text}'"
-    raise ParseError(msg, line=line_number, column=column)
-
-
 def parse_tempus_line(
     line: SourceLine, params: Parameters, prev: DurationToken | None = None
 ) -> list[DurationToken]:
@@ -108,12 +83,24 @@ def parse_tempus_line(
         raise ParseError(
             "time line has no duration symbols", line=line.line_number, column=head_column
         )
-    line_number = line.line_number
     spelling = _SPELLINGS.get
     out: list[DurationToken] = []
     for text, column in body:
-        prev = spelling(text) or parse_duration_token(text, column, line_number, params, prev)
-        out.append(prev)
+        if (token := spelling(text)) is None:  # a carry, or an error
+            if out:
+                prev = out[-1]
+            if text != "-":
+                message = (f"carry token '-' takes no dots or beam markers: '{text}'"
+                           if "-" in text else f"invalid duration token '{text}'")
+            elif not params.duratio_manet:
+                message = "carry token '-' requires the prelude parameter 'duratioManet = est'"
+            elif prev is None:
+                message = "carry token '-' has no preceding duration to repeat"
+            else:
+                out.append(DurationToken(text, KLASS_CARRY, 0, False, False, prev.value))
+                continue
+            raise ParseError(message, line=line.line_number, column=column)
+        out.append(token)
     return out
 
 

@@ -410,12 +410,19 @@ def test_each_table_definition_is_mapped_once(monkeypatch):
 
 
 def test_carry_may_open_a_later_system():
-    first = system_lines(["F"], {0: "1"})
+    """The carry opening the second system repeats the first system's last
+    column, which may be a carry itself; numbering runs on across both."""
     second = system_lines(["-", "I"], {0: "1", 1: "a"})
-    pars = compile_one(*first, "", *second, manet="est")
-    assert pars.system_ranges == [(0, 1), (1, 3)]
-    assert pars.columns[1].duration.klass == KLASS_CARRY
-    assert as_fraction(pars.columns[1].duration.value) == Fraction(1, 16)
+    for durations in (["F"], ["F", "-"]):
+        first = system_lines(durations, {j: "1" for j in range(len(durations))})
+        pars = compile_one(*first, "", *second, manet="est")
+        n = len(durations)
+        assert pars.system_ranges == [(0, n), (n, n + 2)]
+        assert [col.numerus for col in pars.columns] == list(range(n + 2))
+        carry = pars.columns[n].duration
+        assert carry.klass == KLASS_CARRY
+        assert as_fraction(carry.value) == Fraction(1, 16)
+        assert pars.columns[n - 1].duration is not carry  # each carry column holds its own
 
 
 def test_beam_groups_do_not_span_systems():
@@ -446,6 +453,14 @@ def test_beam_error_on_the_t_line_comes_before_a_bare_vox_line():
     (t_line,) = system_lines(["E_", "E"])
     assert first_error(make_source(t_line, "VOX")) == (
         "ModelError", "unclosed beam group (begun at 'E_')", 6, t_line.index("E_")
+    )
+
+
+def test_a_bad_duration_late_on_the_t_line_comes_before_an_earlier_beam_error():
+    """A T line's durations are all read before its beams are checked."""
+    (t_line,) = system_lines(["_E", "x"])
+    assert first_error(make_source(t_line)) == (
+        "ParseError", "invalid duration token 'x'", 6, t_line.index("x")
     )
 
 

@@ -8,6 +8,8 @@ under ``sys.settrace``, whose ``line`` events see the turns of a Python
 loop that calls nothing. The counts are deterministic, so a
 slow or busy host cannot make the test flaky, and a stage that scales
 linearly at most about doubles its count when its input doubles.
+``format_diagnostic`` is counted the same way, for an error on the last
+line of a long file.
 
 A known blind spot: quadratic work done inside one C call per element
 counts once per element. For example ``text.count("\\n", 0, pos)`` once per
@@ -27,7 +29,8 @@ import tracemalloc
 
 import pytest
 
-from lutetab import build_score, emit_pars, render_pars, scan_text
+from lutetab import build_score, compile_source, emit_pars, render_pars, scan_text
+from lutetab.errors import CompileError, format_diagnostic
 
 from helpers import lay
 
@@ -201,3 +204,19 @@ def test_each_stage_data_peak_grows_linearly_with_the_source(shape, n):
     ratios = {stage: round(b / a / growth, 3)
               for stage, a, b in zip(("scan", "build", "emit", "render"), peaks_n, peaks_2n)}
     assert all(ratio <= 1.25 for ratio in ratios.values()), ratios
+
+
+def _diagnostic_events(n: int) -> int:
+    """Events of ``format_diagnostic`` for an error on the last line of ``n`` systems."""
+    text = HEAD + _system(1, [[0]]) * n + "T  x\n"
+    with pytest.raises(CompileError) as exc:
+        compile_source(text)
+    assert exc.value.line == text.count("\n")
+    format_diagnostic(exc.value, "f.tab", text)  # the first call compiles visible's pattern
+    count, diagnostic = _events(lambda err: format_diagnostic(err, "f.tab", text), exc.value)
+    assert diagnostic.split("\n")[1] == "  T  x"
+    return count
+
+
+def test_format_diagnostic_work_at_most_doubles_when_the_source_doubles():
+    assert _diagnostic_events(600) / _diagnostic_events(300) <= 2.2
