@@ -5,6 +5,7 @@ code paths so it can serve as an oracle."""
 from __future__ import annotations
 
 import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -128,6 +129,30 @@ def lay(prefix: str, items) -> str:
     for col, text in sorted(items):
         line += " " * (col - len(line)) + text
     return line
+
+
+def count_events(stage, arg) -> tuple[int, object]:
+    """Run ``stage(arg)``; count its calls, into Python and into C, and its Python lines."""
+    count = 0
+
+    def profile(frame, event, _):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    def trace(frame, event, _):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        result = stage(arg)
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return count, result
 
 
 def grid_cols(n: int) -> list[int]:

@@ -221,12 +221,17 @@ _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"
         # an '=' past the track name is the track's payload, not an assignment
         (_HEAD + "T      I\nVOX v  a\n    edit  x=y\n",
          "parameter track 'edit' payload must be quoted, got 'x=y'", 6, 10),
+        # a blank or comment-only line ends the run of voice and track lines
+        (_HEAD + 'T      I\nVOX v  a\n\n    edit  "x"\n',
+         "cannot classify line starting with 'edit'", 7, 4),
+        (_HEAD + 'T      I\nVOX v  a\n  // lectio dubia\n    edit  "x"\n',
+         "cannot classify line starting with 'edit'", 7, 4),
     ],
     ids=["duplicate-symbol", "symbol-outside-row", "third-level", "single-value",
          "bare-name-flag-value", "undefined-table",
          "misplaced-plus", "unknown-grip", "stray-annotation", "unterminated-quote",
          "unclassifiable", "compact-quoted-value", "compact-quoted-value-after-vox",
-         "track-payload-with-equals"],
+         "track-payload-with-equals", "blank-line-ends-tracks", "comment-line-ends-tracks"],
 )
 def test_errors_name_the_line_of_their_token(source, message, line, column):
     """An error stands on the line of the token it names, which may lie

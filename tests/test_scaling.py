@@ -24,7 +24,6 @@ once per system would, whatever the number of calls that made it."""
 
 import functools
 import gc
-import sys
 import tracemalloc
 
 import pytest
@@ -32,7 +31,7 @@ import pytest
 from lutetab import build_score, compile_source, emit_pars, render_pars, scan_text
 from lutetab.errors import CompileError, format_diagnostic
 
-from helpers import lay
+from helpers import count_events, lay
 
 HEAD = "t = ( (1 a b c) )\nPARS p\nbünde = t\n"
 STEP = 4  # columns between duration symbols, room for a quoted "x" and a space
@@ -95,30 +94,6 @@ def render_all(score) -> list[str]:
     return [render_pars(pars) for pars in score.partes]
 
 
-def _events(stage, arg) -> tuple[int, object]:
-    """Run ``stage(arg)``; count its calls, into Python and into C, and its Python lines."""
-    count = 0
-
-    def profile(frame, event, _):
-        nonlocal count
-        if event == "call" or event == "c_call":
-            count += 1
-
-    def trace(frame, event, _):
-        nonlocal count
-        count += event == "line"
-        return trace
-
-    sys.setprofile(profile)
-    sys.settrace(trace)
-    try:
-        result = stage(arg)
-    finally:
-        sys.settrace(None)
-        sys.setprofile(None)
-    return count, result
-
-
 SHAPES = [
     (wide_system, 300),
     (wide_beamed_system, 200),
@@ -133,13 +108,13 @@ SHAPES = [
 def _stage_events(shape, size: int) -> tuple[int, int, int, int]:
     """Events of scan, build, emit and render on ``shape`` laid out at ``size``."""
     text, columns, warnings = shape(size)
-    scan_events, lines = _events(scan_text, text)
-    build_events, score = _events(build_score, lines)
+    scan_events, lines = count_events(scan_text, text)
+    build_events, score = count_events(build_score, lines)
     assert sum(len(pars.columns) for pars in score.partes) == columns
     assert len(score.warnings) == warnings
     assert all(col.sona[0].annotations for pars in score.partes for col in pars.columns)
-    emit_events, _ = _events(emit_all, score)
-    render_events, _ = _events(render_all, score)
+    emit_events, _ = count_events(emit_all, score)
+    render_events, _ = count_events(render_all, score)
     return scan_events, build_events, emit_events, render_events
 
 
@@ -213,7 +188,7 @@ def _diagnostic_events(n: int) -> int:
         compile_source(text)
     assert exc.value.line == text.count("\n")
     format_diagnostic(exc.value, "f.tab", text)  # the first call compiles visible's pattern
-    count, diagnostic = _events(lambda err: format_diagnostic(err, "f.tab", text), exc.value)
+    count, diagnostic = count_events(lambda err: format_diagnostic(err, "f.tab", text), exc.value)
     assert diagnostic.split("\n")[1] == "  T  x"
     return count
 
