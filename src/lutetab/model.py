@@ -288,8 +288,6 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 continue
             lines[i] = None
             i += 1
-            if kind is LineKind.BLANK:
-                continue
             if kind is LineKind.PARS_HEADER:
                 if header is None:
                     file_params = params

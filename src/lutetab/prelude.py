@@ -46,7 +46,6 @@ MAX_POSITION = 12  # largest string/fret/ypos index the output format can hold
 _FLAG_VALUES = {"est": True, "nonEst": False}
 _FLAG_FIELDS = {"duratioManet": "duratio_manet", "duratioCadens": "duratio_cadens"}
 TABLE_PARAM = "bünde"
-_TABLE_BODY = (LineKind.TABLE_CONTINUATION, LineKind.BLANK)
 
 
 class Parameters(NamedTuple):
@@ -78,7 +77,7 @@ def parse_assignment(
 
     Handles the three shapes found in sources: ``name = word``,
     ``name = ( (..) (..) )`` spanning continuation lines, and a bare name
-    line whose ``= value`` follows on the next non-blank line. Returns the
+    line whose ``= value`` follows on the next scanned line. Returns the
     parsed object and the index of the first unconsumed line. A bare name
     and its value stand on different lines: an error about the name names
     the name's line, an error about the value the value's.
@@ -93,23 +92,19 @@ def parse_assignment(
             "assignment value without a preceding name", line=name_line, column=column
         )
     if len(tokens) == 1:
-        j = idx + 1
-        while j < len(lines) and lines[j].kind is LineKind.BLANK:
-            j += 1
-        follower = lines[j] if j < len(lines) else None
+        idx += 1
         if (
-            follower is None
-            or follower.kind is not LineKind.ASSIGNMENT
-            or follower.tokens[0][0] != "="
+            idx == len(lines)
+            or lines[idx].kind is not LineKind.ASSIGNMENT
+            or lines[idx].tokens[0][0] != "="
         ):
             raise ParseError(
                 f"expected '= value' after parameter name '{name}'",
                 line=name_line,
                 column=column,
             )
-        idx = j
-        line = follower
-        tokens = follower.tokens[1:]  # past the "="
+        line = lines[idx]
+        tokens = line.tokens[1:]  # past the "="
     elif tokens[1][0] != "=":
         raise ParseError(
             "malformed assignment (expected 'name = value')", line=name_line, column=column
@@ -148,7 +143,7 @@ def _parse_table(
     lines: list[SourceLine],
     idx: int,
 ) -> tuple[GripTable, int]:
-    """Collect a table value on ``lines[idx]`` and the continuation and blank lines below it.
+    """Collect a table value on ``lines[idx]`` and the continuation lines below it.
 
     Those lines run while the value's parentheses stay open, so only a file
     ending inside the table leaves them unbalanced; and the scanner has
@@ -160,7 +155,7 @@ def _parse_table(
     _, value_column = value_tokens[0]
     collected = [(first_line, value_tokens)]  # (line number, tokens) per table line
     j = idx + 1
-    while j < len(lines) and lines[j].kind in _TABLE_BODY:
+    while j < len(lines) and lines[j].kind is LineKind.TABLE_CONTINUATION:
         collected.append((lines[j].line_number, lines[j].tokens))
         j += 1
     atoms = [(atom, a_line, a_col) for a_line, tokens in collected for atom, a_col in tokens]

@@ -12,17 +12,22 @@ CR; surrogates; U+FFFE and U+FFFF), since the text reaches the XML and
 SVG documents.
 
 Each line is lexed once: ``tokenize_columns`` splits it with one
-``re.split``, which makes no ``Match`` object per token, and
-``classify_line`` decides its kind from those tokens, so a quoted token
-is one token whatever it contains: an ``=`` inside quotes makes no
-assignment, and a parenthesis inside quotes opens or closes no table.
-``//`` starts a comment everywhere, inside quotes too. An assignment line
-splits further at its first unquoted ``=``, into its name tokens, a lone
-``=`` token and its value tokens, so ``x=y``, ``x =y`` and ``x = y`` give
-the same tokens. In a value or a table continuation line, each unquoted
-``(`` and ``)`` becomes a token of its own, and only those tokens open
-and close tables. The prelude and the model read these tokens and line
-kinds and work none out again.
+``re.split``, which makes no ``Match`` object per token, and one call of
+``classify_line`` finishes it from those tokens: its kind and its final
+tokens. So a quoted token is one token whatever it contains: an ``=``
+inside quotes makes no assignment, and a parenthesis inside quotes opens
+or closes no table. ``//`` starts a comment everywhere, inside quotes
+too. An assignment line splits further at its first unquoted ``=``,
+found once, into its name tokens, a lone ``=`` token and its value
+tokens, so ``x=y``, ``x =y`` and ``x = y`` give the same tokens. In a
+value or a table continuation line, each unquoted ``(`` and ``)``
+becomes a token of its own, and only those tokens open and close
+tables. The prelude and the model read these tokens and line kinds and
+work none out again.
+
+``scan_text`` returns no blank or comment-only line. Such a line only
+ends a run of voice and track lines: an indented line below it is no
+track.
 
 A scanned line keeps its number, kind and tokens, not its text: an error
 names a line and column, and ``errors.format_diagnostic`` shows the line.
@@ -108,22 +113,6 @@ def _first_equals(tokens: list[tuple[str, int]]) -> int:
     return next((k for k, (text, _) in enumerate(tokens) if text[0] != '"' and "=" in text), -1)
 
 
-def _split_assignment(tokens: list[tuple[str, int]]) -> tuple[list, list]:
-    """Split an assignment line at its first unquoted ``=``: name tokens and ``=``, and value.
-
-    A bare name line holds no ``=`` and is all name.
-    """
-    k = _first_equals(tokens)
-    if k < 0:
-        return tokens, []
-    text, column = tokens[k]
-    name, _, value = text.partition("=")
-    at = column + len(name)
-    head = [*tokens[:k], (name, column)] if name else tokens[:k]
-    tail = [(value, at + 1)] if value else []
-    return [*head, ("=", at)], [*tail, *tokens[k + 1 :]]
-
-
 _PARENS = re.compile("([()])")
 
 
@@ -154,40 +143,50 @@ def _split_parens(tokens: list[tuple[str, int]], depth: int, line_number: int) -
 
 def classify_line(
     tokens: list[tuple[str, int]], paren_depth: int, prev_kind: LineKind, line_number: int
-) -> LineKind:
-    """Decide a line's kind from its tokens, the open parenthesis depth and the previous kind.
+) -> tuple[LineKind, list[tuple[str, int]], int]:
+    """Finish one line: its kind, its final tokens and the parenthesis depth after it.
 
-    Open parenthesis groups turn any line into a table continuation;
-    otherwise ``PARS``, ``T`` or ``VOX`` as the first token decides. An
-    indented identifier line directly below a voice or track line is a
-    parameter track, unless its first unquoted ``=`` stands in its first
-    token or opens its second (``name = value``, ``name=value``): that
-    makes an assignment, and a later ``=`` is part of the track's payload.
-    Elsewhere an unquoted ``=`` in any token makes an assignment, and a
-    lone identifier starts one whose ``= value`` follows on the next line.
+    ``prev_kind`` is the kind of the line above, a blank one included. A
+    line with no tokens is ``BLANK``. Open parenthesis groups turn any
+    other line into a table continuation; otherwise ``PARS``, ``T`` or
+    ``VOX`` as the first token decides. An indented identifier line
+    directly below a voice or track line is a parameter track, unless its
+    first unquoted ``=`` stands in its first token or opens its second
+    (``name = value``, ``name=value``): that makes an assignment, and a
+    later ``=`` is part of the track's payload. Elsewhere an unquoted
+    ``=`` in any token makes an assignment, and a lone identifier starts
+    one whose ``= value`` follows on the next line that has tokens.
+    An assignment is split where that ``=`` stands, and the parentheses
+    of its value or of a table continuation line are split off.
     """
     if not tokens:
-        return LineKind.BLANK
+        return LineKind.BLANK, tokens, paren_depth
     if paren_depth > 0:
-        return LineKind.TABLE_CONTINUATION
+        return (LineKind.TABLE_CONTINUATION, *_split_parens(tokens, paren_depth, line_number))
     first, column = tokens[0]
     if first == "PARS":
-        return LineKind.PARS_HEADER
+        return LineKind.PARS_HEADER, tokens, 0
     if first == "T":
-        return LineKind.TEMPUS
+        return LineKind.TEMPUS, tokens, 0
     if first == "VOX":
-        return LineKind.VOX
+        return LineKind.VOX, tokens, 0
     track = (
         column > 0 and prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and first.isidentifier()
     )
     k = _first_equals(tokens)
     if k >= 0 and (not track or k == 0 or (k == 1 and tokens[1][0][0] == "=")):
-        return LineKind.ASSIGNMENT
+        text, column = tokens[k]
+        name, _, value = text.partition("=")
+        at = column + len(name)
+        head = [*tokens[:k], (name, column)] if name else tokens[:k]
+        tail = [(value, at + 1)] if value else []
+        value_tokens, depth = _split_parens([*tail, *tokens[k + 1 :]], 0, line_number)
+        return LineKind.ASSIGNMENT, [*head, ("=", at), *value_tokens], depth
     if track:
-        return LineKind.PARAM_TRACK
+        return LineKind.PARAM_TRACK, tokens, 0
     if len(tokens) == 1 and first.isidentifier():
         # Bare name; the prelude expects "= value" on a following line.
-        return LineKind.ASSIGNMENT
+        return LineKind.ASSIGNMENT, tokens, 0
     raise ScanError(
         f"cannot classify line starting with {first!r}", line=line_number, column=column
     )
@@ -229,8 +228,9 @@ def _first_refused_char(text: str) -> re.Match | None:
 
 
 def scan_text(text: str) -> list[SourceLine]:
-    """Scan a whole source text into classified, tokenized lines.
+    """Scan a whole source text into classified, tokenized lines, blank ones left out.
 
+    A line that holds no token, blank or comment-only, is not returned.
     One dict for the call shares equal token texts and equal tokens across
     lines (see ``tokenize_columns``). ``model.build_score`` empties the list
     it builds from, so to build twice, scan twice.
@@ -257,12 +257,7 @@ def scan_text(text: str) -> list[SourceLine]:
                 column=bad.start() - text.rfind("\n", 0, bad.start()) - 1,
             )
         tokens = tokenize_columns(strip_comments(raw), idx, shared)
-        kind = classify_line(tokens, paren_depth, kind, idx)
-        if kind is LineKind.ASSIGNMENT:
-            name, value = _split_assignment(tokens)
-            value, paren_depth = _split_parens(value, paren_depth, idx)
-            tokens = name + value
-        elif kind is LineKind.TABLE_CONTINUATION:
-            tokens, paren_depth = _split_parens(tokens, paren_depth, idx)
-        lines.append(SourceLine(idx, kind, tokens))
+        kind, tokens, paren_depth = classify_line(tokens, paren_depth, kind, idx)
+        if tokens:
+            lines.append(SourceLine(idx, kind, tokens))
     return lines

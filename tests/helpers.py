@@ -1,5 +1,5 @@
 """Shared test utilities: independent token counting, XML re-reading,
-source mutation. Everything here deliberately avoids the compiler's own
+source mutation, profile event counting. Everything here deliberately avoids the compiler's own
 code paths so it can serve as an oracle."""
 
 from __future__ import annotations

@@ -93,11 +93,11 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, 1) is kind
+    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, 1)[0] is kind
 
 
 def classify(line: str, paren_depth: int = 0, prev_kind: LineKind = LineKind.BLANK):
-    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, 2)
+    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, 2)[0]
 
 
 def test_classify_param_track_needs_preceding_vox():
@@ -207,7 +207,7 @@ _COMMENT_PIECES = st.sampled_from(["\r", "\t", "\x01", "a", " "])
 
 @given(st.lists(st.lists(_COMMENT_PIECES, max_size=8).map("".join), max_size=6))
 def test_scan_refuses_in_line_order_then_leftmost(comments):
-    """Comment lines scan blank unless one holds a refused character. The first
+    """Comment lines scan to no line unless one holds a refused character. The first
     such line is reported, and on it the leftmost of a code point XML cannot
     hold, a TAB and a CR that does not end the line."""
     text = "".join(f"//{comment}\n" for comment in comments)
@@ -217,7 +217,7 @@ def test_scan_refuses_in_line_order_then_leftmost(comments):
         if refused:
             break
     else:
-        assert all(line.kind is LineKind.BLANK for line in scan_text(text))
+        assert scan_text(text) == []
         return
     with pytest.raises(ScanError) as exc:
         scan_text(text)
@@ -231,7 +231,7 @@ def test_scan_refuses_in_line_order_then_leftmost(comments):
 
 
 def test_scan_kinds_for_full_fixture(newsidler_text):
-    kinds = [ln.kind for ln in scan_text(newsidler_text) if ln.kind is not LineKind.BLANK]
+    kinds = [ln.kind for ln in scan_text(newsidler_text)]
     assert kinds == [
         LineKind.ASSIGNMENT,  # duratioManet
         LineKind.ASSIGNMENT,  # duratioCadens
@@ -247,6 +247,15 @@ def test_scan_kinds_for_full_fixture(newsidler_text):
         LineKind.VOX,
         LineKind.VOX,
         LineKind.PARAM_TRACK,
+    ]
+
+
+def test_scan_leaves_out_blank_lines_and_keeps_line_numbers():
+    text = "\n  // a comment\nPARS p\n\n   \nT  I\n//\nVOX v  a\n\n"
+    assert [(line.line_number, line.kind) for line in scan_text(text)] == [
+        (3, LineKind.PARS_HEADER),
+        (6, LineKind.TEMPUS),
+        (8, LineKind.VOX),
     ]
 
 
@@ -449,12 +458,12 @@ _REFUSED = ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe"
     )
 )
 def test_refused_character_is_the_leftmost_of_the_xml_class(comments):
-    """Comment lines scan blank unless they hold a code point XML cannot hold;
+    """Comment lines scan to no line unless they hold a code point XML cannot hold;
     then the error names the leftmost one, where the class's search finds it."""
     text = "".join(f"//{comment}\n" for comment in comments)
     bad = helpers.NOT_XML_CHAR.search(text)
     if bad is None:
-        assert all(line.kind is LineKind.BLANK for line in scan_text(text))
+        assert scan_text(text) == []
         return
     with pytest.raises(ScanError) as exc:
         scan_text(text)
