@@ -1,16 +1,22 @@
 """Shared test utilities: independent token counting, XML re-reading,
-source mutation, profile event counting. Everything here deliberately avoids the compiler's own
-code paths so it can serve as an oracle."""
+source mutation, and the one harness that counts and weighs the stages.
+The oracles here deliberately avoid the compiler's own code paths."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import re
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from array import array
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
+from lutetab import build_score, emit_pars, render_pars, scan_text
 from lutetab.errors import EmitError
 from lutetab.model import TRABES_INITIALIS, TRABES_TERMINALIS
 from lutetab.prelude import MAX_POSITION
@@ -131,8 +137,28 @@ def lay(prefix: str, items) -> str:
     return line
 
 
+@contextlib.contextmanager
+def quiet_collector():
+    """Turn the collector off and empty ``gc.callbacks``; restore both after.
+
+    A collection inside a counted or weighed call would run the callbacks
+    (hypothesis keeps one there), and their calls and memory would count
+    as the call's. Every count and peak in the tests is taken inside this.
+    """
+    callbacks, enabled = gc.callbacks[:], gc.isenabled()
+    gc.callbacks.clear()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.callbacks[:] = callbacks
+        if enabled:
+            gc.enable()
+
+
 def count_events(stage, arg) -> tuple[int, object]:
-    """Run ``stage(arg)``; count its calls, into Python and into C, and its Python lines."""
+    """Run ``stage(arg)`` with the collector quiet; count its calls, into Python
+    and into C, and its Python lines."""
     count = 0
 
     def profile(frame, event, _):
@@ -145,14 +171,82 @@ def count_events(stage, arg) -> tuple[int, object]:
         count += event == "line"
         return trace
 
-    sys.setprofile(profile)
-    sys.settrace(trace)
-    try:
-        result = stage(arg)
-    finally:
-        sys.settrace(None)
-        sys.setprofile(None)
+    with quiet_collector():
+        sys.setprofile(profile)
+        sys.settrace(trace)
+        try:
+            result = stage(arg)
+        finally:
+            sys.settrace(None)
+            sys.setprofile(None)
     return count, result
+
+
+STAGES = ("scan_text", "build_score", "emit_pars", "render_pars")
+
+
+class Cost(NamedTuple):
+    """A stage's events, as ``count_events`` counts them, and its data peak
+    and what it leaves held, in bytes above what was held before the scan."""
+
+    events: int
+    peak_bytes: int
+    held_bytes: int
+
+
+# The writers as stages: over every PARS, one document held at a time, as the CLI does.
+def _emit_each(score) -> int:
+    return sum(len(emit_pars(pars)) for pars in score.partes)
+
+
+def _render_each(score) -> int:
+    return sum(len(render_pars(pars)) for pars in score.partes)
+
+
+def _run_stages(text: str, stage) -> None:
+    """The ``STAGES`` on ``text``, each run as ``stage(name, run, arg)``."""
+    score = stage("build_score", build_score, stage("scan_text", scan_text, text))
+    stage("emit_pars", _emit_each, score)
+    stage("render_pars", _render_each, score)
+
+
+def stage_costs(text: str) -> dict[str, Cost]:
+    """Each stage's ``Cost`` on ``text``.
+
+    A plain run comes first, so that caches which fill on first use are
+    full. A second run counts the events. A third, without the event
+    hooks, which allocate, takes the memory with ``tracemalloc`` and the
+    collector quiet. Before each stage a full collection empties CPython's
+    free lists, whose reuse ``tracemalloc`` cannot see, so a stage's peak
+    does not depend on what ran before it. All that ``weigh`` uses is made
+    before tracing starts; of what it allocates, a later stage's peak
+    counts only the int it puts in ``peaks``, as ``held`` is an array.
+    """
+    _run_stages(text, lambda name, run, arg: run(arg))
+    events, peaks, held = {}, {}, array("q", bytes(8 * len(STAGES)))
+
+    def count(name, run, arg):
+        events[name], result = count_events(run, arg)
+        return result
+
+    def weigh(name, run, arg):
+        gc.collect()
+        tracemalloc.reset_peak()
+        result = run(arg)
+        now, peak = tracemalloc.get_traced_memory()
+        held[len(peaks)] = now - base
+        peaks[name] = peak - base
+        return result
+
+    _run_stages(text, count)
+    with quiet_collector():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _run_stages(text, weigh)
+        finally:
+            tracemalloc.stop()
+    return {name: Cost(events[name], peaks[name], held[k]) for k, name in enumerate(STAGES)}
 
 
 def grid_cols(n: int) -> list[int]:

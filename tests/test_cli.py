@@ -275,6 +275,38 @@ def test_failed_rename_leaves_no_temp_file(newsidler_file, tmp_path, monkeypatch
     )
 
 
+def test_a_temp_that_cannot_be_unlinked_still_gives_the_write_error(
+    newsidler_file, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise OSError("refused")
+
+    unlinked = []
+
+    def refuse_unlink(path):
+        unlinked.append(Path(path).name)
+        raise OSError("unlink refused")
+
+    monkeypatch.setattr("lutetab.cli.os.replace", refuse)
+    monkeypatch.setattr("lutetab.cli.os.unlink", refuse_unlink)
+    out = tmp_path / "xml"
+    assert main([str(newsidler_file), "--xml", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{out}: error: cannot write {out / 'newsidler.sola.xml'}: refused\n"
+    )
+    [temp] = unlinked
+    assert re.fullmatch(r"lutetab-.*\.tmp", temp)
+
+
+def test_a_source_with_no_pars_leaves_its_output_directory_made_and_empty(tmp_path, capsys):
+    source = tmp_path / "tables.tab"
+    source.write_text("t = ( (1 a) )\n", encoding="utf-8")
+    out = tmp_path / "xml"
+    assert main([str(source), "--xml", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("subdir", ["", "sub"], ids=["dir-is-file", "parent-is-file"])
 def test_unwritable_output_directory_exits_2(newsidler_file, tmp_path, capsys, subdir):
     blocker = tmp_path / "notadir"

@@ -2,23 +2,20 @@
 
 The build consumes its list: each line goes once it is read or, in a
 system, once its system is built, so its data peak is about the larger
-of the lines and the model, not their sum. ``tracemalloc`` counts are
-exact for one Python build, and the cyclic collector is off while they
-are taken, so these tests are deterministic.
+of the lines and the model, not their sum. ``helpers.stage_costs`` takes
+the sizes and the peak with ``tracemalloc``; its figures are exact for
+one Python build, so these tests are deterministic.
 
 The sources vary the columns from system to system and from PARS to
 PARS: the scanner shares equal tokens, and lines of equal tokens would
 be too small for the sum and the larger one to differ.
 """
 
-import gc
-import tracemalloc
-
 import pytest
 
 from lutetab import CompileError, build_score, scan_text
 
-from helpers import lay
+from helpers import lay, stage_costs
 
 TABLE = "t = ( (1 a b c d e f g h) )\n"
 GRIPS = "abcdefgh"
@@ -44,37 +41,18 @@ def many_partes(n: int) -> str:
     return TABLE + "".join(f"PARS p{k}\nbünde = t\n" + _system(k, 12) for k in range(n))
 
 
-def _phases(text: str) -> tuple[int, int, int, int]:
-    """The lines' size, the build's data peak and the model's size, in bytes, and the
-    number of lines left in the list after the build."""
-    enabled = gc.isenabled()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        lines = scan_text(text)
-        scanned = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        score = build_score(lines)  # held until the model is measured
-        peak = tracemalloc.get_traced_memory()[1] - base
-        left = len(lines)
-        del lines
-        model = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-        if enabled:
-            gc.enable()
-    return scanned, peak, model, left
-
-
 @pytest.mark.parametrize("source", [one_pars(200), many_partes(200)],
                          ids=["one_pars", "many_partes"])
 def test_build_peak_is_about_the_larger_of_lines_and_model(source):
-    scanned, peak, model, left = _phases(source)
+    costs = stage_costs(source)
+    scanned, peak, model = (costs["scan_text"].held_bytes, costs["build_score"].peak_bytes,
+                            costs["build_score"].held_bytes)
     # Held together, the lines and the model would take their sum.
     assert min(scanned, model) > 200_000, (scanned, model)
     assert peak - max(scanned, model) < min(scanned, model) / 4, (scanned, peak, model)
-    assert left == 0
+    lines = scan_text(source)
+    build_score(lines)
+    assert lines == []
 
 
 @pytest.mark.parametrize("source", [

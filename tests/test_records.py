@@ -60,6 +60,7 @@ def test_keyword_construction_and_fieldwise_equality(name):
     assert type(record).__name__ == name
     assert record == build()
     assert record != build(**{field: other})
+    assert record != object()
     assert getattr(build(**{field: other}), field) == other
 
 
