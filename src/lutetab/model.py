@@ -47,16 +47,18 @@ every column that holds them and never changed: one ``Sonum`` per distinct
 ``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
 one ``DurationToken`` per spelling but the carry ``-``, whose every column
 holds its own. A PARS keeps its ``Sonum`` values by ypos, then by grip
-text, so finding a grip's builds no key tuple. Where a column's duration
-symbol stands is the ``Columna``'s own; it is a slotted ``Record``
-because ``compute_summa`` sets its time position after it is built.
+text, so finding a grip's builds no key tuple. A ``Columna`` holds only
+what the source states: its number is its index, and ``duration_rows``
+gives its duration's row. It is a slotted ``Record`` because
+``compute_summa`` sets its time position after it is built.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import ModelError, ParseError
+from .errors import EmitError, ModelError, ParseError
 from .prelude import (
     GripTable,
     Parameters,
@@ -89,26 +91,18 @@ class Sonum(NamedTuple):
 
 
 class Columna(Record):
-    """One score column: a duration, the grips sounding under it and where its symbol stands."""
+    """One score column: a duration and the grips sounding under it."""
 
-    __slots__ = (
-        "numerus", "duration", "duration_ypos", "trabes", "summa_praecedentium", "sona",
-        "line_number", "start_column",
-    )
+    __slots__ = ("duration", "trabes", "summa_praecedentium", "sona")
 
     def __init__(
-        self, numerus: int, duration: DurationToken, duration_ypos: int, trabes: str | None,
+        self, duration: DurationToken, trabes: str | None,
         summa_praecedentium: int, sona: list[Sonum],  # summa: in ticks of 1/64 whole note
-        line_number: int, start_column: int,
     ) -> None:
-        self.numerus = numerus
         self.duration = duration
-        self.duration_ypos = duration_ypos
         self.trabes = trabes
         self.summa_praecedentium = summa_praecedentium
         self.sona = sona
-        self.line_number = line_number
-        self.start_column = start_column
 
 
 class ParsModel(NamedTuple):
@@ -116,6 +110,23 @@ class ParsModel(NamedTuple):
     columns: list[Columna]
     table_name: str
     system_ranges: list[tuple[int, int]]  # [start, end) per system
+    duratio_cadens: bool = False
+
+
+def duration_rows(pars: ParsModel) -> list[int]:
+    """The row of each column's duration symbol: the top row (0) or, with
+    ``duratioCadens = est``, the free row directly above its topmost grip,
+    mirroring the jumping duration signs of the originals. A column with no
+    grip, in a model built or changed by hand, has neither that row nor a
+    place in the XML: ``EmitError``.
+    """
+    columns = pars.columns
+    if not all(map(attrgetter("sona"), columns)):  # a loop here adds two line events a column
+        index = next(j for j, col in enumerate(columns) if not col.sona)
+        raise EmitError(f"column {index} holds no grip (every column needs at least one)")
+    if pars.duratio_cadens:
+        return [col.sona[0].ypos - 1 for col in columns]
+    return [0] * len(columns)
 
 
 class ScoreModel(NamedTuple):
@@ -142,15 +153,11 @@ def build_system(
     annotation is the PARS's one ``Sonum`` for its ``(text, ypos)``, built
     on first use and kept in ``shared[ypos][text]``. A track line's
     annotations go onto the grip of the voice above that starts in the
-    same column, which then gets its own record. Columns are numbered on
-    from those in ``pars``; a system that fails a check adds nothing.
+    same column, which then gets its own record. A system that fails a
+    check adds nothing.
 
     A spelling is checked once, where it is first met in its row; a grip's
     checks run the ``+`` rule, its column, its table, grip by grip.
-
-    A duration symbol sits on the top row (0). With ``duratioCadens = est``
-    it drops to the free row directly above its column's topmost grip,
-    mirroring the jumping duration signs of the originals.
     """
     columns = pars.columns
     durations = parse_tempus_line(tempus, params, columns[-1].duration if columns else None)
@@ -224,7 +231,7 @@ def build_system(
 
     start = len(columns)
     made: list[Columna] = []
-    for numerus, (token, (_, column)) in enumerate(zip(durations, symbols), start):
+    for token, (_, column) in zip(durations, symbols):
         sona = sona_by_column[column]
         if not sona:
             raise ModelError(
@@ -233,17 +240,9 @@ def build_system(
                 line=tempus.line_number,
                 column=column,
             )
-        made.append(Columna(
-            numerus,
-            token,
-            sona[0].ypos - 1 if params.duratio_cadens else 0,  # duration_ypos; sona run top down
-            # trabes; validate_beams has rejected a stem with both markers
-            TRABES_INITIALIS if token.beam_begin else TRABES_TERMINALIS if token.beam_end else None,
-            0,  # summa_praecedentium, set by compute_summa
-            sona,
-            tempus.line_number,
-            column,
-        ))
+        # validate_beams has rejected a stem with both markers
+        trabes = TRABES_INITIALIS if token.beam_begin else TRABES_TERMINALIS if token.beam_end else None
+        made.append(Columna(token, trabes, 0, sona))  # 0: the sum, set by compute_summa
     columns.extend(made)
     pars.system_ranges.append((start, len(columns)))
 
@@ -386,7 +385,7 @@ def _build_pars(
         )
 
     shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: one per PARS
-    pars = ParsModel(name, [], params.table_name, [])
+    pars = ParsModel(name, [], params.table_name, [], params.duratio_cadens)
     for k, (tempus, *lines) in enumerate(systems):
         systems[k] = None  # the system's lines go once it is built
         build_system(tempus, lines, pars, shared, symbol_map, params, warnings)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmitError
-from .model import PROLONGATE_SUFFIX, ParsModel, TRABES_INITIALIS, TRABES_TERMINALIS
+from .model import PROLONGATE_SUFFIX, TRABES_INITIALIS, TRABES_TERMINALIS, ParsModel, duration_rows
 from .records import Memo, Record
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
@@ -89,9 +89,10 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
     )
     labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
+    rows = duration_rows(pars)
 
     for band, (a, b) in enumerate(pars.system_ranges):
-        cols = pars.columns[a:b]
+        cols, dys = pars.columns[a:b], rows[a:b]
         band_top = cfg.margin + band * (band_height + cfg.row_spacing)
 
         def row_y(r: int) -> float:
@@ -118,17 +119,16 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             if col.trabes == TRABES_INITIALIS:
                 begin = j
             elif col.trabes == TRABES_TERMINALIS and begin is not None:
-                top = tops[min(c.duration_ypos for c in cols[begin : j + 1])]
+                top = tops[min(dys[begin : j + 1])]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
                 groups.append((begin, j))
                 begin = None
 
         shapes: list[str] = []
         texts: list[str] = []
-        for j, col in enumerate(cols):
+        for j, (col, dy) in enumerate(zip(cols, dys)):
             xf = _fmt(xs[j])
             klass = col.duration.klass
-            dy = col.duration_ypos
             if klass in STEM_FLAGS:
                 beam_top = beam_tops[j]
                 shapes.append(
@@ -158,7 +158,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
                     f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}"
                     f"{labels[sonum]}</text>"
                 )
-            texts.append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{col.numerus}</text>")
+            texts.append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{a + j}</text>")
 
         for g0, g1 in groups:
             beam_y = beam_tops[g0]

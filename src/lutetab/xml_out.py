@@ -20,8 +20,9 @@ The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
 below the voice count, so no compiled model reaches ``EmitError``. The
 CLI relies on that rule: ``--check`` ends at the model and emits nothing,
-yet reports every error ``--xml`` would. ``_check_position`` stays
-deliberately as the library's guard for models built or changed by hand.
+yet reports every error ``--xml`` would. ``_check_position`` and
+``model.duration_rows`` stay deliberately as the library's guard for
+models built or changed by hand; their errors name a column by its index.
 
 The document type mixes graphical and temporal properties (ypos next to
 exact time positions) and is meant as an intermediate model for
@@ -35,7 +36,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import EmitError
-from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Columna, ParsModel, Sonum
+from .model import TRABES_INITIALIS, TRABES_TERMINALIS, ParsModel, Sonum, duration_rows
 from .prelude import MAX_POSITION
 from .records import Memo
 from .tempus import TICKS_PER_WHOLE
@@ -90,14 +91,9 @@ def escape_attr(value: str) -> str:
     )
 
 
-def _check_position(value: int, what: str, col: Columna) -> int:
+def _check_position(value: int, what: str, index: int) -> None:
     if not 0 <= value <= MAX_POSITION:
-        raise EmitError(
-            f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
-            line=col.line_number,
-            column=col.start_column,
-        )
-    return value
+        raise EmitError(f"{what} {value} of column {index} is outside 0..{MAX_POSITION}")
 
 
 def emit_pars(pars: ParsModel) -> str:
@@ -106,16 +102,17 @@ def emit_pars(pars: ParsModel) -> str:
     sona: dict[Sonum, str] = {}  # a line per distinct grip, checked once
     out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
     append = out.append
-    for col in pars.columns:
+    for numerus, (col, ypos) in enumerate(zip(pars.columns, duration_rows(pars))):
+        if not 0 <= ypos <= MAX_POSITION:
+            _check_position(ypos, "duration ypos", numerus)
         duration = col.duration
-        ypos = _check_position(col.duration_ypos, "duration ypos", col)
         trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
         summa, value = col.summa_praecedentium, duration.value
         summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
         value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
         append(
             f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
-            f"numerus='{col.numerus}' ypos='{ypos}'{trabes} "
+            f"numerus='{numerus}' ypos='{ypos}'{trabes} "
             f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
             f"summaPraecedentium.den='{summa_den}' "
             f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
@@ -127,7 +124,7 @@ def emit_pars(pars: ParsModel) -> str:
                 if not (0 <= fret <= MAX_POSITION and 0 <= string <= MAX_POSITION
                         and 0 <= ypos <= MAX_POSITION):  # then the first one outside raises
                     for position, what in ((fret, "fret"), (string, "string"), (ypos, "grip ypos")):
-                        _check_position(position, what, col)
+                        _check_position(position, what, numerus)
                 edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
                 edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
                 prolongate = " prolongate='yes'" if prolongate else ""

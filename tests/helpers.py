@@ -95,6 +95,18 @@ def read_pars_xml(text: str) -> list[dict]:
     return columns
 
 
+def column_numbers(pars) -> tuple[list[int], list[int]]:
+    """Each column's number as the XML writes it (``numerus``) and as the SVG
+    labels it under the column (the grey text)."""
+    xml = [col["numerus"] for col in read_pars_xml(emit_pars(pars))]
+    svg = [
+        int(text.text)
+        for text in ET.fromstring(render_pars(pars)).iter(f"{{{SVG_NS}}}text")
+        if text.get("fill") == "#555555"
+    ]
+    return xml, svg
+
+
 def as_fraction(ticks: int) -> Fraction:
     """A model time value (integer ticks) as a fraction of a whole note."""
     return Fraction(ticks, TICKS_PER_WHOLE)
@@ -104,9 +116,9 @@ def model_as_dicts(pars) -> list[dict]:
     """The same shape as read_pars_xml, taken from the in-memory model."""
     return [
         {
-            "numerus": col.numerus,
+            "numerus": numerus,
             "source": col.duration.source_text,
-            "ypos": col.duration_ypos,
+            "ypos": _ref_duration_row(pars, col),
             "trabes": col.trabes,
             "duration": as_fraction(col.duration.value),
             "summa": as_fraction(col.summa_praecedentium),
@@ -121,7 +133,7 @@ def model_as_dicts(pars) -> list[dict]:
                 for s in col.sona
             ],
         }
-        for col in pars.columns
+        for numerus, col in enumerate(pars.columns)
     ]
 
 
@@ -218,18 +230,27 @@ def stage_costs(text: str) -> dict[str, Cost]:
     hooks, which allocate, takes the memory with ``tracemalloc`` and the
     collector quiet. Before each stage a full collection empties CPython's
     free lists, whose reuse ``tracemalloc`` cannot see, so a stage's peak
-    does not depend on what ran before it. All that ``weigh`` uses is made
+    does not depend on what ran before it. All that ``measure`` uses is made
     before tracing starts; of what it allocates, a later stage's peak
     counts only the int it puts in ``peaks``, as ``held`` is an array.
+
+    One function both counts and weighs, so its code has run before the
+    weighing starts. CPython keeps memory on a code object the first time
+    it runs it (3.10 keeps a frame for reuse) or the first time after
+    ``sys.settrace`` was switched (3.12 and 3.13 keep instrumentation data).
+    Weighed by a function of its own, the first call in a process read 64
+    to 480 bytes more in every peak than the calls after it. One such cost
+    is left on 3.10: a function gets its opcache at its 1024th call, and a
+    weighed run in which that falls reads the opcache too.
     """
     _run_stages(text, lambda name, run, arg: run(arg))
     events, peaks, held = {}, {}, array("q", bytes(8 * len(STAGES)))
+    base = None  # while None, ``measure`` counts; then it weighs above ``base``
 
-    def count(name, run, arg):
-        events[name], result = count_events(run, arg)
-        return result
-
-    def weigh(name, run, arg):
+    def measure(name, run, arg):
+        if base is None:
+            events[name], result = count_events(run, arg)
+            return result
         gc.collect()
         tracemalloc.reset_peak()
         result = run(arg)
@@ -238,12 +259,12 @@ def stage_costs(text: str) -> dict[str, Cost]:
         peaks[name] = peak - base
         return result
 
-    _run_stages(text, count)
+    _run_stages(text, measure)
     with quiet_collector():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _run_stages(text, weigh)
+            _run_stages(text, measure)
         finally:
             tracemalloc.stop()
     return {name: Cost(events[name], peaks[name], held[k]) for k, name in enumerate(STAGES)}
@@ -337,39 +358,47 @@ class _RefEscapedAttrs(dict):
         return escaped
 
 
-def _ref_check_position(value, what, col):
+def _ref_duration_row(pars, col) -> int:
+    """The row of a column's duration symbol: 0, or above its topmost grip."""
+    return col.sona[0].ypos - 1 if pars.duratio_cadens else 0
+
+
+def _ref_check_grips(pars) -> None:
+    for index, col in enumerate(pars.columns):
+        if not col.sona:
+            raise EmitError(f"column {index} holds no grip (every column needs at least one)")
+
+
+def _ref_check_position(value, what, index):
     if not 0 <= value <= MAX_POSITION:
-        raise EmitError(
-            f"{what} {value} of column {col.numerus} is outside 0..{MAX_POSITION}",
-            line=col.line_number,
-            column=col.start_column,
-        )
+        raise EmitError(f"{what} {value} of column {index} is outside 0..{MAX_POSITION}")
     return value
 
 
 def reference_emit_pars(pars) -> str:
+    _ref_check_grips(pars)
     esc = _RefEscapedAttrs()
     out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
     append = out.append
-    for col in pars.columns:
+    for numerus, col in enumerate(pars.columns):
         duration = col.duration
-        ypos = _ref_check_position(col.duration_ypos, "duration ypos", col)
+        ypos = _ref_check_position(_ref_duration_row(pars, col), "duration ypos", numerus)
         trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
         summa, value = col.summa_praecedentium, duration.value
         summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
         value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
         append(
             f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
-            f"numerus='{col.numerus}' ypos='{ypos}'{trabes} "
+            f"numerus='{numerus}' ypos='{ypos}'{trabes} "
             f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
             f"summaPraecedentium.den='{summa_den}' "
             f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
         )
         for sonum in col.sona:
-            fret = _ref_check_position(sonum.fret, "fret", col)
-            string = _ref_check_position(sonum.string, "string", col)
+            fret = _ref_check_position(sonum.fret, "fret", numerus)
+            string = _ref_check_position(sonum.string, "string", numerus)
             prolongate = " prolongate='yes'" if sonum.prolongate else ""
-            ypos = _ref_check_position(sonum.ypos, "grip ypos", col)
+            ypos = _ref_check_position(sonum.ypos, "grip ypos", numerus)
             edits = [a.text for a in sonum.annotations if a.track == EDIT_TRACK]
             edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
             append(
@@ -411,6 +440,7 @@ def _ref_beam_groups(cols) -> list[tuple[int, int]]:
 
 
 def reference_render_pars(pars, config=None) -> str:
+    _ref_check_grips(pars)
     _fmt, _escape_text = _ref_fmt, _ref_escape_text
     cfg = config or RenderConfig()
     max_ypos = max((s.ypos for c in pars.columns for s in c.sona), default=1)
@@ -439,7 +469,8 @@ def reference_render_pars(pars, config=None) -> str:
         groups = _ref_beam_groups(cols)
         beam_tops = [None] * len(cols)
         for g0, g1 in groups:
-            top = row_y(min(c.duration_ypos for c in cols[g0 : g1 + 1])) - cfg.stem_height
+            top = row_y(min(_ref_duration_row(pars, c) for c in cols[g0 : g1 + 1]))
+            top -= cfg.stem_height
             beam_tops[g0 : g1 + 1] = [top] * (g1 + 1 - g0)
 
         shapes: list[str] = []
@@ -447,7 +478,7 @@ def reference_render_pars(pars, config=None) -> str:
         for j, col in enumerate(cols):
             x = xs[j]
             klass = col.duration.klass
-            base = row_y(col.duration_ypos)
+            base = row_y(_ref_duration_row(pars, col))
             if klass in STEM_FLAGS:
                 beam_top = beam_tops[j]
                 top = base - cfg.stem_height if beam_top is None else beam_top
@@ -486,7 +517,7 @@ def reference_render_pars(pars, config=None) -> str:
             texts.append(
                 f"<text x='{_fmt(x)}' y='{_fmt(row_y(max_ypos + 1))}' "
                 f"font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' "
-                f"fill='#555555'>{col.numerus}</text>"
+                f"fill='#555555'>{a + j}</text>"
             )
 
         for g0, g1 in groups:

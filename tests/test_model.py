@@ -4,7 +4,7 @@ import pytest
 
 from lutetab import compile_source, model
 from lutetab.errors import CompileError, ModelError, ParseError, format_diagnostic
-from lutetab.model import compute_summa
+from lutetab.model import compute_summa, duration_rows
 from lutetab.prelude import build_symbol_map
 from lutetab.tempus import KLASS_CARRY
 
@@ -83,8 +83,11 @@ def test_sonum_conservation(newsidler_score):
 
 
 def test_numerus_sequence(schlick_score):
-    cols = schlick_score.partes[0].columns
-    assert [c.numerus for c in cols] == list(range(len(cols)))
+    """The writers number the columns on across both systems of the PARS."""
+    pars = schlick_score.partes[0]
+    assert len(pars.system_ranges) == 2
+    numbers = list(range(len(pars.columns)))
+    assert helpers.column_numbers(pars) == (numbers, numbers)
 
 
 def test_summa_strictly_increasing(schlick_score):
@@ -106,13 +109,12 @@ def test_edit_annotation_attached(newsidler_score):
 
 def test_schlick_carry_values(schlick_score):
     (pars,) = schlick_score.partes
-    carries = [c for c in pars.columns if c.duration.klass == KLASS_CARRY]
+    carries = [k for k, c in enumerate(pars.columns) if c.duration.klass == KLASS_CARRY]
     assert len(carries) == 5
     start = pars.system_ranges[1][0]
-    assert all(c.numerus >= start for c in carries)
-    for col in carries:
-        left = pars.columns[col.numerus - 1]
-        assert col.duration.value == left.duration.value
+    assert all(k >= start for k in carries)
+    for k in carries:
+        assert pars.columns[k].duration.value == pars.columns[k - 1].duration.value
 
 
 def test_schlick_summa_continues_across_systems(schlick_score):
@@ -140,26 +142,28 @@ def test_telescoping_against_independent_fold(schlick_score):
 
 
 def test_duration_ypos_flat_without_cadens(newsidler_score):
-    assert all(c.duration_ypos == 0 for c in newsidler_score.partes[0].columns)
+    pars = newsidler_score.partes[0]
+    assert not pars.duratio_cadens
+    assert duration_rows(pars) == [0] * len(pars.columns)
 
 
 def test_duration_ypos_drops_with_cadens(schlick_score):
-    for col in schlick_score.partes[0].columns:
-        expected = max(min(s.ypos for s in col.sona) - 1, 0)
-        assert col.duration_ypos == expected
+    pars = schlick_score.partes[0]
+    assert pars.duratio_cadens
+    rows = duration_rows(pars)
+    assert rows == [max(min(s.ypos for s in col.sona) - 1, 0) for col in pars.columns]
     # both shapes occur in the fixture
-    seen = {c.duration_ypos for c in schlick_score.partes[0].columns}
-    assert seen == {0, 1}
+    assert set(rows) == {0, 1}
 
 
 def test_duration_ypos_second_voice_only():
     pars = compile_one(*system_lines(["I"], {}, {0: "1"}), cadens="est")
-    assert pars.columns[0].duration_ypos == 1
+    assert duration_rows(pars) == [1]
 
 
 def test_duration_ypos_clamped():
     pars = compile_one(*system_lines(["I"], {0: "1"}), cadens="est")
-    assert pars.columns[0].duration_ypos == 0
+    assert duration_rows(pars) == [0]
 
 
 def test_late_assignment_scopes_to_its_whole_pars():
@@ -181,8 +185,10 @@ def test_late_assignment_scopes_to_its_whole_pars():
     )
     p, q = compile_source(source).partes
     assert p.table_name == "t2" and q.table_name == "t1"
-    assert [(c.duration_ypos, c.sona[0].fret) for c in p.columns] == [(1, 2), (1, 2)]
-    assert [(c.duration_ypos, c.sona[0].fret) for c in q.columns] == [(0, 1)]
+    assert (p.duratio_cadens, q.duratio_cadens) == (True, False)
+    assert duration_rows(p) == [1, 1] and duration_rows(q) == [0]
+    assert [c.sona[0].fret for c in p.columns] == [2, 2]
+    assert [c.sona[0].fret for c in q.columns] == [1]
 
 
 # --- trabes --------------------------------------------------------------
@@ -319,7 +325,7 @@ def test_multiple_partes_compile_independently():
     score = compile_source(source)
     assert [p.name for p in score.partes] == ["one", "two"]
     # numbering restarts per PARS
-    assert [c.numerus for c in score.partes[1].columns] == [0]
+    assert helpers.column_numbers(score.partes[1]) == ([0], [0])
 
 
 def test_annotation_must_align_with_an_event():
@@ -331,16 +337,13 @@ def test_annotation_must_align_with_an_event():
     assert exc.value.column == cols[0] + 2
 
 
-def test_each_column_holds_where_its_duration_symbol_stands():
+def test_one_duration_spelling_is_one_value_across_systems():
     first = system_lines(["I", "T."], {0: "a", 1: "a"})
     second = system_lines(["T.", "I"], {0: "a", 1: "f"})
     pars = compile_one(*first, *second)
-    cols = grid_cols(2)
-    assert [(c.line_number, c.start_column) for c in pars.columns] == [
-        (6, cols[0]), (6, cols[1]), (8, cols[0]), (8, cols[1])
-    ]
-    # the same spelling is one value wherever it stands
+    assert [c.duration.source_text for c in pars.columns] == ["I", "T.", "T.", "I"]
     assert pars.columns[1].duration is pars.columns[2].duration
+    assert pars.columns[0].duration is pars.columns[3].duration
 
 
 def test_grips_of_one_text_and_row_share_one_sonum_across_systems():
@@ -418,7 +421,8 @@ def test_carry_may_open_a_later_system():
         pars = compile_one(*first, "", *second, manet="est")
         n = len(durations)
         assert pars.system_ranges == [(0, n), (n, n + 2)]
-        assert [col.numerus for col in pars.columns] == list(range(n + 2))
+        numbers = list(range(n + 2))
+        assert helpers.column_numbers(pars) == (numbers, numbers)
         carry = pars.columns[n].duration
         assert carry.klass == KLASS_CARRY
         assert as_fraction(carry.value) == Fraction(1, 16)

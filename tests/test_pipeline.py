@@ -22,6 +22,7 @@ from lutetab import (
     format_diagnostic,
     render_pars,
 )
+from lutetab.model import duration_rows
 from lutetab.prelude import MAX_POSITION
 from lutetab.tempus import KLASS_CARRY
 
@@ -131,8 +132,8 @@ def _edge_sources(draw) -> str:
 ))
 def test_compiled_models_hold_every_emit_bound(text):
     for pars in _compile_or_locate(text):
-        for col in pars.columns:
-            positions = [col.duration_ypos]
+        for col, row in zip(pars.columns, duration_rows(pars), strict=True):
+            positions = [row]
             for sonum in col.sona:
                 positions += [sonum.string, sonum.fret, sonum.ypos]
             assert all(0 <= p <= MAX_POSITION for p in positions)
@@ -181,14 +182,13 @@ def test_writers_match_the_reference_writers(name, mutations, config):
     _GEOMETRY,
 )
 def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
-    # rows a compiled model never holds: negative, or below every grip row
-    pars = compile_source(SOURCES[name]).partes[0]
+    # rows a compiled model never holds: under duratioCadens a duration sits one
+    # row above its first grip, so moving that grip makes its row negative, or
+    # puts it below the column's other grips
+    pars = compile_source(SOURCES[name]).partes[0]._replace(duratio_cadens=True)
     for at, row in moves:
         col = pars.columns[at % len(pars.columns)]
-        if at % 2:
-            col.duration_ypos = row
-        elif col.sona:
-            col.sona[0] = col.sona[0]._replace(ypos=row)
+        col.sona[0] = col.sona[0]._replace(ypos=row)
     _assert_render_matches_reference(pars, config)
 
 

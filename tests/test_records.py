@@ -17,16 +17,7 @@ def _sonum(**changes):
 
 
 def _columna(**changes):
-    fields = dict(
-        numerus=1,
-        duration=_duration(),
-        duration_ypos=0,
-        trabes=None,
-        summa_praecedentium=0,
-        sona=[_sonum()],
-        line_number=4,
-        start_column=7,
-    )
+    fields = dict(duration=_duration(), trabes=None, summa_praecedentium=0, sona=[_sonum()])
     return Columna(**{**fields, **changes})
 
 
@@ -36,6 +27,7 @@ def _pars(**changes):
         columns=[_columna()],
         table_name="tbl",
         system_ranges=[(0, 1)],
+        duratio_cadens=False,
     )
     return ParsModel(**{**fields, **changes})
 
@@ -84,7 +76,9 @@ def test_repr_lists_fields_in_order():
 
 
 def test_positional_construction_keeps_field_order():
-    assert Columna(1, _duration(), 0, None, 0, [_sonum()], 4, 7) == _columna()
+    assert Columna.__slots__ == ("duration", "trabes", "summa_praecedentium", "sona")
+    assert Columna(_duration(), None, 0, [_sonum()]) == _columna()
+    assert ParsModel("p", [_columna()], "tbl", [(0, 1)]) == _pars()
     assert Parameters(True, False, "tbl") == Parameters(
         duratio_manet=True, table_name="tbl"
     )

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from lutetab import RenderConfig, compile_source, render_pars
+from lutetab.errors import EmitError
 from lutetab.model import ParsModel
 
 import helpers
@@ -133,6 +134,19 @@ def test_two_bands_for_two_systems(schlick_score, newsidler_score):
     h2 = float(ET.fromstring(two).get("height"))
     h1 = float(ET.fromstring(one).get("height"))
     assert h2 > h1
+
+
+@pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
+def test_a_column_without_a_grip_is_refused(schlick_text, cadens):
+    """Such a column has no duration row under ``duratioCadens``. The renderer
+    refuses it either way, as the XML writer does, with an ``EmitError`` only."""
+    pars = compile_source(schlick_text).partes[0]._replace(duratio_cadens=cadens)
+    pars.columns[-1].sona.clear()
+    message = f"column {len(pars.columns) - 1} holds no grip (every column needs at least one)"
+    for render in (render_pars, helpers.reference_render_pars):
+        with pytest.raises(EmitError) as exc:
+            render(pars)
+        assert exc.value.message == message
 
 
 def test_empty_pars_renders_margins_only():

@@ -221,12 +221,26 @@ def test_out_of_range_twin_of_a_written_grip_raises_at_its_own_column(field, wha
     pars.columns[2].sona[0] = pars.columns[2].sona[0]._replace(**{field: MAX_POSITION + 1})
     with pytest.raises(EmitError) as exc:
         emit_pars(pars)
-    col = pars.columns[2]
     assert exc.value.message == f"{what} {MAX_POSITION + 1} of column 2 is outside 0..{MAX_POSITION}"
-    assert (exc.value.line, exc.value.column) == (4, col.start_column)
+    # a model changed by hand has no source location: the message names the column
+    assert (exc.value.line, exc.value.column) == (None, None)
     with pytest.raises(EmitError) as ref:
         helpers.reference_emit_pars(pars)
     assert ref.value.message == exc.value.message
+
+
+@pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
+def test_a_column_without_a_grip_is_refused(schlick_text, cadens):
+    """The DTD's ``columna (duratio, sonum+)`` refuses a column with no grip, so
+    a model changed by hand to hold one is refused whole, before any line."""
+    pars = compile_source(schlick_text).partes[0]._replace(duratio_cadens=cadens)
+    pars.columns[0].sona[0] = pars.columns[0].sona[0]._replace(fret=MAX_POSITION + 1)
+    pars.columns[3].sona.clear()
+    message = "column 3 holds no grip (every column needs at least one)"
+    for emit in (emit_pars, helpers.reference_emit_pars):
+        with pytest.raises(EmitError) as exc:
+            emit(pars)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, None, None)
 
 
 def test_one_element_per_line_two_space_indent(newsidler_xml):
