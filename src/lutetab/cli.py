@@ -9,14 +9,14 @@ offending line. Every line the CLI itself prints (diagnostics, warnings,
 the read and write errors, argparse's usage errors) shows each control
 character visibly (``errors.visible``), the input and output paths too.
 
-Output files are written in two phases (``_write_outputs``): every temp
-file is complete before the first is renamed over its target, so a failure
-before the renames changes no target, and no failure leaves a temp file.
-At most one document is held at a time: each is written to its temp file
-as soon as it is made, and dropped before the next is made. An output
-directory is made just before its first temp file, so two cases differ
-from a run that makes every document first: a directory made before a
-later render error stays, empty, and an output directory that cannot be
+Output files are written in two phases (``_write_outputs``), at most one
+document held at a time: each goes to a temp file ``lutetab-<random>.tmp``
+beside its target, and every temp is complete before the first is renamed
+over its target. So a failure before the renames changes no target, and no
+failure leaves a temp file. Outputs get the mode 0666 less the umask.
+An output directory is made just before its first temp file, so two cases
+differ from a run that makes every document first: a directory made before
+a later render error stays, empty, and an output directory that cannot be
 made is reported (exit 2) before a render error that would come later.
 
 Each output is produced only when a flag writes it: a PARS is emitted as
@@ -36,8 +36,6 @@ import argparse
 import gc
 import os
 import sys
-import tempfile
-from pathlib import Path
 from typing import Iterable, NoReturn
 
 from . import __version__
@@ -89,11 +87,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="validate the source without writing any output"
     )
     render = parser.add_argument_group("render geometry (SVG user units)")
-    render.add_argument("--col-spacing", type=_positive_float, default=None)
-    render.add_argument("--row-spacing", type=_positive_float, default=None)
-    render.add_argument("--stem-height", type=_positive_float, default=None)
-    render.add_argument("--font-size", type=_positive_float, default=None)
-    render.add_argument("--margin", type=_positive_float, default=None)
+    for flag in ("--col-spacing", "--row-spacing", "--stem-height", "--font-size", "--margin"):
+        render.add_argument(flag, type=_positive_float)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
@@ -110,10 +105,12 @@ def _unlink_quietly(path: str) -> None:
 _WRITE_SLICE = 1 << 16
 
 
-def _write_temp(path: Path, data: str) -> str:
+def _write_temp(path: str, data: str) -> str:
     """Write ``data`` whole to a fresh randomly named temp file beside ``path``; return its name."""
-    # A fixed prefix: the temp name does not grow with the target name.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="lutetab-", suffix=".tmp")
+    # A fixed prefix: the temp name does not grow with the target name. O_EXCL
+    # opens no file that exists, and the umask sets the new file's mode.
+    tmp = os.path.join(os.path.dirname(path), f"lutetab-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         try:
             for at in range(0, len(data), _WRITE_SLICE):
@@ -141,21 +138,21 @@ def _write_outputs(outputs: list[tuple[str, Iterable[tuple[str, str]]]]) -> str 
     renames are the one step that is not all-or-nothing: a failing rename
     leaves the files renamed before it in place.
     """
-    temps: list[tuple[str, Path, str]] = []  # (temp name, target, directory as given)
+    temps: list[tuple[str, str, str]] = []  # (temp name, target, directory as given)
     renamed = 0
     try:
         for directory, files in outputs:
-            out = target = Path(directory)
+            target = directory
             made = False
             for name, data in files:
                 if not made:
-                    out.mkdir(parents=True, exist_ok=True)
+                    os.makedirs(directory, exist_ok=True)
                     made = True
-                target = out / name
+                target = os.path.join(directory, name)
                 temps.append((_write_temp(target, data), target, directory))
                 del data  # else it stays alive while the next document is made
             if not made:
-                out.mkdir(parents=True, exist_ok=True)
+                os.makedirs(directory, exist_ok=True)
         for tmp, target, directory in temps:
             os.replace(tmp, target)
             renamed += 1
@@ -192,7 +189,8 @@ def _render_config(args: argparse.Namespace) -> RenderConfig:
 def _run(args: argparse.Namespace) -> int:
     path = args.input
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as source:
+            text = source.read()
     except (OSError, UnicodeDecodeError) as err:
         print(visible(f"{path}: error: cannot read input: {err}"), file=sys.stderr)
         return 2
@@ -218,7 +216,9 @@ def _run(args: argparse.Namespace) -> int:
     if args.check:
         return 0
 
-    stem = Path(path).stem
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # a trailing "." is no suffix
     # (directory as given, (file name, text) pairs); a writer runs only when
     # _write_outputs takes its pair.
     outputs: list[tuple[str, Iterable[tuple[str, str]]]] = []

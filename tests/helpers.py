@@ -14,8 +14,6 @@ from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
-from hypothesis import strategies as st
-
 from lutetab import build_score, emit_pars, render_pars, scan_text
 from lutetab.errors import EmitError
 from lutetab.model import TRABES_INITIALIS, TRABES_TERMINALIS
@@ -323,15 +321,24 @@ _PIECES = (
     + ["\n", "\r\n", "VOX ", "T ", "/", "\x00", "\x01", "\t", "\x1b", "\x7f", "\x9b"]
 )
 
-MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(("insert", "delete", "replace")),
-        st.integers(min_value=0, max_value=2000),
-        st.sampled_from(_PIECES),
-    ),
-    min_size=1,
-    max_size=4,
-)
+
+def mutations():
+    """A hypothesis strategy of one to four ``(op, index, piece)`` mutations for ``mutate``.
+
+    hypothesis is imported here, not at the top: a process that needs only
+    the measuring harness, such as ``test_scaling.py``'s child, does not load it.
+    """
+    from hypothesis import strategies as st
+
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "delete", "replace")),
+            st.integers(min_value=0, max_value=2000),
+            st.sampled_from(_PIECES),
+        ),
+        min_size=1,
+        max_size=4,
+    )
 
 
 def mutate(text: str, mutations) -> str:

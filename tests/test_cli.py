@@ -3,6 +3,7 @@ import gc
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -324,21 +325,22 @@ _TWO_PARS = (
 )
 
 
-@pytest.mark.parametrize("primitive", ["mkstemp", "write", "replace"])
+@pytest.mark.parametrize("primitive", ["open", "write", "replace"])
 def test_write_fault_at_every_call_leaves_a_clean_file_set(
     tmp_path, monkeypatch, capsys, primitive
 ):
     """Failing the k-th call of each write primitive, for every k, is a located exit 2.
 
     No temp file is left, and a failure before the first rename leaves
-    every target as it was.
+    every target as it was. Each primitive is called at least once per
+    output, so one that the CLI no longer calls fails here rather than
+    injecting no fault.
     """
     path = tmp_path / "two.tab"
     path.write_text(_TWO_PARS, encoding="utf-8")
     out = tmp_path / "out"
     argv = [str(path), "--xml", str(out / "xml"), "--svg", str(out / "svg"), "--dtd"]
-    module = tempfile if primitive == "mkstemp" else os
-    real = getattr(module, primitive)
+    real = getattr(os, primitive)
     calls = []
 
     def faulty(*args, **kwargs):
@@ -347,12 +349,13 @@ def test_write_fault_at_every_call_leaves_a_clean_file_set(
             raise OSError(5, "injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, primitive, faulty)
+    monkeypatch.setattr(os, primitive, faulty)
     fail_at = 0
     assert main(argv) == 0
     fresh = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert len(fresh) == 5  # two XML, two SVG, one DTD
     total = len(calls)
+    assert total >= len(fresh), calls
     for fail_at in range(1, total + 1):
         for target in fresh:
             target.write_bytes(b"old\n")
@@ -487,6 +490,56 @@ def test_longest_target_name_the_file_system_takes_is_written(tmp_path):
     assert main([str(path), "--xml", str(out), "--svg", str(out)]) == 0
     assert len(f"t.{name}.xml".encode()) == 246
     assert sorted(p.name for p in out.iterdir()) == [f"t.{name}.svg", f"t.{name}.xml"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_new_and_replaced_outputs_get_the_mode_the_umask_leaves(newsidler_file, tmp_path, umask):
+    out = tmp_path / "out"
+    out.mkdir()
+    replaced = out / "newsidler.sola.xml"
+    replaced.write_bytes(b"old\n")
+    replaced.chmod(0o640)
+    before = os.umask(umask)
+    try:
+        assert main([str(newsidler_file), "--xml", str(out), "--svg", str(out), "--dtd"]) == 0
+    finally:
+        os.umask(before)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    names = ("newsidler.sola.xml", "newsidler.sola.svg", "tabulatura.dtd")
+    assert modes == dict.fromkeys(names, 0o666 & ~umask)
+
+
+@pytest.mark.parametrize(
+    "name, stem",
+    [("x.tab", "x"), ("a.b.tab", "a.b"), (".x", ".x"), ("x", "x"), ("..x", "."),
+     ("x.", "x."), ("x..", "x.."), (".x.", ".x."), ("dir/y.", "y.")],
+)
+def test_output_names_take_the_input_stem_and_a_trailing_dot_is_no_suffix(
+    newsidler_text, tmp_path, name, stem
+):
+    source = tmp_path / name
+    source.parent.mkdir(exist_ok=True)
+    source.write_text(newsidler_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([str(source), "--xml", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [f"{stem}.sola.xml"]
+
+
+def test_read_and_write_errors_name_each_path_as_given(
+    newsidler_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["./missing.tab", "--check"]) == 2
+    assert capsys.readouterr().err == (
+        "./missing.tab: error: cannot read input: [Errno 2] No such file or directory: "
+        "'./missing.tab'\n"
+    )
+    (tmp_path / "notadir").write_text("", encoding="utf-8")
+    assert main([str(newsidler_file), "--xml", "./notadir//sub"]) == 2
+    assert capsys.readouterr().err == (
+        "./notadir//sub: error: cannot write ./notadir//sub: Not a directory\n"
+    )
 
 
 def test_byte_order_mark_is_skipped(newsidler_text, tmp_path):
@@ -861,7 +914,7 @@ def mutated_file(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("newsidler", "schlick")), helpers.MUTATIONS)
+@given(st.sampled_from(("newsidler", "schlick")), helpers.mutations())
 def test_mutated_sources_exit_cleanly(mutated_file, name, mutations):
     """The CLI is total: exit 0, or exit 1 with a diagnostic located by line."""
     source = (FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
@@ -885,7 +938,7 @@ def write_root(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(("newsidler", "schlick")), helpers.MUTATIONS)
+@given(st.sampled_from(("newsidler", "schlick")), helpers.mutations())
 def test_mutated_sources_write_cleanly(write_root, name, mutations):
     """In write mode too the CLI is total, and it writes only into its output directory."""
     work = Path(tempfile.mkdtemp(dir=write_root))
@@ -909,7 +962,7 @@ def test_mutated_sources_write_cleanly(write_root, name, mutations):
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(("newsidler", "schlick")),
-    helpers.MUTATIONS,
+    helpers.mutations(),
     st.sampled_from(("", "tonus = d\n")),  # an unknown parameter, so a warning
 )
 def test_check_reports_what_xml_reports(write_root, name, mutations, head):

@@ -45,7 +45,7 @@ def _line(text: str, number: int) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS)
+@given(st.sampled_from(sorted(SOURCES)), helpers.mutations())
 # an annotation moved one column left of its grip
 @example("newsidler", [("delete", _EDIT_QUOTE - 1, " ")])
 def test_mutated_sources_validate_or_fail_located(name, mutations):
@@ -67,7 +67,7 @@ def _compile_or_locate(text: str) -> list:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS, st.integers(0, 10_000))
+@given(st.sampled_from(sorted(SOURCES)), helpers.mutations(), st.integers(0, 10_000))
 @example("newsidler", [], 0)
 @example("schlick", [], 11)
 def test_twins_share_one_value_and_a_replaced_twin_changes_its_own_lines(name, mutations, at):
@@ -125,7 +125,7 @@ def _edge_sources(draw) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.tuples(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS).map(
+    st.tuples(st.sampled_from(sorted(SOURCES)), helpers.mutations()).map(
         lambda case: helpers.mutate(SOURCES[case[0]], case[1])
     ),
     _edge_sources(),
@@ -165,7 +165,7 @@ def _assert_render_matches_reference(pars, config=None):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(SOURCES)), helpers.MUTATIONS, _GEOMETRY)
+@given(st.sampled_from(sorted(SOURCES)), helpers.mutations(), _GEOMETRY)
 @example("newsidler", [("insert", 0, "\n")], RenderConfig(13.5, 7.25, 30.0, 9.5, 0.5))
 @example("newsidler", [], RenderConfig(column_spacing=1e308))
 def test_writers_match_the_reference_writers(name, mutations, config):
