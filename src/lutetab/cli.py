@@ -36,7 +36,7 @@ import argparse
 import gc
 import os
 import sys
-from typing import Iterable, NoReturn
+from collections.abc import Iterable
 
 from . import __version__
 from .errors import CompileError, format_diagnostic, visible
@@ -61,7 +61,7 @@ def _positive_float(text: str) -> float:
 class _ArgumentParser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose usage errors, echoed arguments and all, go through ``visible``."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         super().error(visible(message))
 
 

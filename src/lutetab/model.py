@@ -42,7 +42,7 @@ the line they name from the source text. A token is a ``(text, column)``
 pair, so an error's line is that of the ``SourceLine`` its token came
 from: a grip's is its voice line's, an annotation's its track line's.
 
-``Sonum`` and ``tempus.DurationToken`` are ``NamedTuple`` values, shared by
+``Sonum`` and ``tempus.DurationToken`` are ``namedtuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
 ``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
 one ``DurationToken`` per spelling but the carry ``-``, whose every column
@@ -55,8 +55,8 @@ gives its duration's row. It is a slotted ``Record`` because
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import EmitError, ModelError, ParseError
 from .prelude import (
@@ -79,15 +79,10 @@ TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
 
 
-class Sonum(NamedTuple):
-    """One grip: stop `string` at `fret`, pluck; a value that twin grips share."""
-
-    source: str
-    string: int
-    fret: int
-    prolongate: bool
-    ypos: int
-    annotations: tuple[Annotation, ...] = ()
+Sonum = namedtuple(
+    "Sonum", ["source", "string", "fret", "prolongate", "ypos", "annotations"], defaults=((),)
+)
+Sonum.__doc__ = "One grip: stop `string` at `fret`, pluck; a value that twin grips share."
 
 
 class Columna(Record):
@@ -105,12 +100,13 @@ class Columna(Record):
         self.sona = sona
 
 
-class ParsModel(NamedTuple):
-    name: str
-    columns: list[Columna]
-    table_name: str
-    system_ranges: list[tuple[int, int]]  # [start, end) per system
-    duratio_cadens: bool = False
+ParsModel = namedtuple("ParsModel", [
+    "name",
+    "columns",
+    "table_name",
+    "system_ranges",  # [start, end) per system
+    "duratio_cadens",
+], defaults=(False,))
 
 
 def duration_rows(pars: ParsModel) -> list[int]:
@@ -129,9 +125,7 @@ def duration_rows(pars: ParsModel) -> list[int]:
     return [0] * len(columns)
 
 
-class ScoreModel(NamedTuple):
-    partes: list[ParsModel]
-    warnings: list[str]
+ScoreModel = namedtuple("ScoreModel", ["partes", "warnings"])
 
 
 def build_system(

@@ -26,17 +26,17 @@ belongs to the assignment above it.
 
 ``Parameters`` is a value that ``apply_assignment`` folds scalar
 assignments into, returning the new scope; it and the parsed assignments
-and tables are ``NamedTuple`` records. An assignment's name and value
-may stand on different lines, so a ``ScalarAssignment`` keeps the name's
-line beside the value's line and column, and ``_parse_table`` reads each
-table line's number beside its tokens. An error about a value points
-at the value: a flag's bad value, and a ``bünde`` value naming no table
-(``Parameters`` keeps where it was set).
+and tables are ``collections.namedtuple`` records. An assignment's name
+and value may stand on different lines, so a ``ScalarAssignment`` keeps
+the name's line beside the value's line and column, and ``_parse_table``
+reads each table line's number beside its tokens. An error about a value
+points at the value: a flag's bad value, and a ``bünde`` value naming no
+table (``Parameters`` keeps where it was set).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ModelError, ParseError
 from .scanner import LineKind, SourceLine
@@ -48,26 +48,25 @@ _FLAG_FIELDS = {"duratioManet": "duratio_manet", "duratioCadens": "duratio_caden
 TABLE_PARAM = "bünde"
 
 
-class Parameters(NamedTuple):
-    """Effective parameters of a file or a single PARS; ``apply_assignment`` folds into them."""
+Parameters = namedtuple("Parameters", [
+    "duratio_manet",
+    "duratio_cadens",
+    "table_name",
+    "table_location",  # (line, column) of ``table_name``
+], defaults=(False, False, None, None))
+Parameters.__doc__ = (
+    "Effective parameters of a file or a single PARS; ``apply_assignment`` folds into them."
+)
 
-    duratio_manet: bool = False
-    duratio_cadens: bool = False
-    table_name: str | None = None
-    table_location: tuple[int, int] | None = None  # (line, column) of ``table_name``
+ScalarAssignment = namedtuple("ScalarAssignment", [
+    "name",
+    "value",
+    "line_number",  # the name's
+    "value_line",
+    "value_column",
+])
 
-
-class ScalarAssignment(NamedTuple):
-    name: str
-    value: str
-    line_number: int  # the name's
-    value_line: int
-    value_column: int
-
-
-class GripTable(NamedTuple):
-    name: str
-    rows: list[list[str]]
+GripTable = namedtuple("GripTable", ["name", "rows"])  # rows: the table's rows of cell texts
 
 
 def parse_assignment(

@@ -1,12 +1,12 @@
 """``Record``: the base of the slotted records.
 
-A record whose fields are never reassigned is a ``typing.NamedTuple``, a
-value that equal ones can share when hashable (``Sonum``, ``DurationToken``,
+A record whose fields are never reassigned is a ``collections.namedtuple``,
+a value that equal ones can share when hashable (``Sonum``, ``DurationToken``,
 ``Parameters``). One that is changed after it is built (``Columna``) or that
 checks its fields (``RenderConfig``) lists its fields in order as its
 ``__slots__``, writes its own ``__init__`` and gets from ``Record`` a repr
 naming the fields and field-wise ``==`` (so it is unhashable). Neither kind
-imports ``dataclasses``, which costs start-up time.
+imports ``dataclasses`` or ``typing``, which cost start-up time.
 
 ``Memo`` is not a record: it is the writers' table of formatted fragments,
 each built on first use and then shared.

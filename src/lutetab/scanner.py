@@ -42,9 +42,9 @@ line or a table line splits further are new.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import ScanError
 
@@ -59,10 +59,11 @@ class LineKind(Enum):
     PARAM_TRACK = "paramTrackLine"
 
 
-class SourceLine(NamedTuple):
-    line_number: int  # 1-based
-    kind: LineKind
-    tokens: list[tuple[str, int]]  # (text, 0-based scalar start column)
+SourceLine = namedtuple("SourceLine", [
+    "line_number",  # 1-based
+    "kind",  # a LineKind
+    "tokens",  # [(text, 0-based scalar start column)]
+])
 
 
 def strip_comments(raw_line: str) -> str:

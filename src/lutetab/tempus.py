@@ -24,7 +24,7 @@ the T line's ``SourceLine``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ModelError, ParseError
 from .prelude import Parameters
@@ -37,15 +37,17 @@ STEM_FLAGS = {"I": 0, "T": 1, "F": 2, "E": 3}
 TICKS_PER_WHOLE = 64
 
 
-class DurationToken(NamedTuple):
-    """The meaning of one T-line symbol; columns with the same spelling but ``-`` share one."""
-
-    source_text: str
-    klass: str  # "I" | "T" | "F" | "E" | "dots" | "carry"
-    dot_count: int
-    beam_begin: bool
-    beam_end: bool
-    value: int  # in ticks of 1/64 whole note
+DurationToken = namedtuple("DurationToken", [
+    "source_text",
+    "klass",  # "I" | "T" | "F" | "E" | "dots" | "carry"
+    "dot_count",
+    "beam_begin",
+    "beam_end",
+    "value",  # in ticks of 1/64 whole note
+])
+DurationToken.__doc__ = (
+    "The meaning of one T-line symbol; columns with the same spelling but ``-`` share one."
+)
 
 
 # Every spelling but the carry, parsed once: a stem letter with an optional

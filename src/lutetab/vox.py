@@ -25,7 +25,7 @@ stripping it, and looking the symbol up in the PARS's table.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParseError
 from .scanner import SourceLine
@@ -33,10 +33,11 @@ from .scanner import SourceLine
 EDIT_TRACK = "edit"
 
 
-class Annotation(NamedTuple):
-    track: str
-    text: str  # quote content plus any attached suffix, verbatim
-    start_column: int
+Annotation = namedtuple("Annotation", [
+    "track",
+    "text",  # quote content plus any attached suffix, verbatim
+    "start_column",
+])
 
 
 def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:

@@ -3,12 +3,17 @@
 import pytest
 
 from lutetab import Columna, ParsModel, RenderConfig, ScoreModel, Sonum, compile_source
-from lutetab.prelude import Parameters
+from lutetab.prelude import GripTable, Parameters, ScalarAssignment
+from lutetab.scanner import LineKind, SourceLine
 from lutetab.tempus import DurationToken
+from lutetab.vox import Annotation
 
 
-def _duration():
-    return DurationToken("I", "I", 0, False, False, 16)
+def _duration(**changes):
+    fields = dict(
+        source_text="I", klass="I", dot_count=0, beam_begin=False, beam_end=False, value=16
+    )
+    return DurationToken(**{**fields, **changes})
 
 
 def _sonum(**changes):
@@ -42,7 +47,37 @@ RECORDS = {
     "Parameters": (lambda **kw: Parameters(**{"duratio_manet": True, **kw}),
                    "table_name", "tbl"),
     "RenderConfig": (lambda **kw: RenderConfig(**{"margin": 4.0, **kw}), "column_spacing", 30.0),
+    "SourceLine": (
+        lambda **kw: SourceLine(
+            **{"line_number": 3, "kind": LineKind.VOX, "tokens": [("VOX", 0), ("v", 4)], **kw}
+        ),
+        "line_number", 4,
+    ),
+    "DurationToken": (_duration, "value", 32),
+    "Annotation": (
+        lambda **kw: Annotation(**{"track": "edit", "text": "x", "start_column": 7, **kw}),
+        "text", "y",
+    ),
+    "ScalarAssignment": (
+        lambda **kw: ScalarAssignment(**{
+            "name": "duratioManet", "value": "est", "line_number": 1, "value_line": 1,
+            "value_column": 15, **kw,
+        }),
+        "value", "nonEst",
+    ),
+    "GripTable": (
+        lambda **kw: GripTable(**{"name": "tbl", "rows": [["1", "a", "f"]], **kw}),
+        "rows", [["2", "b", "g"]],
+    ),
 }
+
+# The records whose fields are never reassigned
+VALUE_RECORDS = (
+    "SourceLine", "Parameters", "ScalarAssignment", "GripTable", "DurationToken", "Annotation",
+    "Sonum", "ParsModel", "ScoreModel",
+)
+# The value records whose fields are all hashable; the others hold lists
+HASHABLE = ("Parameters", "ScalarAssignment", "DurationToken", "Annotation", "Sonum")
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -94,11 +129,36 @@ def test_mutable_records_are_unhashable_and_render_config_is_frozen():
 
 
 def test_grips_and_durations_are_immutable_values():
-    """So are parameter scopes: ``apply_assignment`` returns a new one."""
-    for value, field in ((_sonum(), "ypos"), (_duration(), "value"), (Parameters(), "table_name")):
-        assert hash(value) == hash(type(value)(*value))
+    """So is every other value record: ``_replace`` builds a new one of the same type.
+
+    Parameter scopes, for one, are values: ``apply_assignment`` returns a new
+    one. A value is hashable when all its fields are, as a tuple is.
+    """
+    for name in VALUE_RECORDS:
+        build, field, other = RECORDS[name]
+        value = build()
+        assert type(value)(*value) == value
         with pytest.raises(AttributeError):
-            setattr(value, field, 2)
+            setattr(value, field, other)
+        replaced = value._replace(**{field: other})
+        assert type(replaced) is type(value)
+        assert replaced == build(**{field: other})
+        assert getattr(value, field) != other
+        if name in HASHABLE:
+            assert hash(value) == hash(type(value)(*value))
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+
+
+def test_value_records_keep_their_defaults():
+    assert Sonum("a", 1, 0, False, 1).annotations == ()
+    assert ParsModel("p", [], "tbl", []).duratio_cadens is False
+    params = Parameters()
+    assert params.duratio_manet is False
+    assert params.duratio_cadens is False
+    assert params.table_name is None
+    assert params.table_location is None
 
 
 def test_every_score_owns_its_warnings():
