@@ -4,6 +4,9 @@ Parses the column-aligned source format (duration lines, voice lines,
 grip tables in the prelude) into a score model whose time positions are
 exact integer ticks of 1/64 whole note, and emits an XML document per
 PARS plus an SVG control graphic.
+
+The writers' names (``RenderConfig``, ``render_pars``, ``emit_pars``,
+``emit_dtd``) load their module, ``svg_out`` or ``xml_out``, on first use.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import (
 )
 from .model import Columna, ParsModel, ScoreModel, Sonum, build_score
 from .scanner import scan_text
-from .svg_out import RenderConfig, render_pars
-from .xml_out import emit_dtd, emit_pars
 
 __all__ = [
     "CompileError",
@@ -47,3 +48,21 @@ __all__ = [
 def compile_source(text: str) -> ScoreModel:
     """Scan and build a full score model from source text."""
     return build_score(scan_text(text))
+
+
+_SVG_NAMES = ("RenderConfig", "render_pars")
+_XML_NAMES = ("emit_dtd", "emit_pars")
+
+
+def __getattr__(name: str):
+    if name in _SVG_NAMES:
+        from . import svg_out as writer
+    elif name in _XML_NAMES:
+        from . import xml_out as writer
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(writer, name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_SVG_NAMES, *_XML_NAMES]

@@ -21,10 +21,13 @@ made is reported (exit 2) before a render error that would come later.
 
 Each output is produced only when a flag writes it: a PARS is emitted as
 XML only for ``--xml`` and rendered as SVG only for ``--svg``, and
-``--dtd`` needs neither writer. ``--check`` ends once the model is built
-and the ``--pars`` filter has passed, so it checks scanning and the model
-and emits no XML and renders no SVG; it relies on ``xml_out``'s rule that
-no compiled model reaches ``EmitError``.
+``--dtd`` needs neither writer. A writer's module is loaded only then
+too: ``emit_pars``, ``emit_dtd`` and ``render_pars`` here import it on
+their first call, so a run that writes nothing compiles neither.
+``--check`` ends once the model is built and the ``--pars`` filter has
+passed, so it checks scanning and the model and emits no XML and renders
+no SVG; it relies on ``xml_out``'s rule that no compiled model reaches
+``EmitError``.
 
 ``run`` pauses the cyclic garbage collector: the score model holds no
 reference cycles, yet the collector would walk all its objects in vain.
@@ -40,12 +43,33 @@ from collections.abc import Iterable
 
 from . import __version__
 from .errors import CompileError, format_diagnostic, visible
-from .model import ScoreModel, build_score
+from .model import ParsModel, ScoreModel, build_score
 from .scanner import scan_text
-from .svg_out import RenderConfig, positive_finite, render_pars
-from .xml_out import emit_dtd, emit_pars
 
 DTD_FILENAME = "tabulatura.dtd"
+
+
+# The writers, each loaded on its first call. _run calls them through these
+# module-level names, so a caller can replace one (``monkeypatch``, a tracer).
+def emit_pars(pars: ParsModel) -> str:
+    """``xml_out.emit_pars``."""
+    from .xml_out import emit_pars as emit
+
+    return emit(pars)
+
+
+def emit_dtd() -> str:
+    """``xml_out.emit_dtd``."""
+    from .xml_out import emit_dtd as emit
+
+    return emit()
+
+
+def render_pars(pars: ParsModel, config) -> str:
+    """``svg_out.render_pars``."""
+    from .svg_out import render_pars as render
+
+    return render(pars, config)
 
 
 def _positive_float(text: str) -> float:
@@ -53,6 +77,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text} is not a number") from None
+    from .svg_out import positive_finite
+
     if not positive_finite(value):
         raise argparse.ArgumentTypeError(f"{text} is not finite and strictly positive")
     return value
@@ -175,7 +201,9 @@ def run(args: argparse.Namespace) -> int:
             gc.enable()
 
 
-def _render_config(args: argparse.Namespace) -> RenderConfig:
+def _render_config(args: argparse.Namespace):
+    from .svg_out import RenderConfig
+
     geometry = {
         "column_spacing": args.col_spacing,
         "row_spacing": args.row_spacing,

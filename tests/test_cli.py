@@ -84,6 +84,27 @@ def test_unrequested_svg_is_not_rendered(newsidler_file, tmp_path, monkeypatch):
     assert (out / "newsidler.sola.xml").exists()
 
 
+def test_the_writers_are_called_through_the_cli_namespace(newsidler_file, tmp_path, monkeypatch):
+    # The tracer and the tests above replace these names in cli; a writer
+    # called some other way would escape both.
+    calls = []
+
+    def spy(name):
+        writer = getattr(cli, name)
+
+        def call(*args):
+            calls.append(name)
+            return writer(*args)
+
+        return call
+
+    for name in ("emit_pars", "emit_dtd", "render_pars"):
+        monkeypatch.setattr(cli, name, spy(name))
+    out = tmp_path / "out"
+    assert main([str(newsidler_file), "--xml", str(out), "--svg", str(out), "--dtd"]) == 0
+    assert sorted(calls) == ["emit_dtd", "emit_pars", "render_pars"]
+
+
 def test_unrequested_xml_is_not_emitted(newsidler_file, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("emit_pars called although no XML is written")
@@ -606,6 +627,16 @@ def test_non_number_geometry_is_usage_error(newsidler_file, tmp_path, capsys, va
     last = capsys.readouterr().err.splitlines()[-1]
     assert last == f"lutetab: error: argument --margin: {value} is not a number"
     assert not out.exists()
+
+
+def test_geometry_flags_are_checked_without_svg(newsidler_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(newsidler_file), "--check", "--margin", "abc"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "lutetab: error: argument --margin: abc is not a number"
+    assert main([str(newsidler_file), "--check", "--margin", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_edit_track_warns(tmp_path, capsys):

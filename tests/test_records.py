@@ -1,7 +1,13 @@
-"""The public records: keyword construction, field-wise ``==`` and a repr that names the fields."""
+"""The public records: keyword construction, field-wise ``==`` and a repr that names the fields.
+
+Also the package's own names, four of which load their writer module on first use.
+"""
 
 import pytest
 
+import lutetab
+import lutetab.svg_out
+import lutetab.xml_out
 from lutetab import Columna, ParsModel, RenderConfig, ScoreModel, Sonum, compile_source
 from lutetab.prelude import GripTable, Parameters, ScalarAssignment
 from lutetab.scanner import LineKind, SourceLine
@@ -165,3 +171,28 @@ def test_every_score_owns_its_warnings():
     source = "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\nT      I  I\nVOX v  a  f\n"
     first, second = compile_source(source), compile_source(source)
     assert first.warnings is not second.warnings
+
+
+WRITER_NAMES = ("RenderConfig", "render_pars", "emit_dtd", "emit_pars")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from lutetab import *", namespace)
+    assert set(lutetab.__all__) <= set(namespace)
+    for name in lutetab.__all__:
+        assert namespace[name] is getattr(lutetab, name)
+
+
+def test_the_writer_names_are_the_writer_modules_own():
+    assert set(WRITER_NAMES) <= set(dir(lutetab))
+    assert lutetab.RenderConfig is lutetab.svg_out.RenderConfig
+    assert lutetab.render_pars is lutetab.svg_out.render_pars
+    assert lutetab.emit_pars is lutetab.xml_out.emit_pars
+    assert lutetab.emit_dtd is lutetab.xml_out.emit_dtd
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as exc:
+        lutetab.x
+    assert str(exc.value) == "module 'lutetab' has no attribute 'x'"

@@ -23,6 +23,9 @@ start-up. A Python minor version with no record skips. To record the
 figures of the running interpreter, or of the one named, run
 
     python tests/test_startup.py [PYTHON]
+
+The same kind of child also shows which writer modules a run loads: each
+is loaded only by a run that writes its output.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "newsidler.tab"
 BUDGET = Path(__file__).with_name("startup_budget.json")
 VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 
@@ -68,15 +72,20 @@ print(json.dumps({"version": version, "events": count, "modules": modules}))
 """
 
 
-def startup_figures(python: str = sys.executable) -> dict:
-    """The child's figures for ``import lutetab.cli``: version, events and modules."""
+def _run_child(python: str, code: str, *args: str, cwd=None) -> str:
+    """Run ``code`` in a fresh ``python -S`` with ``argv[1:]`` = ``SRC, *args``; return stdout."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     child = subprocess.run(
-        [python, "-S", "-c", _CHILD, str(SRC)],
-        env=env, capture_output=True, encoding="utf-8", check=True,
+        [python, "-S", "-c", code, str(SRC), *args],
+        env=env, cwd=cwd, capture_output=True, encoding="utf-8", check=True,
     )
-    return json.loads(child.stdout)
+    return child.stdout
+
+
+def startup_figures(python: str = sys.executable) -> dict:
+    """The child's figures for ``import lutetab.cli``: version, events and modules."""
+    return json.loads(_run_child(python, _CHILD))
 
 
 def test_importing_the_cli_stays_within_its_recorded_modules_and_events():
@@ -90,6 +99,33 @@ def test_importing_the_cli_stays_within_its_recorded_modules_and_events():
         print(f"no longer loaded: {gone}; events {figures['events']} (recorded {budget['events']})")
     assert not new, f"modules the recorded start-up does not load: {new}"
     assert figures["events"] <= budget["events"], (budget["events"], figures["events"])
+
+
+_WRITERS_LOADED = """\
+import sys
+sys.path[0] = sys.argv[1]
+import lutetab
+if len(sys.argv) > 2:
+    import lutetab.cli
+    assert lutetab.cli.main(sys.argv[2:]) == 0
+print(*sorted({"lutetab.svg_out", "lutetab.xml_out"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags,loaded",
+    [
+        (None, []),
+        (["--check"], []),
+        (["--xml", "out"], ["lutetab.xml_out"]),
+        (["--dtd"], ["lutetab.xml_out"]),
+        (["--svg", "out"], ["lutetab.svg_out"]),
+    ],
+)
+def test_a_run_loads_only_the_writers_its_flags_ask_for(tmp_path, flags, loaded):
+    args = [] if flags is None else [str(FIXTURE), *flags]
+    stdout = _run_child(sys.executable, _WRITERS_LOADED, *args, cwd=tmp_path)
+    assert stdout.split() == loaded
 
 
 if __name__ == "__main__":
