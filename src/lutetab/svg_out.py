@@ -7,8 +7,21 @@ rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
 
 Each repeated fragment is formatted once (a y per band, row and offset, an
-x per column, the font tails, a label's escape per ``Sonum``), from the same
-float expression as per-element code would use, so no byte can change.
+x per column and walk, the font tails, a label's escape per ``Sonum``), from
+the same float expression as per-element code would use, so no byte can
+change.
+A number keeps 12 significant digits, so a column's x stays exact at any
+realistic width: ``:g`` kept 6, which rounded a fractional spacing away
+from x = 1e5 on and let columns drift from x = 1e6 on.
+
+The document is one ``str`` that grows as it is written, each element on
+a line of its own. A band is walked twice, in blocks of ``_BLOCK``
+columns: first its column shapes, then, after its beam lines, its texts,
+so that everything goes in document order and nothing waits for a later
+part. A block's elements gather in a short list, which is joined onto the
+document at the block's end; CPython appends in place to a ``str`` that a
+single local references, so the writer's data peak is about the document
+plus one block.
 
 ``RenderConfig`` owns the rule for that geometry: every length is finite
 and strictly positive (``positive_finite``, which the CLI's geometry flags
@@ -28,6 +41,10 @@ from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
 _MAX_FLAGS = max(STEM_FLAGS.values())
+
+# The columns of a band formatted between two appends to the document:
+# beside the document, the writer holds at most one block's elements.
+_BLOCK = 256
 
 
 def positive_finite(value: float) -> bool:
@@ -58,10 +75,10 @@ class RenderConfig(Record):
 
 
 def _fmt(v: float) -> str:
-    """``v`` as an SVG number; ``inf`` and ``nan`` are none."""
+    """``v`` as an SVG number of 12 significant digits; ``inf`` and ``nan`` are none."""
     if not math.isfinite(v):
         raise EmitError(f"render geometry too large: an SVG coordinate would be {v:g}")
-    return f"{v:g}"
+    return f"{v:.12g}"
 
 
 def _escape_text(value: str) -> str:
@@ -70,7 +87,8 @@ def _escape_text(value: str) -> str:
 
 def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     cfg = config or RenderConfig()
-    max_ypos = max((s.ypos for c in pars.columns for s in c.sona), default=1)
+    columns = pars.columns
+    max_ypos = max((s.ypos for c in columns for s in c.sona), default=1)
     max_cols = max((b - a for a, b in pars.system_ranges), default=0)
     n_bands = len(pars.system_ranges)
 
@@ -80,19 +98,21 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     )
     height = 2 * cfg.margin + n_bands * band_height + max(n_bands - 1, 0) * cfg.row_spacing
 
-    out: list[str] = [
+    doc = ""
+    part = [
         f"<svg xmlns='{SVG_NS}' width='{_fmt(width)}' height='{_fmt(height)}' "
-        f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>"
+        f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>\n"
     ]
+    append = part.append
     grip_tail = f"' font-size='{_fmt(cfg.font_size)}' text-anchor='middle'>"
     numerus_tail = (
         f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
     )
     labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
     rows = duration_rows(pars)
+    margin, spacing = cfg.margin, cfg.column_spacing
 
     for band, (a, b) in enumerate(pars.system_ranges):
-        cols, dys = pars.columns[a:b], rows[a:b]
         band_top = cfg.margin + band * (band_height + cfg.row_spacing)
 
         def row_y(r: int) -> float:
@@ -108,67 +128,68 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         ])
         numerus_y = ys[max_ypos + 1]
 
-        xs = [cfg.margin + j * cfg.column_spacing for j in range(len(cols))]
         # A beam group runs from an initialis to the next terminalis; an
         # unpaired marker is ignored. Per column, the y its stem reaches when
         # a beam replaces the flags: the top of the highest stem in its group.
-        beam_tops: list[str | None] = [None] * len(cols)
-        groups: list[tuple[int, int]] = []  # [begin, end] column indexes
+        beam_tops: list[str | None] = [None] * (b - a)
+        beams: list[str] = []
         begin: int | None = None
-        for j, col in enumerate(cols):
+        for j, col in enumerate(columns[a:b]):
             if col.trabes == TRABES_INITIALIS:
                 begin = j
             elif col.trabes == TRABES_TERMINALIS and begin is not None:
-                top = tops[min(dys[begin : j + 1])]
+                top = tops[min(rows[a + begin : a + j + 1])]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
-                groups.append((begin, j))
+                beams.append(
+                    f"<line x1='{_fmt(margin + begin * spacing)}' y1='{top}' "
+                    f"x2='{_fmt(margin + j * spacing)}' y2='{top}' "
+                    "stroke='black' stroke-width='2.5' />\n"
+                )
                 begin = None
 
-        shapes: list[str] = []
-        texts: list[str] = []
-        for j, (col, dy) in enumerate(zip(cols, dys)):
-            xf = _fmt(xs[j])
-            klass = col.duration.klass
-            if klass in STEM_FLAGS:
-                beam_top = beam_tops[j]
-                shapes.append(
-                    f"<line x1='{xf}' y1='{ys[dy]}' x2='{xf}' "
-                    f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />"
-                )
-                if beam_top is None and STEM_FLAGS[klass]:
-                    flag_x = _fmt(xs[j] + 6.0)
-                    for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
-                        shapes.append(
-                            f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' stroke='black' />"
-                        )
-                if col.duration.dot_count:
-                    shapes.append(f"<circle cx='{_fmt(xs[j] + 5.0)}' cy='{dots[dy]}' r='1.6' />")
-            elif klass == KLASS_DOTS:
-                for k in range(col.duration.dot_count):
-                    shapes.append(
-                        f"<circle cx='{_fmt(xs[j] + k * 5.0)}' cy='{dots[dy]}' r='1.6' />"
+        # The band's column shapes, then its beams, then its texts: the
+        # columns are walked twice, so that each part is written in order.
+        for lo in range(a, b, _BLOCK):
+            hi = min(lo + _BLOCK, b)
+            for j, (col, dy) in enumerate(zip(columns[lo:hi], rows[lo:hi]), lo - a):
+                x = margin + j * spacing
+                xf = _fmt(x)
+                klass = col.duration.klass
+                if klass in STEM_FLAGS:
+                    beam_top = beam_tops[j]
+                    append(
+                        f"<line x1='{xf}' y1='{ys[dy]}' x2='{xf}' "
+                        f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />\n"
                     )
-            elif klass == KLASS_CARRY:
-                shapes.append(
-                    f"<line x1='{_fmt(xs[j] - 3.0)}' y1='{carries[dy]}' "
-                    f"x2='{_fmt(xs[j] + 3.0)}' y2='{carries[dy]}' stroke='#999999' />"
-                )
-            for sonum in col.sona:
-                texts.append(
-                    f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}"
-                    f"{labels[sonum]}</text>"
-                )
-            texts.append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{a + j}</text>")
+                    if beam_top is None and STEM_FLAGS[klass]:
+                        flag_x = _fmt(x + 6.0)
+                        for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
+                            append(
+                                f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' "
+                                "stroke='black' />\n"
+                            )
+                    if col.duration.dot_count:
+                        append(f"<circle cx='{_fmt(x + 5.0)}' cy='{dots[dy]}' r='1.6' />\n")
+                elif klass == KLASS_DOTS:
+                    for k in range(col.duration.dot_count):
+                        append(f"<circle cx='{_fmt(x + k * 5.0)}' cy='{dots[dy]}' r='1.6' />\n")
+                elif klass == KLASS_CARRY:
+                    append(
+                        f"<line x1='{_fmt(x - 3.0)}' y1='{carries[dy]}' "
+                        f"x2='{_fmt(x + 3.0)}' y2='{carries[dy]}' stroke='#999999' />\n"
+                    )
+            doc += "".join(part)  # in place while ``doc`` is the str's only reference (CPython)
+            part.clear()
+        part += beams
+        for lo in range(a, b, _BLOCK):
+            for j, col in enumerate(columns[lo : min(lo + _BLOCK, b)], lo - a):
+                xf = f"{margin + j * spacing:.12g}"  # _fmt's format; the first walk checked x
+                for sonum in col.sona:
+                    append(f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}{labels[sonum]}</text>\n")
+                append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{a + j}</text>\n")
+            doc += "".join(part)
+            part.clear()
 
-        for g0, g1 in groups:
-            beam_y = beam_tops[g0]
-            shapes.append(
-                f"<line x1='{_fmt(xs[g0])}' y1='{beam_y}' x2='{_fmt(xs[g1])}' "
-                f"y2='{beam_y}' stroke='black' stroke-width='2.5' />"
-            )
-
-        out.extend(shapes)
-        out.extend(texts)
-
-    out.append("</svg>\n")
-    return "\n".join(out)
+    append("</svg>\n")
+    doc += "".join(part)
+    return doc

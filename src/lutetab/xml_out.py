@@ -16,6 +16,13 @@ that the model shares between twin grips, so each distinct one is checked
 and written once per document, keyed by the ``Sonum`` itself, and then
 reused: nearly all grip lines of a long piece repeat.
 
+The document is one ``str`` that grows as it is written. The columns go in
+blocks of ``_BLOCK``: a block's lines gather in a short list, which
+is joined onto the document when the next block starts, and the last
+block with the closing tag. CPython appends in place to a ``str`` that a
+single local references, so the writer's data peak is about the document
+plus one block, not the document and every line it is joined from.
+
 The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
 below the voice count, so no compiled model reaches ``EmitError``. The
@@ -33,6 +40,7 @@ remarks; the DTD below declares it.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 
 from .errors import EmitError
@@ -43,6 +51,11 @@ from .tempus import TICKS_PER_WHOLE
 from .vox import EDIT_TRACK
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>"
+_HEAD = f"{_XML_DECLARATION}\n<tabulatura>\n"
+
+# The columns formatted between two appends to the document: beside the
+# document, the writer holds at most one block's lines.
+_BLOCK = 256
 
 # _DENOMINATOR[t % TICKS_PER_WHOLE] is the reduced denominator of t/TICKS_PER_WHOLE.
 _DENOMINATOR = tuple(TICKS_PER_WHOLE // gcd(t, TICKS_PER_WHOLE) for t in range(TICKS_PER_WHOLE))
@@ -100,42 +113,53 @@ def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
     esc = Memo(escape_attr)
     sona: dict[Sonum, str] = {}  # a line per distinct grip, checked once
-    out = [f"{_XML_DECLARATION}\n<tabulatura>\n"]
-    append = out.append
-    for numerus, (col, ypos) in enumerate(zip(pars.columns, duration_rows(pars))):
-        if not 0 <= ypos <= MAX_POSITION:
-            _check_position(ypos, "duration ypos", numerus)
-        duration = col.duration
-        trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
-        summa, value = col.summa_praecedentium, duration.value
-        summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
-        value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
-        append(
-            f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
-            f"numerus='{numerus}' ypos='{ypos}'{trabes} "
-            f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
-            f"summaPraecedentium.den='{summa_den}' "
-            f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' duratio.den='{value_den}' />\n"
-        )
-        for sonum in col.sona:
-            line = sona.get(sonum)
-            if line is None:
-                source, string, fret, prolongate, ypos, notes = sonum
-                if not (0 <= fret <= MAX_POSITION and 0 <= string <= MAX_POSITION
-                        and 0 <= ypos <= MAX_POSITION):  # then the first one outside raises
-                    for position, what in ((fret, "fret"), (string, "string"), (ypos, "grip ypos")):
-                        _check_position(position, what, numerus)
-                edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
-                edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
-                prolongate = " prolongate='yes'" if prolongate else ""
-                line = sona[sonum] = (
-                    f"    <sonum source='{esc[source]}' fret='{fret}' string='{string}'"
-                    f"{prolongate} ypos='{ypos}'{edit} />\n"
-                )
-            append(line)
-        append("  </columna>\n")
+    items = enumerate(zip(pars.columns, duration_rows(pars)))
+    doc = ""
+    part = [_HEAD]
+    append = part.append
+    for lo in range(0, len(pars.columns), _BLOCK):
+        if lo:  # the previous block joins the document
+            doc += "".join(part)  # in place while ``doc`` is the str's only reference (CPython)
+            part.clear()
+        for numerus, (col, ypos) in islice(items, _BLOCK):
+            if not 0 <= ypos <= MAX_POSITION:
+                _check_position(ypos, "duration ypos", numerus)
+            duration = col.duration
+            trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
+            summa, value = col.summa_praecedentium, duration.value
+            summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
+            value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]
+            append(
+                f"  <columna>\n    <duratio source='{esc[duration.source_text]}' "
+                f"numerus='{numerus}' ypos='{ypos}'{trabes} "
+                f"summaPraecedentium.num='{summa * summa_den // TICKS_PER_WHOLE}' "
+                f"summaPraecedentium.den='{summa_den}' "
+                f"duratio.num='{value * value_den // TICKS_PER_WHOLE}' "
+                f"duratio.den='{value_den}' />\n"
+            )
+            for sonum in col.sona:
+                line = sona.get(sonum)
+                if line is None:
+                    source, string, fret, prolongate, ypos, notes = sonum
+                    if not (0 <= fret <= MAX_POSITION and 0 <= string <= MAX_POSITION
+                            and 0 <= ypos <= MAX_POSITION):  # then the first one outside raises
+                        for position, what in (
+                            (fret, "fret"), (string, "string"), (ypos, "grip ypos")
+                        ):
+                            _check_position(position, what, numerus)
+                    edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
+                    edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
+                    prolongate = " prolongate='yes'" if prolongate else ""
+                    line = sona[sonum] = (
+                        f"    <sonum source='{esc[source]}' fret='{fret}' string='{string}'"
+                        f"{prolongate} ypos='{ypos}'{edit} />\n"
+                    )
+                append(line)
+            append("  </columna>\n")
+    del items  # and the rows list it holds: a one-block document peaks at this join
     append("</tabulatura>\n")
-    return "".join(out)
+    doc += "".join(part)
+    return doc
 
 
 def emit_dtd() -> str:

@@ -281,6 +281,55 @@ def system_lines(durations: list[str], *voices: dict[int, str], names: str = "vw
     return lines
 
 
+# Runs of durations for ``block_source``: a beam group, a dot group, a dotted
+# stem, flagged stems and a carry, so that every kind of SVG shape occurs.
+_BLOCK_UNITS = (["I"], ["T_", "_T"], ["F."], ["."], ["E"], ["-"], ["F"])
+_CROSSING = ["E_", "E", "E", "_E"]  # placed to cross each block boundary
+
+
+def block_widths(block: int) -> list[tuple[int, ...]]:
+    """The system widths that a writer's block tests run, for a writer that
+    appends ``block`` columns at a time: on both sides of one and of two
+    block boundaries, and three bands."""
+    return [(block - 1,), (block,), (block + 1,), (block + 2,), (2 * block + 1,),
+            (block + 2, 1, block + 5)]
+
+
+def block_source(widths, block: int, cadens: bool = False) -> str:
+    """One PARS with a system of each width in ``widths``, built to put the
+    boundaries of a writer's blocks of ``block`` columns, counted in a
+    system, inside beam groups: a group of four crosses every boundary that
+    the system reaches past. Every column holds a grip, every third a second
+    one and a few a ``+``. Each system of two columns or more has one
+    ``edit``, every second system's beyond its first block if it can."""
+    head = (
+        "tbl = ( (1 a f l) (2 b g m) (3 c h n) )\nduratioManet = est\n"
+        f"duratioCadens = {'est' if cadens else 'nonEst'}\nPARS p\nbünde = tbl\n"
+    )
+    systems = []
+    for k, width in enumerate(widths):
+        durations, at = [], 0
+        while len(durations) < width:
+            left = width - len(durations)
+            if len(durations) % block == block - 2 and left >= len(_CROSSING):
+                unit = _CROSSING
+            else:
+                unit = _BLOCK_UNITS[at % len(_BLOCK_UNITS)]
+                at += 1
+                before_crossing = range(block - 1 - len(unit), block - 2)
+                if len(unit) > left or len(durations) % block in before_crossing:
+                    unit = ["I"]  # leaves the crossing group its place
+            durations += unit
+        lower = {j: "abcfgh"[j % 6] + "+" * (j % 17 == 5) for j in range(width)}
+        upper = {j: "lmn"[j % 3] for j in range(0, width, 3)}
+        lines = system_lines(durations, upper, lower)
+        edit_at = min(width - 1, block + 3 if k % 2 else 1)
+        if edit_at:  # the first column stands under the track's name
+            lines.append(lay("    edit", [(grid_cols(width)[edit_at], '"x<y"')]))
+        systems.append("\n".join(lines) + "\n")
+    return head + "".join(systems)
+
+
 def shift_last_vox_token(source: str) -> tuple[str, int, int]:
     """Shift the last token of the last VOX line right by one column.
 
@@ -427,7 +476,7 @@ def holds_non_finite_number(svg: str) -> bool:
 
 
 def _ref_fmt(v: float) -> str:
-    return f"{v:g}"
+    return f"{v:.12g}"
 
 
 def _ref_escape_text(value: str) -> str:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lutetab
-from lutetab import cli
+from lutetab import cli, svg_out, xml_out
 from lutetab.cli import main
+from lutetab.prelude import MAX_POSITION
 
 import helpers
 
@@ -423,6 +424,51 @@ def test_at_most_one_document_is_alive_at_a_time(tmp_path, monkeypatch):
     assert main([str(path), "--xml", str(out / "xml"), "--svg", str(out / "svg")]) == 0
     assert len(list(out.rglob("*.*"))) == 6  # three XML, three SVG
     assert (peak, live) == (1, 0)
+
+
+# The larger of the writers' blocks, in columns.
+_WIDER_BLOCK = max(xml_out._BLOCK, svg_out._BLOCK)
+
+
+def _break_beyond_the_first_block(pars, fault: str) -> str:
+    """Change column ``2 * _WIDER_BLOCK`` of a compiled ``pars`` by hand;
+    return the error it gets."""
+    at = 2 * _WIDER_BLOCK
+    if fault == "no grip":
+        pars.columns[at].sona.clear()
+        return f"column {at} holds no grip (every column needs at least one)"
+    pars.columns[at].sona[0] = pars.columns[at].sona[0]._replace(fret=MAX_POSITION + 1)
+    return f"fret {MAX_POSITION + 1} of column {at} is outside 0..{MAX_POSITION}"
+
+
+@pytest.mark.parametrize("fault,flags", [
+    ("no grip", ["--xml", "--svg"]), ("no grip", ["--svg"]), ("bad fret", ["--xml", "--svg"]),
+], ids=["no-grip-xml-svg", "no-grip-svg", "bad-fret-xml-svg"])
+def test_a_model_refused_beyond_the_first_block_leaves_no_file(
+    tmp_path, monkeypatch, capsys, fault, flags
+):
+    """The second PARS, changed by hand past its writers' first block, fails
+    after the first PARS's documents are written to temps: they go too."""
+    text = helpers.block_source([2 * _WIDER_BLOCK + 1], _WIDER_BLOCK)
+    text += "PARS q\n" + text.split("PARS p\n", 1)[1]
+    build, message = cli.build_score, []
+
+    def build_and_break(lines):
+        score = build(lines)
+        message.append(_break_beyond_the_first_block(score.partes[1], fault))
+        return score
+
+    monkeypatch.setattr(cli, "build_score", build_and_break)
+    monkeypatch.chdir(tmp_path)  # where --dtd without --xml would write
+    path = tmp_path / "in" / "wide.tab"
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path)]
+    for flag in flags:
+        argv += [flag, str(tmp_path / "out")]
+    assert main([*argv, "--dtd"]) == 1
+    assert capsys.readouterr().err == f"{path}: error: {message[0]}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 # At --col-spacing 1e308 the first PARS, three columns wide, is too wide to render.

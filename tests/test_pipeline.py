@@ -96,7 +96,7 @@ def test_twins_share_one_value_and_a_replaced_twin_changes_its_own_lines(name, m
         assert len(new_svg) == len(svg) and len(changed) == 1
         label = [helpers._ref_escape_text(s.source + "+" * s.prolongate) for s in (old, new)]
         cfg = RenderConfig()
-        x = f"{cfg.margin + (k - band_start) * cfg.column_spacing:g}"
+        x = f"{cfg.margin + (k - band_start) * cfg.column_spacing:.12g}"
         assert new_svg[changed[0]].startswith(f"<text x='{x}' ")
         assert new_svg[changed[0]] == svg[changed[0]].replace(
             f">{label[0]}</text>", f">{label[1]}</text>"

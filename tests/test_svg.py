@@ -6,6 +6,7 @@ import pytest
 from lutetab import RenderConfig, compile_source, render_pars
 from lutetab.errors import EmitError
 from lutetab.model import ParsModel
+from lutetab.svg_out import _BLOCK as BLOCK
 
 import helpers
 
@@ -173,3 +174,51 @@ def test_config_rejects_nonpositive(field):
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         RenderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
+@pytest.mark.parametrize("widths", helpers.block_widths(BLOCK), ids=str)
+def test_graphics_across_block_boundaries_match_the_reference(widths, cadens):
+    pars = compile_source(helpers.block_source(widths, BLOCK, cadens)).partes[0]
+    svg = render_pars(pars)
+    assert svg == helpers.reference_render_pars(pars)
+    assert len(pars.system_ranges) == len(widths)
+    if max(widths) > BLOCK + 1:  # then a beam spans the columns on both sides of a boundary
+        cfg = RenderConfig()
+        beams = [
+            (float(line.get("x1")), float(line.get("x2")))
+            for line in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}line")
+            if line.get("stroke-width") == "2.5"
+        ]
+        boundary = cfg.margin + BLOCK * cfg.column_spacing
+        assert any(x1 < boundary < x2 for x1, x2 in beams)
+
+
+def test_empty_pars_matches_the_reference():
+    empty = ParsModel("void", [], "tbl", [])
+    assert render_pars(empty) == helpers.reference_render_pars(empty)
+
+
+def test_a_column_without_a_grip_beyond_the_first_block_is_refused():
+    pars = compile_source(helpers.block_source([2 * BLOCK + 1], BLOCK)).partes[0]
+    pars.columns[2 * BLOCK].sona.clear()
+    message = f"column {2 * BLOCK} holds no grip (every column needs at least one)"
+    for render in (render_pars, helpers.reference_render_pars):
+        with pytest.raises(EmitError) as exc:
+            render(pars)
+        assert exc.value.message == message
+
+
+def test_column_x_keeps_a_fractional_spacing_far_out():
+    """At spacing 1000.5 column 1,001 stands at x = 1,001,520.5, which six
+    significant digits would print as 1.00152e+06, half a unit off."""
+    cfg = RenderConfig(column_spacing=1000.5)
+    n = 1025
+    lines = helpers.system_lines(["I"] * n, dict.fromkeys(range(n), "a"))
+    source = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n" + "\n".join(lines) + "\n"
+    svg = render_pars(compile_source(source).partes[0], cfg)
+    assert "e+" not in svg
+    numerus = [t for t in texts(svg) if t.get("fill") == "#555555"]
+    assert [int(t.text) for t in numerus] == list(range(n))
+    for j, text in enumerate(numerus):
+        assert float(text.get("x")) == cfg.margin + j * cfg.column_spacing, j

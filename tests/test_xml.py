@@ -7,8 +7,10 @@ from hypothesis import example, given, strategies as st
 
 from lutetab import compile_source, emit_dtd, emit_pars
 from lutetab.errors import EmitError
+from lutetab.model import ParsModel
 from lutetab.prelude import MAX_POSITION
 from lutetab.vox import EDIT_TRACK, Annotation
+from lutetab.xml_out import _BLOCK as BLOCK
 
 import dtd_validator
 import helpers
@@ -250,3 +252,49 @@ def test_one_element_per_line_two_space_indent(newsidler_xml):
     assert lines[3].startswith("    <duratio ")
     assert lines[-1] == "</tabulatura>"
     assert all("><" not in ln for ln in lines)
+
+
+@pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
+@pytest.mark.parametrize("widths", helpers.block_widths(BLOCK), ids=str)
+def test_documents_across_block_boundaries_match_the_reference(widths, cadens):
+    """A beam group crosses a block boundary in the systems wider than a block."""
+    pars = compile_source(helpers.block_source(widths, BLOCK, cadens)).partes[0]
+    assert pars.duratio_cadens is cadens
+    xml = emit_pars(pars)
+    assert xml == helpers.reference_emit_pars(pars)
+    assert len(helpers.read_pars_xml(xml)) == sum(widths)
+
+
+def test_an_empty_pars_is_the_bare_document():
+    empty = ParsModel("void", [], "tbl", [])
+    assert emit_pars(empty) == helpers.reference_emit_pars(empty) == (
+        "<?xml version='1.0' encoding='UTF-8'?>\n<tabulatura>\n</tabulatura>\n"
+    )
+
+
+def _three_blocks():
+    return compile_source(helpers.block_source([2 * BLOCK + 1], BLOCK)).partes[0]
+
+
+@pytest.mark.parametrize(
+    "field,what", [("fret", "fret"), ("string", "string"), ("ypos", "grip ypos")]
+)
+def test_a_bad_position_beyond_the_first_block_raises_at_its_column(field, what):
+    pars = _three_blocks()
+    at = BLOCK + 5
+    pars.columns[at].sona[0] = pars.columns[at].sona[0]._replace(**{field: MAX_POSITION + 1})
+    message = f"{what} {MAX_POSITION + 1} of column {at} is outside 0..{MAX_POSITION}"
+    for emit in (emit_pars, helpers.reference_emit_pars):
+        with pytest.raises(EmitError) as exc:
+            emit(pars)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, None, None)
+
+
+def test_a_column_without_a_grip_beyond_the_first_block_is_refused():
+    pars = _three_blocks()
+    pars.columns[2 * BLOCK].sona.clear()
+    message = f"column {2 * BLOCK} holds no grip (every column needs at least one)"
+    for emit in (emit_pars, helpers.reference_emit_pars):
+        with pytest.raises(EmitError) as exc:
+            emit(pars)
+        assert exc.value.message == message
