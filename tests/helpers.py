@@ -228,7 +228,11 @@ def stage_costs(text: str) -> dict[str, Cost]:
     hooks, which allocate, takes the memory with ``tracemalloc`` and the
     collector quiet. Before each stage a full collection empties CPython's
     free lists, whose reuse ``tracemalloc`` cannot see, so a stage's peak
-    does not depend on what ran before it. All that ``measure`` uses is made
+    does not depend on what ran before it. What the heap holds before the
+    weighing is frozen first, so those collections walk only what the stages
+    made: a full collection still empties the free lists whatever is frozen,
+    and late in a test session the heap holds tens of thousands of objects.
+    All that ``measure`` uses is made
     before tracing starts; of what it allocates, a later stage's peak
     counts only the int it puts in ``peaks``, as ``held`` is an array.
 
@@ -259,12 +263,15 @@ def stage_costs(text: str) -> dict[str, Cost]:
 
     _run_stages(text, measure)
     with quiet_collector():
+        gc.collect()
+        gc.freeze()  # so the collections before each stage skip the heap as it stands
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             _run_stages(text, measure)
         finally:
             tracemalloc.stop()
+            gc.unfreeze()
     return {name: Cost(events[name], peaks[name], held[k]) for k, name in enumerate(STAGES)}
 
 
