@@ -48,9 +48,14 @@ every column that holds them and never changed: one ``Sonum`` per distinct
 one ``DurationToken`` per spelling but the carry ``-``, whose every column
 holds its own. A PARS keeps its ``Sonum`` values by ypos, then by grip
 text, so finding a grip's builds no key tuple. A ``Columna`` holds only
-what the source states: its number is its index, and ``duration_rows``
-gives its duration's row. It is a slotted ``Record`` because
-``compute_summa`` sets its time position after it is built.
+what the source states: its number is its index, ``duration_rows`` gives
+its duration's row, and its read-only ``trabes`` is taken from its
+duration's beam markers, which the writers read directly. It is a slotted
+class, compared field by field and unhashable, because ``compute_summa``
+sets its time position after it is built.
+
+``Memo`` is the writers' table of formatted fragments, each built on first
+use and then shared; it lives here because both writers import the model.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .prelude import (
     MAX_POSITION,
     TABLE_PARAM,
 )
-from .records import Record
 from .scanner import LineKind, SourceLine
 from .tempus import DurationToken, parse_tempus_line, validate_beams
 from .vox import EDIT_TRACK, Annotation, parse_param_track, parse_vox_line
@@ -79,25 +83,53 @@ TRABES_INITIALIS = "initialis"
 TRABES_TERMINALIS = "terminalis"
 
 
+class Memo(dict):
+    """``func(key)`` for each key, computed on first use and kept: the
+    writers' table of formatted fragments, each built once and then shared."""
+
+    __slots__ = ("func",)
+
+    def __init__(self, func) -> None:
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
 Sonum = namedtuple(
     "Sonum", ["source", "string", "fret", "prolongate", "ypos", "annotations"], defaults=((),)
 )
 Sonum.__doc__ = "One grip: stop `string` at `fret`, pluck; a value that twin grips share."
 
 
-class Columna(Record):
+class Columna:
     """One score column: a duration and the grips sounding under it."""
 
-    __slots__ = ("duration", "trabes", "summa_praecedentium", "sona")
+    __slots__ = ("duration", "summa_praecedentium", "sona")
 
     def __init__(
-        self, duration: DurationToken, trabes: str | None,
-        summa_praecedentium: int, sona: list[Sonum],  # summa: in ticks of 1/64 whole note
+        self, duration: DurationToken, summa_praecedentium: int, sona: list[Sonum]
     ) -> None:
         self.duration = duration
-        self.trabes = trabes
-        self.summa_praecedentium = summa_praecedentium
+        self.summa_praecedentium = summa_praecedentium  # in ticks of 1/64 whole note
         self.sona = sona
+
+    @property
+    def trabes(self) -> str | None:
+        """The XML ``trabes`` of the duration's beam marker: begin before end, else ``None``."""
+        duration = self.duration
+        return (TRABES_INITIALIS if duration.beam_begin
+                else TRABES_TERMINALIS if duration.beam_end else None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 ParsModel = namedtuple("ParsModel", [
@@ -234,9 +266,7 @@ def build_system(
                 line=tempus.line_number,
                 column=column,
             )
-        # validate_beams has rejected a stem with both markers
-        trabes = TRABES_INITIALIS if token.beam_begin else TRABES_TERMINALIS if token.beam_end else None
-        made.append(Columna(token, trabes, 0, sona))  # 0: the sum, set by compute_summa
+        made.append(Columna(token, 0, sona))  # 0: the sum, set by compute_summa
     columns.extend(made)
     pars.system_ranges.append((start, len(columns)))
 

@@ -25,18 +25,19 @@ plus one block.
 
 ``RenderConfig`` owns the rule for that geometry: every length is finite
 and strictly positive (``positive_finite``, which the CLI's geometry flags
-apply too), and a built config cannot change. Finite lengths can still
-sum to a coordinate that is not, and ``_fmt`` refuses that with an
-``EmitError``.
+apply too). It is a ``namedtuple``, so a built config cannot change, and
+its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
+lengths can still sum to a coordinate that is not, and ``_fmt`` refuses
+that with an ``EmitError``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import EmitError
-from .model import PROLONGATE_SUFFIX, TRABES_INITIALIS, TRABES_TERMINALIS, ParsModel, duration_rows
-from .records import Memo, Record
+from .model import PROLONGATE_SUFFIX, Memo, ParsModel, duration_rows
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -52,26 +53,29 @@ def positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-class RenderConfig(Record):
-    """Render geometry in SVG user units; immutable, and every length obeys ``positive_finite``."""
+class RenderConfig(namedtuple(
+    "RenderConfig", ["column_spacing", "row_spacing", "stem_height", "font_size", "margin"],
+    defaults=(28.0, 18.0, 24.0, 12.0, 20.0),
+)):
+    """Render geometry in SVG user units; every length obeys ``positive_finite``.
 
-    __slots__ = ("column_spacing", "row_spacing", "stem_height", "font_size", "margin")
+    ``_replace`` builds through ``_make``, so it checks too.
+    """
 
-    def __init__(
-        self, column_spacing: float = 28.0, row_spacing: float = 18.0, stem_height: float = 24.0,
-        font_size: float = 12.0, margin: float = 20.0,
-    ) -> None:
-        values = (column_spacing, row_spacing, stem_height, font_size, margin)
-        for name, value in zip(self.__slots__, values):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
+
+    def _checked(self):
+        for name, value in zip(self._fields, self):
             if not positive_finite(value):
                 raise ValueError(f"render config {name} must be finite and strictly positive")
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RenderConfig is immutable; cannot set {name}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+        return self
 
 
 def _fmt(v: float) -> str:
@@ -128,16 +132,17 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         ])
         numerus_y = ys[max_ypos + 1]
 
-        # A beam group runs from an initialis to the next terminalis; an
-        # unpaired marker is ignored. Per column, the y its stem reaches when
+        # A beam group runs from a beam begin to the next beam end (a begin
+        # wins on a stem with both, as in ``Columna.trabes``); an unpaired
+        # marker is ignored. Per column, the y its stem reaches when
         # a beam replaces the flags: the top of the highest stem in its group.
         beam_tops: list[str | None] = [None] * (b - a)
         beams: list[str] = []
         begin: int | None = None
         for j, col in enumerate(columns[a:b]):
-            if col.trabes == TRABES_INITIALIS:
+            if col.duration.beam_begin:
                 begin = j
-            elif col.trabes == TRABES_TERMINALIS and begin is not None:
+            elif col.duration.beam_end and begin is not None:
                 top = tops[min(rows[a + begin : a + j + 1])]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
                 beams.append(

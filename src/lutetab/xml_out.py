@@ -9,12 +9,13 @@ Each ``duratio`` and ``sonum`` element is written by one f-string in that
 order. Integer attributes are formatted directly once their range is
 checked. Times, integer ticks of 1/64 whole note, become reduced fractions
 through a denominator table whose values the DTD enumerates, so they need
-no check. Only the text attributes (``source``, ``trabes``, ``edit``) are
-escaped, through a per-document memo, since grip and duration spellings
-repeat. A ``sonum`` line depends on its ``Sonum`` alone, a hashable value
-that the model shares between twin grips, so each distinct one is checked
-and written once per document, keyed by the ``Sonum`` itself, and then
-reused: nearly all grip lines of a long piece repeat.
+no check. A ``trabes`` is one of two constant attributes, chosen by the
+duration's beam markers. Only the text attributes (``source``, ``edit``)
+are escaped, through a per-document memo, since grip and duration
+spellings repeat. A ``sonum`` line depends on its ``Sonum`` alone, a
+hashable value that the model shares between twin grips, so each distinct
+one is checked and written once per document, keyed by the ``Sonum``
+itself, and then reused: nearly all grip lines of a long piece repeat.
 
 The document is one ``str`` that grows as it is written. The columns go in
 blocks of ``_BLOCK``: a block's lines gather in a short list, which
@@ -44,9 +45,8 @@ from itertools import islice
 from math import gcd
 
 from .errors import EmitError
-from .model import TRABES_INITIALIS, TRABES_TERMINALIS, ParsModel, Sonum, duration_rows
+from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Memo, ParsModel, Sonum, duration_rows
 from .prelude import MAX_POSITION
-from .records import Memo
 from .tempus import TICKS_PER_WHOLE
 from .vox import EDIT_TRACK
 
@@ -65,6 +65,10 @@ _LEGAL_DENOMINATORS = tuple(sorted(set(_DENOMINATOR)))
 _POSITIONS = "|".join(map(str, range(MAX_POSITION + 1)))
 _DENOMINATORS = "|".join(map(str, _LEGAL_DENOMINATORS))
 _TRABES = f"{TRABES_INITIALIS}|{TRABES_TERMINALIS}"
+
+# A duration's beam marker as its attribute: a begin wins, as in ``Columna.trabes``.
+_BEAM_BEGIN = f" trabes='{TRABES_INITIALIS}'"
+_BEAM_END = f" trabes='{TRABES_TERMINALIS}'"
 
 # The trabes line ends with a space; tests/fixtures/tabulatura.dtd pins it.
 DTD_TEXT = f"""\
@@ -125,7 +129,7 @@ def emit_pars(pars: ParsModel) -> str:
             if not 0 <= ypos <= MAX_POSITION:
                 _check_position(ypos, "duration ypos", numerus)
             duration = col.duration
-            trabes = "" if col.trabes is None else f" trabes='{esc[col.trabes]}'"
+            trabes = _BEAM_BEGIN if duration.beam_begin else _BEAM_END if duration.beam_end else ""
             summa, value = col.summa_praecedentium, duration.value
             summa_den = _DENOMINATOR[summa % TICKS_PER_WHOLE]
             value_den = _DENOMINATOR[value % TICKS_PER_WHOLE]

@@ -8,11 +8,15 @@ import pytest
 import lutetab
 import lutetab.svg_out
 import lutetab.xml_out
-from lutetab import Columna, ParsModel, RenderConfig, ScoreModel, Sonum, compile_source
+from lutetab import (
+    Columna, ParsModel, RenderConfig, ScoreModel, Sonum, compile_source, emit_pars, render_pars
+)
 from lutetab.prelude import GripTable, Parameters, ScalarAssignment
 from lutetab.scanner import LineKind, SourceLine
-from lutetab.tempus import DurationToken
+from lutetab.tempus import _SPELLINGS, KLASS_CARRY, DurationToken
 from lutetab.vox import Annotation
+
+import helpers
 
 
 def _duration(**changes):
@@ -28,7 +32,7 @@ def _sonum(**changes):
 
 
 def _columna(**changes):
-    fields = dict(duration=_duration(), trabes=None, summa_praecedentium=0, sona=[_sonum()])
+    fields = dict(duration=_duration(), summa_praecedentium=0, sona=[_sonum()])
     return Columna(**{**fields, **changes})
 
 
@@ -80,10 +84,12 @@ RECORDS = {
 # The records whose fields are never reassigned
 VALUE_RECORDS = (
     "SourceLine", "Parameters", "ScalarAssignment", "GripTable", "DurationToken", "Annotation",
-    "Sonum", "ParsModel", "ScoreModel",
+    "Sonum", "ParsModel", "ScoreModel", "RenderConfig",
 )
 # The value records whose fields are all hashable; the others hold lists
-HASHABLE = ("Parameters", "ScalarAssignment", "DurationToken", "Annotation", "Sonum")
+HASHABLE = (
+    "Parameters", "ScalarAssignment", "DurationToken", "Annotation", "Sonum", "RenderConfig"
+)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -117,8 +123,8 @@ def test_repr_lists_fields_in_order():
 
 
 def test_positional_construction_keeps_field_order():
-    assert Columna.__slots__ == ("duration", "trabes", "summa_praecedentium", "sona")
-    assert Columna(_duration(), None, 0, [_sonum()]) == _columna()
+    assert Columna.__slots__ == ("duration", "summa_praecedentium", "sona")
+    assert Columna(_duration(), 0, [_sonum()]) == _columna()
     assert ParsModel("p", [_columna()], "tbl", [(0, 1)]) == _pars()
     assert Parameters(True, False, "tbl") == Parameters(
         duratio_manet=True, table_name="tbl"
@@ -155,6 +161,46 @@ def test_grips_and_durations_are_immutable_values():
         else:
             with pytest.raises(TypeError):
                 hash(value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RenderConfig()._replace(margin=-1),
+    lambda: RenderConfig._make([28.0, 18.0, 24.0, 12.0, 0.0]),
+], ids=["_replace", "_make"])
+def test_render_config_checks_every_way_it_is_built(build):
+    with pytest.raises(ValueError, match="margin must be finite and strictly positive"):
+        build()
+
+
+def test_a_column_reads_its_beam_marker_from_its_duration():
+    """All 35 spellings and a carry: a trailing ``_`` begins, a leading one ends."""
+    assert len(_SPELLINGS) == 35
+    carry = DurationToken("-", KLASS_CARRY, 0, False, False, 16)
+    for text, duration in [*_SPELLINGS.items(), ("-", carry)]:
+        expected = ("initialis" if text.endswith("_")
+                    else "terminalis" if text.startswith("_") else None)
+        assert _columna(duration=duration).trabes == expected, text
+    with pytest.raises(AttributeError):
+        _columna().trabes = "initialis"
+
+
+def test_a_duration_with_both_markers_begins_in_both_writers():
+    """``validate_beams`` refuses ``_E_`` in a source; a column changed by hand
+    to hold it reads, and is written, as a beam begin."""
+    source = (
+        "tbl = ( (1 a f) )\nPARS p\nbünde = tbl\n"
+        "T      E_ E  _E\n"
+        "VOX v  a  a  a\n"
+    )
+    pars = compile_source(source).partes[0]
+    pars.columns[1].duration = _SPELLINGS["_E_"]
+    assert [col.trabes for col in pars.columns] == ["initialis", "initialis", "terminalis"]
+    xml = emit_pars(pars)
+    assert [col["trabes"] for col in helpers.read_pars_xml(xml)] == [
+        "initialis", "initialis", "terminalis"
+    ]
+    assert xml == helpers.reference_emit_pars(pars)
+    assert render_pars(pars) == helpers.reference_render_pars(pars)
 
 
 def test_value_records_keep_their_defaults():
