@@ -232,9 +232,9 @@ def stage_costs(text: str) -> dict[str, Cost]:
     weighing is frozen first, so those collections walk only what the stages
     made: a full collection still empties the free lists whatever is frozen,
     and late in a test session the heap holds tens of thousands of objects.
-    All that ``measure`` uses is made
-    before tracing starts; of what it allocates, a later stage's peak
-    counts only the int it puts in ``peaks``, as ``held`` is an array.
+    All that ``measure`` uses is made before tracing starts; of what it
+    allocates, a later stage's peak counts only the int it puts in
+    ``peaks``, as ``held`` is an array.
 
     One function both counts and weighs, so its code has run before the
     weighing starts. CPython keeps memory on a code object the first time
