@@ -39,7 +39,6 @@ import argparse
 import gc
 import os
 import sys
-from collections.abc import Iterable
 
 from . import __version__
 from .errors import CompileError, format_diagnostic, visible
@@ -113,7 +112,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="validate the source without writing any output"
     )
     render = parser.add_argument_group("render geometry (SVG user units)")
-    for flag in ("--col-spacing", "--row-spacing", "--stem-height", "--font-size", "--margin"):
+    # Each flag's dest is the RenderConfig field it sets.
+    render.add_argument(
+        "--col-spacing", dest="column_spacing", metavar="COL_SPACING", type=_positive_float
+    )
+    for flag in ("--row-spacing", "--stem-height", "--font-size", "--margin"):
         render.add_argument(flag, type=_positive_float)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
@@ -204,13 +207,7 @@ def run(args: argparse.Namespace) -> int:
 def _render_config(args: argparse.Namespace):
     from .svg_out import RenderConfig
 
-    geometry = {
-        "column_spacing": args.col_spacing,
-        "row_spacing": args.row_spacing,
-        "stem_height": args.stem_height,
-        "font_size": args.font_size,
-        "margin": args.margin,
-    }
+    geometry = {name: getattr(args, name) for name in RenderConfig._fields}
     return RenderConfig(**{k: v for k, v in geometry.items() if v is not None})
 
 
@@ -225,41 +222,36 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         score: ScoreModel = build_score(scan_text(text))
-    except CompileError as err:
-        print(format_diagnostic(err, path, text), file=sys.stderr)
-        return 1
+        for warning in score.warnings:
+            print(visible(f"{path}: warning: {warning}"), file=sys.stderr)
 
-    for warning in score.warnings:
-        print(visible(f"{path}: warning: {warning}"), file=sys.stderr)
+        partes = score.partes
+        if args.pars is not None:
+            partes = [p for p in partes if p.name == args.pars]
+            if not partes:
+                available = ", ".join(p.name for p in score.partes) or "none"
+                raise CompileError(f"no PARS named '{args.pars}' (available: {available})")
 
-    partes = score.partes
-    if args.pars is not None:
-        partes = [p for p in partes if p.name == args.pars]
-        if not partes:
-            available = ", ".join(p.name for p in score.partes) or "none"
-            message = f"no PARS named '{args.pars}' (available: {available})"
-            print(format_diagnostic(CompileError(message), path, text), file=sys.stderr)
-            return 1
+        if args.check:
+            return 0
 
-    if args.check:
-        return 0
-
-    name = os.path.basename(path)
-    dot = name.rfind(".")
-    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # a trailing "." is no suffix
-    # (directory as given, (file name, text) pairs); a writer runs only when
-    # _write_outputs takes its pair.
-    outputs: list[tuple[str, Iterable[tuple[str, str]]]] = []
-    if args.xml is not None:
-        outputs.append((args.xml, ((f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes)))
-    if args.svg is not None:
-        config = _render_config(args)
-        outputs.append(
-            (args.svg, ((f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes))
-        )
-    if args.dtd:
-        outputs.append((args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())]))
-    try:
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        stem = name[:dot] if 0 < dot < len(name) - 1 else name  # a trailing "." is no suffix
+        # (directory as given, (file name, text) pairs); a writer runs only when
+        # _write_outputs takes its pair.
+        outputs: list[tuple[str, Iterable[tuple[str, str]]]] = []
+        if args.xml is not None:
+            outputs.append((args.xml, ((f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes)))
+        if args.svg is not None:
+            config = _render_config(args)
+            outputs.append(
+                (args.svg, ((f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes))
+            )
+        if args.dtd:
+            outputs.append(
+                (args.xml if args.xml is not None else ".", [(DTD_FILENAME, emit_dtd())])
+            )
         error = _write_outputs(outputs)
     except CompileError as err:
         print(format_diagnostic(err, path, text), file=sys.stderr)

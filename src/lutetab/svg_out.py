@@ -10,9 +10,9 @@ Each repeated fragment is formatted once (a y per band, row and offset, an
 x per column and walk, the font tails, a label's escape per ``Sonum``), from
 the same float expression as per-element code would use, so no byte can
 change.
-A number keeps 12 significant digits, so a column's x stays exact at any
-realistic width: ``:g`` kept 6, which rounded a fractional spacing away
-from x = 1e5 on and let columns drift from x = 1e6 on.
+A number keeps 12 significant digits (``_NUM``), so a column's x stays
+exact at any realistic width: ``:g`` kept 6, which rounded a fractional
+spacing away from x = 1e5 on and let columns drift from x = 1e6 on.
 
 The document is one ``str`` that grows as it is written, each element on
 a line of its own. A band is walked twice, in blocks of ``_BLOCK``
@@ -27,8 +27,11 @@ plus one block.
 and strictly positive (``positive_finite``, which the CLI's geometry flags
 apply too). It is a ``namedtuple``, so a built config cannot change, and
 its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
-lengths can still sum to a coordinate that is not, and ``_fmt`` refuses
-that with an ``EmitError``.
+lengths can still sum to a coordinate that is not: ``_fmt`` refuses one
+with an ``EmitError`` in the header and in each band's y strings. Every x
+is formatted inline with ``_NUM``, still twice per column, under the
+header's width check: no x exceeds the width, rounding is monotone, and a
+small offset added to a finite x cannot overflow.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ _MAX_FLAGS = max(STEM_FLAGS.values())
 # The columns of a band formatted between two appends to the document:
 # beside the document, the writer holds at most one block's elements.
 _BLOCK = 256
+_NUM = ".12g"  # the one format of every SVG number
 
 
 def positive_finite(value: float) -> bool:
@@ -79,10 +83,10 @@ class RenderConfig(namedtuple(
 
 
 def _fmt(v: float) -> str:
-    """``v`` as an SVG number of 12 significant digits; ``inf`` and ``nan`` are none."""
+    """``v`` as an SVG number (``_NUM``); ``inf`` and ``nan`` are none."""
     if not math.isfinite(v):
         raise EmitError(f"render geometry too large: an SVG coordinate would be {v:g}")
-    return f"{v:.12g}"
+    return f"{v:{_NUM}}"
 
 
 def _escape_text(value: str) -> str:
@@ -146,8 +150,8 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
                 top = tops[min(rows[a + begin : a + j + 1])]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
                 beams.append(
-                    f"<line x1='{_fmt(margin + begin * spacing)}' y1='{top}' "
-                    f"x2='{_fmt(margin + j * spacing)}' y2='{top}' "
+                    f"<line x1='{margin + begin * spacing:{_NUM}}' y1='{top}' "
+                    f"x2='{margin + j * spacing:{_NUM}}' y2='{top}' "
                     "stroke='black' stroke-width='2.5' />\n"
                 )
                 begin = None
@@ -158,7 +162,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             hi = min(lo + _BLOCK, b)
             for j, (col, dy) in enumerate(zip(columns[lo:hi], rows[lo:hi]), lo - a):
                 x = margin + j * spacing
-                xf = _fmt(x)
+                xf = f"{x:{_NUM}}"
                 klass = col.duration.klass
                 if klass in STEM_FLAGS:
                     beam_top = beam_tops[j]
@@ -167,28 +171,28 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
                         f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />\n"
                     )
                     if beam_top is None and STEM_FLAGS[klass]:
-                        flag_x = _fmt(x + 6.0)
+                        flag_x = f"{x + 6.0:{_NUM}}"
                         for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
                             append(
                                 f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' "
                                 "stroke='black' />\n"
                             )
                     if col.duration.dot_count:
-                        append(f"<circle cx='{_fmt(x + 5.0)}' cy='{dots[dy]}' r='1.6' />\n")
+                        append(f"<circle cx='{x + 5.0:{_NUM}}' cy='{dots[dy]}' r='1.6' />\n")
                 elif klass == KLASS_DOTS:
                     for k in range(col.duration.dot_count):
-                        append(f"<circle cx='{_fmt(x + k * 5.0)}' cy='{dots[dy]}' r='1.6' />\n")
+                        append(f"<circle cx='{x + k * 5.0:{_NUM}}' cy='{dots[dy]}' r='1.6' />\n")
                 elif klass == KLASS_CARRY:
                     append(
-                        f"<line x1='{_fmt(x - 3.0)}' y1='{carries[dy]}' "
-                        f"x2='{_fmt(x + 3.0)}' y2='{carries[dy]}' stroke='#999999' />\n"
+                        f"<line x1='{x - 3.0:{_NUM}}' y1='{carries[dy]}' "
+                        f"x2='{x + 3.0:{_NUM}}' y2='{carries[dy]}' stroke='#999999' />\n"
                     )
             doc += "".join(part)  # in place while ``doc`` is the str's only reference (CPython)
             part.clear()
         part += beams
         for lo in range(a, b, _BLOCK):
             for j, col in enumerate(columns[lo : min(lo + _BLOCK, b)], lo - a):
-                xf = f"{margin + j * spacing:.12g}"  # _fmt's format; the first walk checked x
+                xf = f"{margin + j * spacing:{_NUM}}"
                 for sonum in col.sona:
                     append(f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}{labels[sonum]}</text>\n")
                 append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{a + j}</text>\n")

@@ -876,6 +876,18 @@ def test_pars_filter_miss_lists_names_with_visible_control_characters(tmp_path, 
     )
 
 
+def test_warnings_come_before_a_pars_filter_miss(tmp_path, capsys):
+    """The build's warnings are printed before the ``--pars`` miss, which
+    exits 1 as a compile error does."""
+    path = tmp_path / "warned.tab"
+    path.write_text("tonus = d\n" + _SMALL_PARS, encoding="utf-8")
+    assert main([str(path), "--check", "--pars", "q"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: warning: unrecognized parameter 'tonus' at line 1 (ignored)\n"
+        f"{path}: error: no PARS named 'q' (available: p)\n"
+    )
+
+
 def test_read_error_shows_control_characters_in_the_path(tmp_path, capsys):
     path = tmp_path / "no\x1b[31mfile.tab"
     assert main([str(path), "--check"]) == 2

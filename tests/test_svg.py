@@ -1,3 +1,5 @@
+import math
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -207,6 +209,25 @@ def test_a_column_without_a_grip_beyond_the_first_block_is_refused():
         with pytest.raises(EmitError) as exc:
             render(pars)
         assert exc.value.message == message
+
+
+def test_column_x_is_finite_up_to_the_width_the_header_checks():
+    """Each x is formatted unchecked, bounded by the header's width. A width
+    above half the largest float renders every x finite; a spacing at which
+    the last column's offset overflows is refused by the width."""
+    pars = compile_source(helpers.block_source([9], BLOCK)).partes[0]
+    n = len(pars.columns)
+    near = RenderConfig(column_spacing=sys.float_info.max / (n - 0.5))
+    width = 2 * near.margin + (n - 1) * near.column_spacing + near.font_size
+    assert sys.float_info.max / 2 < width < math.inf
+    svg = render_pars(pars, near)
+    assert not helpers.holds_non_finite_number(svg)
+    assert svg == helpers.reference_render_pars(pars, near)
+    over = RenderConfig(column_spacing=sys.float_info.max / (n - 1.5))
+    assert (n - 1) * over.column_spacing == math.inf
+    with pytest.raises(EmitError) as exc:
+        render_pars(pars, over)
+    assert exc.value.message == "render geometry too large: an SVG coordinate would be inf"
 
 
 def test_column_x_keeps_a_fractional_spacing_far_out():
