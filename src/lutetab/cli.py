@@ -154,7 +154,7 @@ def _write_temp(path: str, data: str) -> str:
     return tmp
 
 
-def _write_outputs(outputs: list[tuple[str, Iterable[tuple[str, str]]]]) -> str | None:
+def _write_outputs(outputs: list[tuple[str, object]]) -> str | None:
     """Write each ``(directory, (file name, text) pairs)`` in two phases; return the error, if any.
 
     Phase one takes the pairs one at a time, so the documents may be made
@@ -240,7 +240,7 @@ def _run(args: argparse.Namespace) -> int:
         stem = name[:dot] if 0 < dot < len(name) - 1 else name  # a trailing "." is no suffix
         # (directory as given, (file name, text) pairs); a writer runs only when
         # _write_outputs takes its pair.
-        outputs: list[tuple[str, Iterable[tuple[str, str]]]] = []
+        outputs: list[tuple[str, object]] = []
         if args.xml is not None:
             outputs.append((args.xml, ((f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes)))
         if args.svg is not None:
