@@ -7,7 +7,7 @@ rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
 
 Each repeated fragment is formatted once (a y per band, row and offset, an
-x per column and walk, the font tails, a label's escape per ``Sonum``), from
+x per column, the font tails, a label's escape per ``Sonum``), from
 the same float expression as per-element code would use, so no byte can
 change.
 A number keeps 12 significant digits (``_NUM``), so a column's x stays
@@ -21,16 +21,19 @@ so that everything goes in document order and nothing waits for a later
 part. A block's elements gather in a short list, which is joined onto the
 document at the block's end; CPython appends in place to a ``str`` that a
 single local references, so the writer's data peak is about the document
-plus one block.
+plus one block and the x strings below.
 
 ``RenderConfig`` owns the rule for that geometry: every length is finite
 and strictly positive (``positive_finite``, which the CLI's geometry flags
 apply too). It is a ``namedtuple``, so a built config cannot change, and
 its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
 lengths can still sum to a coordinate that is not: ``_fmt`` refuses one
-with an ``EmitError`` in the header and in each band's y strings. Every x
-is formatted inline with ``_NUM``, still twice per column, under the
-header's width check: no x exceeds the width, rounding is monotone, and a
+with an ``EmitError`` in the header and in each band's y strings. Each
+column's x is formatted once per render, into the list ``xs`` of the
+widest band's columns, which the beam pass and both walks of every band
+read; only the rare offsets from an x are formatted inline. The list
+costs about 64 bytes per column of the widest band. No x is checked on
+its own: the header's width bounds every x, rounding is monotone, and a
 small offset added to a finite x cannot overflow.
 """
 
@@ -38,6 +41,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
+from operator import add, mul
 
 from .errors import EmitError
 from .model import PROLONGATE_SUFFIX, Memo, ParsModel, duration_rows
@@ -53,8 +58,14 @@ _NUM = ".12g"  # the one format of every SVG number
 
 
 def positive_finite(value: float) -> bool:
-    """The rule for every ``RenderConfig`` length: finite and strictly positive."""
-    return math.isfinite(value) and value > 0
+    """The rule for every ``RenderConfig`` length: finite and strictly positive.
+
+    An int too large for a float (``10**400``) is not finite either.
+    """
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
 
 
 class RenderConfig(namedtuple(
@@ -119,6 +130,10 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
     rows = duration_rows(pars)
     margin, spacing = cfg.margin, cfg.column_spacing
+    # Every band's x strings: column j stands at margin + j * spacing, formatted once.
+    # The maps run in C, so unlike a comprehension they run no Python line per column.
+    xs = list(map(format, map(add, repeat(margin), map(mul, range(max_cols), repeat(spacing))),
+                  repeat(_NUM)))
 
     for band, (a, b) in enumerate(pars.system_ranges):
         band_top = cfg.margin + band * (band_height + cfg.row_spacing)
@@ -150,8 +165,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
                 top = tops[min(rows[a + begin : a + j + 1])]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
                 beams.append(
-                    f"<line x1='{margin + begin * spacing:{_NUM}}' y1='{top}' "
-                    f"x2='{margin + j * spacing:{_NUM}}' y2='{top}' "
+                    f"<line x1='{xs[begin]}' y1='{top}' x2='{xs[j]}' y2='{top}' "
                     "stroke='black' stroke-width='2.5' />\n"
                 )
                 begin = None
@@ -160,9 +174,9 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         # columns are walked twice, so that each part is written in order.
         for lo in range(a, b, _BLOCK):
             hi = min(lo + _BLOCK, b)
-            for j, (col, dy) in enumerate(zip(columns[lo:hi], rows[lo:hi]), lo - a):
-                x = margin + j * spacing
-                xf = f"{x:{_NUM}}"
+            for j, (col, dy, xf) in enumerate(
+                zip(columns[lo:hi], rows[lo:hi], xs[lo - a : hi - a]), lo - a
+            ):
                 klass = col.duration.klass
                 if klass in STEM_FLAGS:
                     beam_top = beam_tops[j]
@@ -171,18 +185,23 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
                         f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />\n"
                     )
                     if beam_top is None and STEM_FLAGS[klass]:
-                        flag_x = f"{x + 6.0:{_NUM}}"
+                        flag_x = f"{margin + j * spacing + 6.0:{_NUM}}"
                         for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
                             append(
                                 f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' "
                                 "stroke='black' />\n"
                             )
                     if col.duration.dot_count:
-                        append(f"<circle cx='{x + 5.0:{_NUM}}' cy='{dots[dy]}' r='1.6' />\n")
+                        append(
+                            f"<circle cx='{margin + j * spacing + 5.0:{_NUM}}' cy='{dots[dy]}' "
+                            "r='1.6' />\n"
+                        )
                 elif klass == KLASS_DOTS:
+                    x = margin + j * spacing
                     for k in range(col.duration.dot_count):
                         append(f"<circle cx='{x + k * 5.0:{_NUM}}' cy='{dots[dy]}' r='1.6' />\n")
                 elif klass == KLASS_CARRY:
+                    x = margin + j * spacing
                     append(
                         f"<line x1='{x - 3.0:{_NUM}}' y1='{carries[dy]}' "
                         f"x2='{x + 3.0:{_NUM}}' y2='{carries[dy]}' stroke='#999999' />\n"
@@ -191,8 +210,8 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             part.clear()
         part += beams
         for lo in range(a, b, _BLOCK):
-            for j, col in enumerate(columns[lo : min(lo + _BLOCK, b)], lo - a):
-                xf = f"{margin + j * spacing:{_NUM}}"
+            hi = min(lo + _BLOCK, b)
+            for j, (col, xf) in enumerate(zip(columns[lo:hi], xs[lo - a : hi - a]), lo - a):
                 for sonum in col.sona:
                     append(f"<text x='{xf}' y='{ys[sonum.ypos]}{grip_tail}{labels[sonum]}</text>\n")
                 append(f"<text x='{xf}' y='{numerus_y}{numerus_tail}{a + j}</text>\n")

@@ -171,11 +171,27 @@ def test_config_rejects_nonpositive(field):
         RenderConfig(**{field: 0.0})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+# 10**400: an int too large for a float, on which math.isfinite raises OverflowError
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("field", ["column_spacing", "row_spacing", "stem_height", "font_size", "margin"])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         RenderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config, as_float", [
+    (RenderConfig(margin=20, column_spacing=28), RenderConfig(margin=20.0, column_spacing=28.0)),
+    (RenderConfig(margin=20, column_spacing=28.5), RenderConfig(margin=20.0, column_spacing=28.5)),
+], ids=["int", "mixed"])
+def test_int_lengths_render_as_their_equal_floats(config, as_float):
+    """An int length takes part in every x and y as it is, so each ``margin +
+    j * spacing`` of the writer must work for an int and a float alike."""
+    pars = compile_source(helpers.block_source([BLOCK + 2, 1, 5], BLOCK)).partes[0]
+    svg = render_pars(pars, config)
+    assert len(pars.system_ranges) == 3
+    assert svg == helpers.reference_render_pars(pars, config)
+    assert svg == render_pars(pars, as_float)
 
 
 @pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
