@@ -6,10 +6,12 @@ as a stem with flag strokes or a beam, the grip letters at their vertical
 rows, and the column number underneath. This is a verification aid, not
 an engraver; geometry is plain and configurable.
 
-Each repeated fragment is formatted once (a y per band, row and offset, an
-x per column, the font tails, a label's escape per ``Sonum``), from
-the same float expression as per-element code would use, so no byte can
-change.
+Each repeated fragment is formatted once (an x per column, a y per band
+and value, the font tails, a label's escape per ``Sonum``), from the same
+float expression as per-element code would use, so no byte can change.
+In a band every y is ``base + r * row_spacing`` for a row r, less a fixed
+offset (a stem top, flag, dot or carry bar): memo ``ys``, keyed by row,
+formats a row's own y and ``fmt_y``, keyed by value, each offset y.
 A number keeps 12 significant digits (``_NUM``), so a column's x stays
 exact at any realistic width: ``:g`` kept 6, which rounded a fractional
 spacing away from x = 1e5 on and let columns drift from x = 1e6 on.
@@ -28,28 +30,26 @@ and strictly positive (``positive_finite``, which the CLI's geometry flags
 apply too). It is a ``namedtuple``, so a built config cannot change, and
 its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
 lengths can still sum to a coordinate that is not: ``_fmt`` refuses one
-with an ``EmitError`` in the header and in each band's y strings. Each
-column's x is formatted once per render, into the list ``xs`` of the
-widest band's columns, which the beam pass and both walks of every band
-read; only the rare offsets from an x are formatted inline. The list
-costs about 64 bytes per column of the widest band. No x is checked on
-its own: the header's width bounds every x, rounding is monotone, and a
-small offset added to a finite x cannot overflow.
+with an ``EmitError`` in the header and in each band's y strings. Column
+j's x is formatted once per render, into ``xs[j]``, which the beam pass
+and both walks of every band read (about 64 bytes per column of the
+widest band); only the rare offsets from an x are formatted inline. No x
+is checked on its own: the header's width bounds every x, rounding is
+monotone, and a small offset added to a finite x cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import repeat
-from operator import add, mul
+from itertools import chain, repeat
+from operator import add, attrgetter, mul
 
 from .errors import EmitError
 from .model import PROLONGATE_SUFFIX, Memo, ParsModel, duration_rows
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
-_MAX_FLAGS = max(STEM_FLAGS.values())
 
 # The columns of a band formatted between two appends to the document:
 # beside the document, the writer holds at most one block's elements.
@@ -105,9 +105,13 @@ def _escape_text(value: str) -> str:
 
 
 def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
+    """Return the control graphic of ``pars`` as one SVG document, drawn with
+    ``config`` (by default ``RenderConfig()``); raise ``EmitError`` for a
+    column with no grip and for a coordinate that is not finite."""
     cfg = config or RenderConfig()
     columns = pars.columns
-    max_ypos = max((s.ypos for c in columns for s in c.sona), default=1)
+    sona = chain.from_iterable(map(attrgetter("sona"), columns))
+    max_ypos = max(map(attrgetter("ypos"), sona), default=1)  # in C: no Python line per grip
     max_cols = max((b - a for a, b in pars.system_ranges), default=0)
     n_bands = len(pars.system_ranges)
 
@@ -130,25 +134,16 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
     rows = duration_rows(pars)
     margin, spacing = cfg.margin, cfg.column_spacing
+    row_spacing, stem_height = cfg.row_spacing, cfg.stem_height
     # Every band's x strings: column j stands at margin + j * spacing, formatted once.
     # The maps run in C, so unlike a comprehension they run no Python line per column.
     xs = list(map(format, map(add, repeat(margin), map(mul, range(max_cols), repeat(spacing))),
                   repeat(_NUM)))
 
     for band, (a, b) in enumerate(pars.system_ranges):
-        band_top = cfg.margin + band * (band_height + cfg.row_spacing)
-
-        def row_y(r: int) -> float:
-            return band_top + cfg.stem_height + r * cfg.row_spacing
-
-        # a row's own y (v - 0.0 == v), its stem top, dot and carry bar
-        ys, tops, dots, carries = (
-            Memo(lambda r, d=d: _fmt(row_y(r) - d)) for d in (0.0, cfg.stem_height, 3.0, 6.0)
-        )
-        flags = Memo(lambda r: [
-            (_fmt(fy), _fmt(fy + 4.0))
-            for fy in (row_y(r) - cfg.stem_height + k * 4.0 for k in range(_MAX_FLAGS))
-        ])
+        base = margin + band * (band_height + row_spacing) + stem_height
+        ys = Memo(lambda r: _fmt(base + r * row_spacing))  # by row: a row's own y
+        fmt_y = Memo(_fmt)  # by value: each y offset from a row's (a top, flag, dot, carry bar)
         numerus_y = ys[max_ypos + 1]
 
         # A beam group runs from a beam begin to the next beam end (a begin
@@ -162,7 +157,7 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             if col.duration.beam_begin:
                 begin = j
             elif col.duration.beam_end and begin is not None:
-                top = tops[min(rows[a + begin : a + j + 1])]
+                top = fmt_y[base + min(rows[a + begin : a + j + 1]) * row_spacing - stem_height]
                 beam_tops[begin : j + 1] = [top] * (j + 1 - begin)
                 beams.append(
                     f"<line x1='{xs[begin]}' y1='{top}' x2='{xs[j]}' y2='{top}' "
@@ -179,32 +174,36 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
             ):
                 klass = col.duration.klass
                 if klass in STEM_FLAGS:
-                    beam_top = beam_tops[j]
-                    append(
-                        f"<line x1='{xf}' y1='{ys[dy]}' x2='{xf}' "
-                        f"y2='{tops[dy] if beam_top is None else beam_top}' stroke='black' />\n"
-                    )
-                    if beam_top is None and STEM_FLAGS[klass]:
+                    top = beam_tops[j]
+                    if top is None:  # no beam: the stem's own top, where its flags begin
+                        top_y = base + dy * row_spacing - stem_height
+                        top = fmt_y[top_y]
+                    append(f"<line x1='{xf}' y1='{ys[dy]}' x2='{xf}' y2='{top}' "
+                           "stroke='black' />\n")
+                    if beam_tops[j] is None and STEM_FLAGS[klass]:
                         flag_x = f"{margin + j * spacing + 6.0:{_NUM}}"
-                        for fy, fy4 in flags[dy][: STEM_FLAGS[klass]]:
+                        for k in range(STEM_FLAGS[klass]):
+                            fy = top_y + k * 4.0
                             append(
-                                f"<line x1='{xf}' y1='{fy}' x2='{flag_x}' y2='{fy4}' "
-                                "stroke='black' />\n"
+                                f"<line x1='{xf}' y1='{fmt_y[fy]}' x2='{flag_x}' "
+                                f"y2='{fmt_y[fy + 4.0]}' stroke='black' />\n"
                             )
                     if col.duration.dot_count:
                         append(
-                            f"<circle cx='{margin + j * spacing + 5.0:{_NUM}}' cy='{dots[dy]}' "
-                            "r='1.6' />\n"
+                            f"<circle cx='{margin + j * spacing + 5.0:{_NUM}}' "
+                            f"cy='{fmt_y[base + dy * row_spacing - 3.0]}' r='1.6' />\n"
                         )
                 elif klass == KLASS_DOTS:
                     x = margin + j * spacing
+                    dot_y = fmt_y[base + dy * row_spacing - 3.0]
                     for k in range(col.duration.dot_count):
-                        append(f"<circle cx='{x + k * 5.0:{_NUM}}' cy='{dots[dy]}' r='1.6' />\n")
+                        append(f"<circle cx='{x + k * 5.0:{_NUM}}' cy='{dot_y}' r='1.6' />\n")
                 elif klass == KLASS_CARRY:
                     x = margin + j * spacing
+                    carry_y = fmt_y[base + dy * row_spacing - 6.0]
                     append(
-                        f"<line x1='{x - 3.0:{_NUM}}' y1='{carries[dy]}' "
-                        f"x2='{x + 3.0:{_NUM}}' y2='{carries[dy]}' stroke='#999999' />\n"
+                        f"<line x1='{x - 3.0:{_NUM}}' y1='{carry_y}' "
+                        f"x2='{x + 3.0:{_NUM}}' y2='{carry_y}' stroke='#999999' />\n"
                     )
             doc += "".join(part)  # in place while ``doc`` is the str's only reference (CPython)
             part.clear()

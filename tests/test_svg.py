@@ -183,15 +183,19 @@ def test_config_rejects_non_finite(field, value):
 @pytest.mark.parametrize("config, as_float", [
     (RenderConfig(margin=20, column_spacing=28), RenderConfig(margin=20.0, column_spacing=28.0)),
     (RenderConfig(margin=20, column_spacing=28.5), RenderConfig(margin=20.0, column_spacing=28.5)),
-], ids=["int", "mixed"])
+    (RenderConfig(28, 18, 24, 12, 20), RenderConfig(28.0, 18.0, 24.0, 12.0, 20.0)),
+], ids=["int", "mixed", "all-int"])
 def test_int_lengths_render_as_their_equal_floats(config, as_float):
     """An int length takes part in every x and y as it is, so each ``margin +
-    j * spacing`` of the writer must work for an int and a float alike."""
-    pars = compile_source(helpers.block_source([BLOCK + 2, 1, 5], BLOCK)).partes[0]
-    svg = render_pars(pars, config)
-    assert len(pars.system_ranges) == 3
-    assert svg == helpers.reference_render_pars(pars, config)
-    assert svg == render_pars(pars, as_float)
+    j * spacing`` of the writer must work for an int and a float alike. With
+    every length an int, a stem's top is an int too, a key of the same memo
+    as the float ys of its flags; cadens puts the stems on rows other than 0."""
+    for cadens in (False, True):
+        pars = compile_source(helpers.block_source([BLOCK + 2, 1, 5], BLOCK, cadens)).partes[0]
+        svg = render_pars(pars, config)
+        assert len(pars.system_ranges) == 3
+        assert svg == helpers.reference_render_pars(pars, config)
+        assert svg == render_pars(pars, as_float)
 
 
 @pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
