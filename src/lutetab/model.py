@@ -38,9 +38,10 @@ system. ``vox`` owns the shape of voice and track lines;
 suffix and the symbol's table.
 
 Errors name a line and column only; ``errors.format_diagnostic`` reads
-the line they name from the source text. A token is a ``(text, column)``
-pair, so an error's line is that of the ``SourceLine`` its token came
-from: a grip's is its voice line's, an annotation's its track line's.
+the line they name from the source text. A token is a text in its
+``SourceLine``'s ``tokens``, its column the one beside it in ``columns``,
+so an error's line is that of the line its token came from: a grip's is
+its voice line's, an annotation's its track line's.
 
 ``Sonum`` and ``tempus.DurationToken`` are ``namedtuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
@@ -188,8 +189,8 @@ def build_system(
     columns = pars.columns
     durations = parse_tempus_line(tempus, params, columns[-1].duration if columns else None)
     validate_beams(tempus, durations)
-    symbols = tempus.tokens[1:]
-    sona_by_column: dict[int, list[Sonum]] = {column: [] for _, column in symbols}
+    symbol_columns = tempus.columns[1:]
+    sona_by_column: dict[int, list[Sonum]] = {column: [] for column in symbol_columns}
     notes: dict[tuple[int, int], list[Annotation]] = {}  # by grip: column, index in its sona
     ypos = 0
     for line in lines:
@@ -211,7 +212,7 @@ def build_system(
                     )
                 notes.setdefault((ann.start_column, len(sona) - 1), []).append(ann)
             continue
-        voice_name, grips = parse_vox_line(line)
+        voice_name, grips, grip_columns = parse_vox_line(line)
         ypos += 1
         if ypos > MAX_POSITION:
             raise ModelError(
@@ -220,7 +221,7 @@ def build_system(
                 line=line.line_number,
             )
         row = shared.setdefault(ypos, {})
-        for text, column in grips:
+        for text, column in zip(grips, grip_columns):
             sonum = row.get(text)
             if sonum is None:  # a spelling new to this row: its own checks, once
                 symbol = text.removesuffix(PROLONGATE_SUFFIX)
@@ -257,7 +258,7 @@ def build_system(
 
     start = len(columns)
     made: list[Columna] = []
-    for token, (_, column) in zip(durations, symbols):
+    for token, column in zip(durations, symbol_columns):
         sona = sona_by_column[column]
         if not sona:
             raise ModelError(
@@ -321,11 +322,10 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 params = file_params
                 systems = []
             elif header is None:
-                _, column = line.tokens[0]
                 raise ModelError(
                     f"{kind.value} outside of any PARS section",
                     line=line.line_number,
-                    column=column,
+                    column=line.columns[0],
                 )
             elif kind is LineKind.TEMPUS:
                 systems.append([line])
@@ -333,9 +333,8 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 # A voice or track line. A track stands directly below a voice
                 # or track line, so only a voice line can come before any T line.
                 if not systems:
-                    name, _ = header.tokens[1]
                     raise ModelError(
-                        f"voice line before any time line in PARS '{name}'",
+                        f"voice line before any time line in PARS '{header.tokens[1]}'",
                         line=line.line_number,
                     )
                 systems[-1].append(line)
@@ -352,19 +351,17 @@ def _check_header(header: SourceLine, seen_names: dict[str, int]) -> None:
     The name becomes part of output file names, so ``/`` is refused (the
     scanner has already refused NUL, which no XML document can hold).
     """
-    tokens = header.tokens
+    tokens, columns = header.tokens, header.columns
     if len(tokens) < 2:
-        _, head_column = tokens[0]
         raise ParseError(
-            "PARS header needs a name", line=header.line_number, column=head_column + len("PARS")
+            "PARS header needs a name", line=header.line_number, column=columns[0] + len("PARS")
         )
-    name, column = tokens[1]
+    name, column = tokens[1], columns[1]
     if len(tokens) > 2:
-        _, extra_column = tokens[2]
         raise ParseError(
             f"unexpected tokens after PARS name '{name}'",
             line=header.line_number,
-            column=extra_column,
+            column=columns[2],
         )
     if "/" in name:
         raise ParseError(
@@ -388,7 +385,7 @@ def _build_pars(
     symbol_maps: dict[str, dict[str, tuple[int, int]]],
     warnings: list[str],
 ) -> ParsModel:
-    name, _ = header.tokens[1]
+    name = header.tokens[1]
     if not systems:
         raise ModelError(
             f"PARS '{name}' contains no system (it needs at least one time line)",

@@ -29,9 +29,9 @@ assignments into, returning the new scope; it and the parsed assignments
 and tables are ``collections.namedtuple`` records. An assignment's name
 and value may stand on different lines, so a ``ScalarAssignment`` keeps
 the name's line beside the value's line and column, and ``_parse_table``
-reads each table line's number beside its tokens. An error about a value
-points at the value: a flag's bad value, and a ``bünde`` value naming no
-table (``Parameters`` keeps where it was set).
+reads each table line's number beside its tokens and columns. An error
+about a value points at the value: a flag's bad value, and a ``bünde``
+value naming no table (``Parameters`` keeps where it was set).
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ def parse_assignment(
     the name's line, an error about the value the value's.
     """
     line = lines[idx]
-    tokens = line.tokens
+    tokens, columns = line.tokens, line.columns
     name_line = line.line_number
-    name, column = tokens[0]
+    name, column = tokens[0], columns[0]
 
     if name == "=":
         raise ParseError(
@@ -95,7 +95,7 @@ def parse_assignment(
         if (
             idx == len(lines)
             or lines[idx].kind is not LineKind.ASSIGNMENT
-            or lines[idx].tokens[0][0] != "="
+            or lines[idx].tokens[0] != "="
         ):
             raise ParseError(
                 f"expected '= value' after parameter name '{name}'",
@@ -103,42 +103,40 @@ def parse_assignment(
                 column=column,
             )
         line = lines[idx]
-        tokens = line.tokens[1:]  # past the "="
-    elif tokens[1][0] != "=":
+        tokens, columns = line.tokens[1:], line.columns[1:]  # past the "="
+    elif tokens[1] != "=":
         raise ParseError(
             "malformed assignment (expected 'name = value')", line=name_line, column=column
         )
     else:
-        tokens = tokens[2:]
+        tokens, columns = tokens[2:], columns[2:]
 
     if not name.isidentifier():
         raise ParseError(
             f"'{name}' is not a valid parameter name", line=name_line, column=column
         )
     if not tokens:
-        last, last_column = line.tokens[-1]
         raise ParseError(
             f"missing value in assignment of '{name}'",
             line=line.line_number,
-            column=last_column + len(last),
+            column=line.columns[-1] + len(line.tokens[-1]),
         )
 
-    if any(text == "(" for text, _ in tokens):
-        return _parse_table(name, name_line, tokens, lines, idx)
+    if "(" in tokens:
+        return _parse_table(name, name_line, tokens, columns, lines, idx)
 
     if len(tokens) > 1:
-        _, extra_column = tokens[1]
         raise ParseError(
-            f"expected a single value for '{name}'", line=line.line_number, column=extra_column
+            f"expected a single value for '{name}'", line=line.line_number, column=columns[1]
         )
-    value, value_column = tokens[0]
-    return ScalarAssignment(name, value, name_line, line.line_number, value_column), idx + 1
+    return ScalarAssignment(name, tokens[0], name_line, line.line_number, columns[0]), idx + 1
 
 
 def _parse_table(
     name: str,
     name_line: int,
-    value_tokens: list[tuple[str, int]],
+    value_tokens: list[str],
+    value_columns: list[int],
     lines: list[SourceLine],
     idx: int,
 ) -> tuple[GripTable, int]:
@@ -151,13 +149,15 @@ def _parse_table(
     are read, bounds too; a bound error names the name's line.
     """
     first_line = lines[idx].line_number
-    _, value_column = value_tokens[0]
-    collected = [(first_line, value_tokens)]  # (line number, tokens) per table line
+    value_column = value_columns[0]
+    # (line number, tokens, columns) per table line
+    collected = [(first_line, value_tokens, value_columns)]
     j = idx + 1
     while j < len(lines) and lines[j].kind is LineKind.TABLE_CONTINUATION:
-        collected.append((lines[j].line_number, lines[j].tokens))
+        line = lines[j]
+        collected.append((line.line_number, line.tokens, line.columns))
         j += 1
-    atoms = [(atom, a_line, a_col) for a_line, tokens in collected for atom, a_col in tokens]
+    atoms = [(atom, ln, col) for ln, texts, cols in collected for atom, col in zip(texts, cols)]
     if sum((atom == "(") - (atom == ")") for atom, _, _ in atoms):
         raise ParseError(
             f"unbalanced parentheses in table '{name}'", line=first_line, column=value_column

@@ -31,12 +31,13 @@ track.
 
 A scanned line keeps its number, kind and tokens, not its text: an error
 names a line and column, and ``errors.format_diagnostic`` shows the line.
-A token is a plain ``(text, start column)`` pair; its line number is the
+Its tokens are two parallel lists, ``tokens`` of the texts and
+``columns`` of their 0-based start columns; its line number is the
 ``SourceLine``'s, and every stage reads it from there. Within one scan,
-``tokenize_columns`` gives one string per distinct token text and one
-tuple per distinct token, so the lines of a source of repeated grips in
-aligned columns hold each only once; only the tokens that an assignment
-line or a table line splits further are new.
+``tokenize_columns`` gives one string per distinct token text, so the
+lines of a source of repeated grips in aligned columns hold each text
+only once; only the texts that an assignment line or a table line splits
+further are new.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class LineKind(Enum):
 SourceLine = namedtuple("SourceLine", [
     "line_number",  # 1-based
     "kind",  # a LineKind
-    "tokens",  # [(text, 0-based scalar start column)]
+    "tokens",  # [token text]
+    "columns",  # [0-based scalar start column], one per token
 ])
 
 
@@ -82,8 +84,8 @@ _SPLIT = re.compile(r'("[^"]*"\S*|\S+)')
 
 def tokenize_columns(
     text: str, line_number: int = 0, shared: dict | None = None
-) -> list[tuple[str, int]]:
-    """Split into maximal non-whitespace runs, each a ``(text, start column)`` pair.
+) -> tuple[list[str], list[int]]:
+    """Split into maximal non-whitespace runs: their texts and their start columns.
 
     A token opening with a double quote runs to the closing quote and then
     swallows any directly attached suffix characters (the source format
@@ -91,61 +93,67 @@ def tokenize_columns(
     token. The opening quote's column is the token's column; ``line_number``
     only locates the unterminated-quote error.
 
-    ``shared`` maps each token text and each token met so far to its first
-    copy, so the calls that pass one dict give one object for equal texts
-    and one for equal tokens.
+    ``shared`` maps each token text met so far to its first copy, so the
+    calls that pass one dict give one string for equal texts.
     """
     if shared is None:
         shared = {}
     parts = _SPLIT.split(text)  # separator, token, separator, ..., separator
-    starts = list(accumulate(map(len, parts), initial=0))
     texts = parts[1::2]
-    pairs = list(zip(map(shared.setdefault, texts, texts), starts[1::2]))
-    tokens = list(map(shared.setdefault, pairs, pairs))
+    tokens = list(map(shared.setdefault, texts, texts))
+    # Token k's start is the length of the parts before it, parts[2k + 1].
+    columns = list(accumulate(map(len, parts)))[:-1:2]
     if '"' in text:
-        for tok, column in tokens:
+        for tok, column in zip(tokens, columns):
             if tok[0] == '"' and tok.find('"', 1) < 0:
                 raise ScanError("unterminated quote", line=line_number, column=column)
-    return tokens
+    return tokens, columns
 
 
-def _first_equals(tokens: list[tuple[str, int]]) -> int:
+def _first_equals(tokens: list[str]) -> int:
     """The index of the first token holding an unquoted ``=``, or -1."""
-    return next((k for k, (text, _) in enumerate(tokens) if text[0] != '"' and "=" in text), -1)
+    return next((k for k, text in enumerate(tokens) if text[0] != '"' and "=" in text), -1)
 
 
 _PARENS = re.compile("([()])")
 
 
-def _split_parens(tokens: list[tuple[str, int]], depth: int, line_number: int) -> tuple[list, int]:
-    """Split each ``(`` and ``)`` off as a token; return the tokens and the depth after them.
+def _split_parens(
+    tokens: list[str], columns: list[int], depth: int, line_number: int
+) -> tuple[list[str], list[int], int]:
+    """Split each ``(`` and ``)`` off as a token; return the tokens, their
+    columns and the depth after them.
 
     A token that opens with a quote is text, parentheses included. ``depth``
     counts the groups open before ``tokens``; a ``)`` taking it below zero
     is an error.
     """
-    split = []
-    for text, column in tokens:
+    split: list[str] = []
+    at: list[int] = []
+    for text, column in zip(tokens, columns):
         if text[0] == '"' or ("(" not in text and ")" not in text):
-            split.append((text, column))
-            continue
-        for piece in _PARENS.split(text):
-            if piece == "(":
-                depth += 1
-            elif piece == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ScanError("unmatched ')'", line=line_number, column=column)
-            if piece:
-                split.append((piece, column))
+            split.append(text)
+            at.append(column)
+        else:
+            for piece in filter(None, _PARENS.split(text)):  # each "(", ")" and run between
+                if piece == "(":
+                    depth += 1
+                elif piece == ")":
+                    depth -= 1
+                    if depth < 0:
+                        raise ScanError("unmatched ')'", line=line_number, column=column)
+                split.append(piece)
+                at.append(column)
                 column += len(piece)
-    return split, depth
+    return split, at, depth
 
 
 def classify_line(
-    tokens: list[tuple[str, int]], paren_depth: int, prev_kind: LineKind, line_number: int
-) -> tuple[LineKind, list[tuple[str, int]], int]:
-    """Finish one line: its kind, its final tokens and the parenthesis depth after it.
+    tokens: list[str], columns: list[int], paren_depth: int, prev_kind: LineKind,
+    line_number: int,
+) -> tuple[LineKind, list[str], list[int], int]:
+    """Finish one line: its kind, its final tokens and their columns, and the
+    parenthesis depth after it.
 
     ``prev_kind`` is the kind of the line above, a blank one included. A
     line with no tokens is ``BLANK``. Open parenthesis groups turn any
@@ -161,33 +169,35 @@ def classify_line(
     of its value or of a table continuation line are split off.
     """
     if not tokens:
-        return LineKind.BLANK, tokens, paren_depth
+        return LineKind.BLANK, tokens, columns, paren_depth
     if paren_depth > 0:
-        return (LineKind.TABLE_CONTINUATION, *_split_parens(tokens, paren_depth, line_number))
-    first, column = tokens[0]
+        return LineKind.TABLE_CONTINUATION, *_split_parens(tokens, columns, paren_depth, line_number)
+    first, column = tokens[0], columns[0]
     if first == "PARS":
-        return LineKind.PARS_HEADER, tokens, 0
+        return LineKind.PARS_HEADER, tokens, columns, 0
     if first == "T":
-        return LineKind.TEMPUS, tokens, 0
+        return LineKind.TEMPUS, tokens, columns, 0
     if first == "VOX":
-        return LineKind.VOX, tokens, 0
+        return LineKind.VOX, tokens, columns, 0
     track = (
         column > 0 and prev_kind in (LineKind.VOX, LineKind.PARAM_TRACK) and first.isidentifier()
     )
     k = _first_equals(tokens)
-    if k >= 0 and (not track or k == 0 or (k == 1 and tokens[1][0][0] == "=")):
-        text, column = tokens[k]
-        name, _, value = text.partition("=")
+    if k >= 0 and (not track or k == 0 or (k == 1 and tokens[1][0] == "=")):
+        name, _, value = tokens[k].partition("=")
+        column = columns[k]
         at = column + len(name)
-        head = [*tokens[:k], (name, column)] if name else tokens[:k]
-        tail = [(value, at + 1)] if value else []
-        value_tokens, depth = _split_parens([*tail, *tokens[k + 1 :]], 0, line_number)
-        return LineKind.ASSIGNMENT, [*head, ("=", at), *value_tokens], depth
+        head, head_at = ([name, "="], [column, at]) if name else (["="], [at])
+        rest, rest_at, depth = _split_parens(
+            [value, *tokens[k + 1 :]] if value else tokens[k + 1 :],
+            [at + 1, *columns[k + 1 :]] if value else columns[k + 1 :], 0, line_number,
+        )
+        return LineKind.ASSIGNMENT, tokens[:k] + head + rest, columns[:k] + head_at + rest_at, depth
     if track:
-        return LineKind.PARAM_TRACK, tokens, 0
+        return LineKind.PARAM_TRACK, tokens, columns, 0
     if len(tokens) == 1 and first.isidentifier():
         # Bare name; the prelude expects "= value" on a following line.
-        return LineKind.ASSIGNMENT, tokens, 0
+        return LineKind.ASSIGNMENT, tokens, columns, 0
     raise ScanError(
         f"cannot classify line starting with {first!r}", line=line_number, column=column
     )
@@ -232,8 +242,8 @@ def scan_text(text: str) -> list[SourceLine]:
     """Scan a whole source text into classified, tokenized lines, blank ones left out.
 
     A line that holds no token, blank or comment-only, is not returned.
-    One dict for the call shares equal token texts and equal tokens across
-    lines (see ``tokenize_columns``). ``model.build_score`` empties the list
+    One dict for the call shares equal token texts across lines (see
+    ``tokenize_columns``). ``model.build_score`` empties the list
     it builds from, so to build twice, scan twice.
     """
     raw_lines = text.split("\n")
@@ -243,9 +253,9 @@ def scan_text(text: str) -> list[SourceLine]:
     bad = _first_refused_char(text)
     bad_line = text.count("\n", 0, bad.start()) + 1 if bad else 0
 
-    paren_depth = 0
+    depth = 0  # the parenthesis groups open
     kind = LineKind.BLANK
-    shared: dict = {}  # one object per token text and per token
+    shared: dict[str, str] = {}  # one string per token text
     lines: list[SourceLine] = []
     for idx, raw in enumerate(raw_lines, start=1):
         if raw.endswith("\r"):
@@ -257,8 +267,8 @@ def scan_text(text: str) -> list[SourceLine]:
                 line=idx,
                 column=bad.start() - text.rfind("\n", 0, bad.start()) - 1,
             )
-        tokens = tokenize_columns(strip_comments(raw), idx, shared)
-        kind, tokens, paren_depth = classify_line(tokens, paren_depth, kind, idx)
+        tokens, columns = tokenize_columns(strip_comments(raw), idx, shared)
+        kind, tokens, columns, depth = classify_line(tokens, columns, depth, kind, idx)
         if tokens:
-            lines.append(SourceLine(idx, kind, tokens))
+            lines.append(SourceLine(idx, kind, tokens, columns))
     return lines

@@ -30,7 +30,8 @@ and strictly positive (``positive_finite``, which the CLI's geometry flags
 apply too). It is a ``namedtuple``, so a built config cannot change, and
 its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
 lengths can still sum to a coordinate that is not: ``_fmt`` refuses one
-with an ``EmitError`` in the header and in each band's y strings. Column
+with an ``EmitError`` in the header and in each band's y strings, and so
+does the header for int lengths whose sum a float cannot hold. Column
 j's x is formatted once per render, into ``xs[j]``, which the beam pass
 and both walks of every band read (about 64 bytes per column of the
 widest band); only the rare offsets from an x are formatted inline. No x
@@ -115,17 +116,20 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     max_cols = max((b - a for a, b in pars.system_ranges), default=0)
     n_bands = len(pars.system_ranges)
 
-    band_height = cfg.stem_height + (max_ypos + 1) * cfg.row_spacing + cfg.font_size
-    width = 2 * cfg.margin + (max(max_cols - 1, 0)) * cfg.column_spacing + (
-        cfg.font_size if max_cols else 0.0
-    )
-    height = 2 * cfg.margin + n_bands * band_height + max(n_bands - 1, 0) * cfg.row_spacing
+    try:  # int lengths sum exactly, so past the float range, where a float sum is inf
+        band_height = cfg.stem_height + (max_ypos + 1) * cfg.row_spacing + cfg.font_size
+        width = 2 * cfg.margin + (max(max_cols - 1, 0)) * cfg.column_spacing + (
+            cfg.font_size if max_cols else 0.0
+        )
+        height = 2 * cfg.margin + n_bands * band_height + max(n_bands - 1, 0) * cfg.row_spacing
+        part = [
+            f"<svg xmlns='{SVG_NS}' width='{_fmt(width)}' height='{_fmt(height)}' "
+            f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>\n"
+        ]
+    except OverflowError:
+        raise EmitError("render geometry too large: an SVG coordinate would be inf") from None
 
     doc = ""
-    part = [
-        f"<svg xmlns='{SVG_NS}' width='{_fmt(width)}' height='{_fmt(height)}' "
-        f"viewBox='0 0 {_fmt(width)} {_fmt(height)}' font-family='monospace'>\n"
-    ]
     append = part.append
     grip_tail = f"' font-size='{_fmt(cfg.font_size)}' text-anchor='middle'>"
     numerus_tail = (

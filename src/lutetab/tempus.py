@@ -18,8 +18,8 @@ record for each carry, with the value of the duration before it, so each
 carry column holds its own. ``model.build_system`` seeds the chain with
 the last column of its PARS, so a carry may open a later system. The
 column (``model.Columna``) keeps the position. A T line's symbols are the
-scanner's ``(text, column)`` pairs, and errors take their line number from
-the T line's ``SourceLine``.
+texts of its ``SourceLine``, their positions its ``columns``, and errors
+take their line number from the same line.
 """
 
 from __future__ import annotations
@@ -56,12 +56,10 @@ _SPELLINGS = {
     token.source_text: token
     for token in [
         *(
-            DurationToken(
-                "_" * end + letter + "." * dot + "_" * begin, letter, dot, bool(begin),
-                bool(end), TICKS_PER_WHOLE // (4 << flags) * (2 + dot) // 2,
-            )
+            DurationToken(f"{'_' * end}{letter}{'.' * dot}{'_' * begin}", letter, dot, begin, end,
+                          TICKS_PER_WHOLE // (4 << flags) * (2 + dot) // 2)
             for letter, flags in STEM_FLAGS.items()
-            for dot in (0, 1) for end in (0, 1) for begin in (0, 1)
+            for dot in (0, 1) for end in (False, True) for begin in (False, True)
         ),
         *(  # 1/2, 3/4, 1/1
             DurationToken("." * n, KLASS_DOTS, n, False, False, TICKS_PER_WHOLE * (n + 1) // 4)
@@ -79,15 +77,15 @@ def parse_tempus_line(
     ``prev`` seeds the carry chain, so a line that continues an earlier
     system of the same PARS may begin with ``-``.
     """
-    (head, head_column), *body = line.tokens
-    assert head == "T"
-    if not body:
+    tokens, columns = line.tokens, line.columns
+    assert tokens[0] == "T"
+    if len(tokens) < 2:
         raise ParseError(
-            "time line has no duration symbols", line=line.line_number, column=head_column
+            "time line has no duration symbols", line=line.line_number, column=columns[0]
         )
     spelling = _SPELLINGS.get
     out: list[DurationToken] = []
-    for text, column in body:
+    for text, column in zip(tokens[1:], columns[1:]):
         if (token := spelling(text)) is None:  # a carry, or an error
             if out:
                 prev = out[-1]
@@ -141,5 +139,5 @@ def validate_beams(tempus: SourceLine, tokens: list[DurationToken]) -> None:
         if not open_at:
             return
         i, message = open_at, f"unclosed beam group (begun at '{tokens[open_at - 1].source_text}')"
-    _, column = tempus.tokens[i]  # tempus.tokens[0] is the line's "T"
-    raise ModelError(message, line=tempus.line_number, column=column)
+    # tempus.columns[0] is the column of the line's "T"
+    raise ModelError(message, line=tempus.line_number, column=tempus.columns[i])

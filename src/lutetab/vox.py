@@ -14,9 +14,10 @@ double quote or ``//``, which starts a comment even inside quotes. Only
 the ``edit`` track is emitted; the model warns about any other.
 
 This module owns the shape of the lines: a voice line's head and name, a
-track line's quoted payloads. It reads no grip spelling. A grip stays the
-scanner's ``(text, column)`` pair, an annotation keeps its track, text and
-column, and errors take their line number from the ``SourceLine``.
+track line's quoted payloads. It reads no grip spelling. A voice line's
+grips stay the scanner's texts beside their columns, an annotation keeps
+its track, text and column, and errors take their line number from the
+``SourceLine``.
 ``model.build_system`` calls both parsers as it walks a system's lines in
 order, places each annotation on its grip, and owns every rule about a
 spelling: the ``+`` rule (one ``+``, at the end, after a symbol),
@@ -40,19 +41,17 @@ Annotation = namedtuple("Annotation", [
 ])
 
 
-def parse_vox_line(line: SourceLine) -> tuple[str, list[tuple[str, int]]]:
-    """Return the voice name and its grip tokens, spelled as written."""
+def parse_vox_line(line: SourceLine) -> tuple[str, list[str], list[int]]:
+    """Return the voice name, its grip texts, spelled as written, and their columns."""
     tokens = line.tokens
-    head, head_column = tokens[0]
-    assert head == "VOX"
+    assert tokens[0] == "VOX"
     if len(tokens) < 2:
         raise ParseError(
             "VOX line is missing a voice name",
             line=line.line_number,
-            column=head_column + len("VOX"),
+            column=line.columns[0] + len("VOX"),
         )
-    name, _ = tokens[1]
-    return name, tokens[2:]
+    return tokens[1], tokens[2:], line.columns[2:]
 
 
 def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
@@ -60,11 +59,11 @@ def parse_param_track(line: SourceLine) -> tuple[str, list[Annotation]]:
 
     A terminal backslash token is an end-of-track marker, not a payload.
     """
-    (track, _), *payload = line.tokens
-    if payload and set(payload[-1][0]) == {"\\"}:
+    track, *payload = line.tokens
+    if payload and set(payload[-1]) == {"\\"}:
         payload.pop()
     annotations: list[Annotation] = []
-    for text, column in payload:
+    for text, column in zip(payload, line.columns[1:]):
         if not text.startswith('"'):
             raise ParseError(
                 f"parameter track '{track}' payload must be quoted, got '{text}'",

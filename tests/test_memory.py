@@ -8,7 +8,7 @@ the sizes and the peak with ``tracemalloc``; its figures are exact for
 one Python build, so these tests are deterministic.
 
 The sources vary the columns from system to system and from PARS to
-PARS: the scanner shares equal tokens, and lines of equal tokens would
+PARS: the scanner shares equal token texts, and lines of equal tokens would
 be too small for the sum and the larger one to differ.
 """
 

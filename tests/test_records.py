@@ -59,7 +59,8 @@ RECORDS = {
     "RenderConfig": (lambda **kw: RenderConfig(**{"margin": 4.0, **kw}), "column_spacing", 30.0),
     "SourceLine": (
         lambda **kw: SourceLine(
-            **{"line_number": 3, "kind": LineKind.VOX, "tokens": [("VOX", 0), ("v", 4)], **kw}
+            **{"line_number": 3, "kind": LineKind.VOX, "tokens": ["VOX", "v"], "columns": [0, 4],
+               **kw}
         ),
         "line_number", 4,
     ),

@@ -35,40 +35,42 @@ def test_strip_comments_preserves_columns():
 
 
 def test_tokenize_columns_basic():
-    tokens = tokenize_columns("        I I T")
-    assert tokens == [("I", 8), ("I", 10), ("T", 12)]
+    assert tokenize_columns("        I I T") == (["I", "I", "T"], [8, 10, 12])
 
 
 def test_tokenize_columns_empty():
-    assert tokenize_columns("") == []
-    assert tokenize_columns("   ") == []
+    assert tokenize_columns("") == ([], [])
+    assert tokenize_columns("   ") == ([], [])
 
 
 def test_tokenize_columns_suffix():
-    tokens = tokenize_columns("4+ 5")
-    assert tokens == [("4+", 0), ("5", 3)]
+    assert tokenize_columns("4+ 5") == (["4+", "5"], [0, 3])
 
 
 def test_tokenize_quoted_region_is_one_token():
-    tokens = tokenize_columns('    edit  "hardly readable"! x')
-    assert tokens == [
-        ("edit", 4),
-        ('"hardly readable"!', 10),
-        ("x", 29),
-    ]
+    assert tokenize_columns('    edit  "hardly readable"! x') == (
+        ["edit", '"hardly readable"!', "x"],
+        [4, 10, 29],
+    )
 
 
-def test_equal_tokens_of_one_scan_are_one_object():
-    """Across the lines of one scan, equal token texts are one string and
-    equal tokens one tuple; two scans share nothing."""
-    text = "PARS p\nT  I.  E\nVOX v  4+  ab\nT  I.  E\nVOX w  ab  4+\n"
+def test_equal_token_texts_of_one_scan_are_one_string():
+    """Across the lines of one scan, and within a line, equal token texts
+    are one string, whatever their columns; two scans share none (but the
+    one-character strings that CPython keeps one of anyway)."""
+    text = "PARS p\nT  I.  E  E\nVOX v  4+  ab  ab\nT  I.  E\nVOX w  ab  4+\n"
     lines = scan_text(text)
+    assert lines[1].tokens[:3] == lines[3].tokens
     assert all(a is b for a, b in zip(lines[1].tokens, lines[3].tokens))
-    (*_, grip, other), (*_, other_2, grip_2) = lines[2].tokens, lines[4].tokens
-    assert grip[0] is grip_2[0] == "4+" and other[0] is other_2[0] == "ab"
-    assert grip[1] != grip_2[1] and other[1] != other_2[1]
+    assert lines[1].tokens[2] is lines[1].tokens[3] == "E"
+    (*_, grip, other, other_1), (*_, other_2, grip_2) = lines[2].tokens, lines[4].tokens
+    assert grip is grip_2 == "4+" and other is other_1 is other_2 == "ab"
+    assert lines[2].columns[2:] == [7, 11, 15] and lines[4].columns[2:] == [7, 11]
     again = scan_text(text)
-    assert again == lines and again[2].tokens[2][0] is not grip[0]
+    assert again == lines
+    held = {id(token) for line in lines for token in line.tokens if len(token) > 1}
+    assert len(held) == 5  # PARS, I., VOX, 4+, ab
+    assert not held & {id(token) for line in again for token in line.tokens}
 
 
 def test_tokenize_unterminated_quote():
@@ -93,11 +95,11 @@ def test_tokenize_unterminated_quote():
     ],
 )
 def test_classify_stateless_cases(text, kind):
-    assert classify_line(tokenize_columns(text, 1), 0, LineKind.BLANK, 1)[0] is kind
+    assert classify_line(*tokenize_columns(text, 1), 0, LineKind.BLANK, 1)[0] is kind
 
 
 def classify(line: str, paren_depth: int = 0, prev_kind: LineKind = LineKind.BLANK):
-    return classify_line(tokenize_columns(line, 2), paren_depth, prev_kind, 2)[0]
+    return classify_line(*tokenize_columns(line, 2), paren_depth, prev_kind, 2)[0]
 
 
 def test_classify_param_track_needs_preceding_vox():
@@ -117,7 +119,7 @@ def test_classify_table_continuation():
 def test_classify_rejects_unknown_shape():
     raw = "  what is this // a comment"
     with pytest.raises(ScanError) as exc:
-        classify_line(tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK, 7)
+        classify_line(*tokenize_columns(strip_comments(raw), 7), 0, LineKind.BLANK, 7)
     assert (exc.value.line, exc.value.column) == (7, 2)
 
 
@@ -175,8 +177,8 @@ def test_scan_reports_an_earlier_line_first():
 
 def test_scan_strips_crlf():
     lines = scan_text("PARS a\r\nT  I\r\n")
-    assert lines[0].tokens == [("PARS", 0), ("a", 5)]
-    assert [column for _, column in lines[1].tokens] == [0, 3]
+    assert lines[0][2:] == (["PARS", "a"], [0, 5])
+    assert lines[1].columns == [0, 3]
 
 
 _LONE_CR = "CR character not at the end of a line (editors may show a line break)"
@@ -199,7 +201,7 @@ def test_scan_rejects_a_lone_cr(source, line, column):
 
 
 def test_scan_strips_a_cr_that_ends_the_text():
-    assert scan_text("PARS a\r")[0].tokens == [("PARS", 0), ("a", 5)]
+    assert scan_text("PARS a\r")[0][2:] == (["PARS", "a"], [0, 5])
 
 
 _COMMENT_PIECES = st.sampled_from(["\r", "\t", "\x01", "a", " "])
@@ -275,20 +277,19 @@ def test_tokenize_round_trip(layout):
     line = ""
     for text, gap in layout:
         line += " " * gap + text
-    tokens = tokenize_columns(line)
     rebuilt = [" "] * len(line)
-    for text, column in tokens:
+    for text, column in zip(*tokenize_columns(line)):
         rebuilt[column : column + len(text)] = text
     assert "".join(rebuilt) == line
 
 
-def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int]]:
+def _tokenize_by_characters(text: str, line_number: int) -> tuple[list[str], list[int]]:
     """Reference tokenizer: a character loop over ``str.isspace``.
 
-    Returns ``(text, start_column)`` pairs; raises ScanError at the opening
-    quote of a quote that never closes, on ``line_number``.
+    Returns the token texts and their start columns; raises ScanError at
+    the opening quote of a quote that never closes, on ``line_number``.
     """
-    tokens = []
+    tokens, columns = [], []
     i, n = 0, len(text)
     while i < n:
         if text[i].isspace():
@@ -302,8 +303,9 @@ def _tokenize_by_characters(text: str, line_number: int) -> list[tuple[str, int]
             i = close + 1
         while i < n and not text[i].isspace():
             i += 1
-        tokens.append((text[start:i], start))
-    return tokens
+        tokens.append(text[start:i])
+        columns.append(start)
+    return tokens, columns
 
 
 # the format's own characters, quotes, and whitespace beyond ASCII space
@@ -380,10 +382,8 @@ def test_quoted_edit_text_compiles_verbatim(text):
 def test_paren_split_skips_quoted_tokens():
     """Each unquoted parenthesis is a token; one opening with a quote stays whole."""
     (line,) = scan_text('x = "(" ( ")"! a) "((" (\n')
-    assert line.tokens == [
-        ("x", 0), ("=", 2), ('"("', 4), ("(", 8), ('")"!', 10), ("a", 15), (")", 16),
-        ('"(("', 18), ("(", 23),
-    ]
+    assert line.tokens == ["x", "=", '"("', "(", '")"!', "a", ")", '"(("', "("]
+    assert line.columns == [0, 2, 4, 8, 10, 15, 16, 18, 23]
 
 
 @pytest.mark.parametrize("text", ["(", ")", "a)", "((x", ") (", "(b) )"])

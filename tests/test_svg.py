@@ -263,3 +263,45 @@ def test_column_x_keeps_a_fractional_spacing_far_out():
     assert [int(t.text) for t in numerus] == list(range(n))
     for j, text in enumerate(numerus):
         assert float(text.get("x")) == cfg.margin + j * cfg.column_spacing, j
+
+
+@pytest.mark.parametrize("config", [
+    RenderConfig(1, 10**308, 10**308),
+    RenderConfig(1, 10**308, 10**308, 1, 1),
+    RenderConfig(10**308, 1, 1, 1, 10**308),
+], ids=["int-rows", "all-int", "int-width"])
+def test_int_lengths_summing_past_the_float_range_are_refused(newsidler_score, config):
+    """Each int length is finite, but ints sum exactly, so the header's
+    height or width can pass the largest float: refused as a float sum
+    would be, not with an OverflowError."""
+    with pytest.raises(EmitError) as exc:
+        render_pars(newsidler_score.partes[0], config)
+    assert exc.value.message == "render geometry too large: an SVG coordinate would be inf"
+
+
+def test_each_y_keeps_its_float_association_where_one_ulp_shows():
+    """At a stem height near 2**56, a y rounds to a multiple of 8 (its ulp),
+    and the stem tops of band 0 show that rounding whole (23 + h - h = 24).
+    Some of these ys lie within an ulp of a rounding boundary of the 12
+    significant digits written, so a y summed in another order, such as
+    ``margin + (band * (band_height + row_spacing) + stem_height)`` for a
+    band's base or ``top + (k + 1) * 4.0`` for a flag's end, writes other
+    bytes here."""
+    lines = helpers.system_lines(["F", "E"], {0: "a", 1: "a"})
+    source = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n" + "\n".join(lines + lines) + "\n"
+    pars = compile_source(source).partes[0]
+    cfg = RenderConfig(28.0, 40.0, 5.900520571744984e16, 12.0, 23.0)
+    svg = render_pars(pars, cfg)
+    assert svg == helpers.reference_render_pars(pars, cfg)
+    flags = [line for line in svg.splitlines() if "x2='29'" in line or "x2='57'" in line]
+    assert flags == [
+        f"<line x1='{x}' y1='{y1}' x2='{x + 6}' y2='{y2}' stroke='black' />"
+        for x, y1, y2 in [
+            (23, 24, 28), (23, 28, 32), (51, 24, 28), (51, 28, 32), (51, 32, 36),
+            (23, "5.90052057174e+16", "5.90052057174e+16"),
+            (23, "5.90052057174e+16", "5.90052057174e+16"),
+            (51, "5.90052057174e+16", "5.90052057174e+16"),
+            (51, "5.90052057174e+16", "5.90052057174e+16"),
+            (51, "5.90052057175e+16", "5.90052057175e+16"),
+        ]
+    ]

@@ -22,7 +22,7 @@ MANET = Parameters(duratio_manet=True)
 
 def parse_one(text: str, params: Parameters = PLAIN, prev: DurationToken | None = None):
     """The value of one T-line symbol standing at column 0."""
-    (tok,) = parse_tempus_line(SourceLine(1, LineKind.TEMPUS, [("T", 0), (text, 0)]), params, prev)
+    (tok,) = parse_tempus_line(SourceLine(1, LineKind.TEMPUS, ["T", text], [0, 0]), params, prev)
     return tok
 
 

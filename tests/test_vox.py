@@ -16,8 +16,7 @@ def vox_line(text: str) -> SourceLine:
 
 
 def track_line(text: str) -> SourceLine:
-    tokens = tokenize_columns(text, 1)
-    return SourceLine(1, LineKind.PARAM_TRACK, tokens)
+    return SourceLine(1, LineKind.PARAM_TRACK, *tokenize_columns(text, 1))
 
 
 def voice_sona(*grips: str) -> list[tuple[str, bool]]:
@@ -31,11 +30,12 @@ def voice_sona(*grips: str) -> list[tuple[str, bool]]:
 
 def test_parse_vox_basic():
     line = vox_line("VOX v2  f f f e+")
-    name, grips = parse_vox_line(line)
+    name, grips, columns = parse_vox_line(line)
     assert name == "v2"
     # the grips are the scanner's own tokens, suffix and all
-    assert grips == line.tokens[2:]
-    assert grips == [("f", 8), ("f", 10), ("f", 12), ("e+", 14)]
+    assert grips == line.tokens[2:] and columns == line.columns[2:]
+    assert grips == ["f", "f", "f", "e+"]
+    assert columns == [8, 10, 12, 14]
 
 
 def test_parse_vox_prolongate():
