@@ -45,15 +45,20 @@ its voice line's, an annotation's its track line's.
 
 ``Sonum`` and ``tempus.DurationToken`` are ``namedtuple`` values, shared by
 every column that holds them and never changed: one ``Sonum`` per distinct
-``(grip text, ypos)`` of a PARS (a grip with an annotation gets its own),
-one ``DurationToken`` per spelling but the carry ``-``, whose every column
-holds its own. A PARS keeps its ``Sonum`` values by ypos, then by grip
-text, so finding a grip's builds no key tuple. A ``Columna`` holds only
-what the source states: its number is its index, ``duration_rows`` gives
-its duration's row, and its read-only ``trabes`` is taken from its
-duration's beam markers, which the writers read directly. It is a slotted
-class, compared field by field and unhashable, because ``compute_summa``
-sets its time position after it is built.
+value in the score (a grip with an annotation gets its own), one
+``DurationToken`` per spelling and one per carry value. ``build_score``
+keeps the score's ``Sonum`` values in one dict, each its own key; a PARS
+also keeps them by ypos, then by grip text, so finding a grip met before
+in its row builds no record and no key tuple. A grip new to its PARS
+builds the plain tuple of its value, which finds an equal ``Sonum`` in
+the score's dict, and a record only for a value new to the score.
+
+A ``Columna`` holds only what the source states: its number is its
+index, ``duration_rows`` gives its duration's row, and its read-only
+``trabes`` is taken from its duration's beam markers, which the writers
+read directly. It is a slotted class, compared field by field and
+unhashable, because ``compute_summa`` sets its time position after it is
+built.
 
 ``Memo`` is the writers' table of formatted fragments, each built on first
 use and then shared; it lives here because both writers import the model.
@@ -145,17 +150,44 @@ ParsModel = namedtuple("ParsModel", [
 def duration_rows(pars: ParsModel) -> list[int]:
     """The row of each column's duration symbol: the top row (0) or, with
     ``duratioCadens = est``, the free row directly above its topmost grip,
-    mirroring the jumping duration signs of the originals. A column with no
-    grip, in a model built or changed by hand, has neither that row nor a
-    place in the XML: ``EmitError``.
+    mirroring the jumping duration signs of the originals.
+
+    Both writers call this once per document, so it is where a model built
+    or changed by hand is checked whole, before anything is written. A
+    writable model's ``system_ranges`` tile ``[0, len(columns))`` in order,
+    each system holding at least one column; every column holds a grip;
+    and every duration row is in 0..``MAX_POSITION``. Else ``EmitError``,
+    naming the system or the column. A compiled model passes.
     """
     columns = pars.columns
+    n = len(columns)
+    ranges = pars.system_ranges
+    if n and not ranges:
+        raise EmitError(f"no system holds the {n} columns")
+    # Each system starts where the one before ends and ends after it starts;
+    # the last ends at n. A plain loop: on the few systems of a PARS it runs
+    # faster than the same test made of zip and map.
+    end, last = 0, len(ranges) - 1
+    for k, (start, stop) in enumerate(ranges):
+        if not (type(start) is type(stop) is int and start == end < stop
+                and (k < last or stop == n)):
+            raise EmitError(
+                f"system {k} spans columns [{start}, {stop}), but the systems must tile "
+                f"[0, {n}) in order, each holding a column"
+            )
+        end = stop
     if not all(map(attrgetter("sona"), columns)):  # a loop here adds two line events a column
         index = next(j for j, col in enumerate(columns) if not col.sona)
         raise EmitError(f"column {index} holds no grip (every column needs at least one)")
-    if pars.duratio_cadens:
-        return [col.sona[0].ypos - 1 for col in columns]
-    return [0] * len(columns)
+    if not pars.duratio_cadens:
+        return [0] * n
+    rows = [col.sona[0].ypos - 1 for col in columns]
+    if not (0 <= min(rows, default=0) and max(rows, default=0) <= MAX_POSITION):
+        index = next(j for j, row in enumerate(rows) if not 0 <= row <= MAX_POSITION)
+        raise EmitError(
+            f"duration ypos {rows[index]} of column {index} is outside 0..{MAX_POSITION}"
+        )
+    return rows
 
 
 ScoreModel = namedtuple("ScoreModel", ["partes", "warnings"])
@@ -166,6 +198,7 @@ def build_system(
     lines: list[SourceLine],
     pars: ParsModel,
     shared: dict[int, dict[str, Sonum]],
+    values: dict[Sonum, Sonum],
     symbol_map: dict[str, tuple[int, int]],
     params: Parameters,
     warnings: list[str],
@@ -177,10 +210,11 @@ def build_system(
     repeats the last column of ``pars``. Each grip token of a voice line
     stands under the duration symbol sharing its start column; voice order
     gives the vertical position (the T line is row 0). A grip without an
-    annotation is the PARS's one ``Sonum`` for its ``(text, ypos)``, built
-    on first use and kept in ``shared[ypos][text]``. A track line's
-    annotations go onto the grip of the voice above that starts in the
-    same column, which then gets its own record. A system that fails a
+    annotation is the score's one ``Sonum`` of its value: the PARS finds it
+    by ``shared[ypos][text]``, and a spelling new to the PARS takes its
+    value's record from ``values``, the score's, or adds it there. A track
+    line's annotations go onto the grip of the voice above that starts in
+    the same column, which then gets its own record. A system that fails a
     check adds nothing.
 
     A spelling is checked once, where it is first met in its row; a grip's
@@ -234,7 +268,14 @@ def build_system(
                     )
                 position = symbol_map.get(symbol)
                 if position is not None:
-                    sonum = row[text] = Sonum(symbol, *position, symbol != text, ypos)
+                    # A Sonum is a tuple, so the equal plain tuple finds it in
+                    # ``values``: a record is built only for a value new to the score.
+                    value = (symbol, *position, symbol != text, ypos, ())
+                    sonum = values.get(value)
+                    if sonum is None:
+                        sonum = Sonum._make(value)
+                        values[sonum] = sonum  # the key too: no plain tuple is kept
+                    row[text] = sonum
             sona = sona_by_column.get(column)
             if sona is None:
                 raise ModelError(
@@ -294,6 +335,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
     seen_names: dict[str, int] = {}
     header: SourceLine | None = None
     systems: list[list[SourceLine]] = []  # per system: its T line, then its voice and track lines
+    values: dict[Sonum, Sonum] = {}  # the score's one record of each unannotated grip value
 
     i = 0
     n = len(lines)
@@ -316,7 +358,9 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                 if header is None:
                     file_params = params
                 else:
-                    partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
+                    partes.append(
+                        _build_pars(header, systems, params, symbol_maps, values, warnings)
+                    )
                 header = line
                 _check_header(header, seen_names)
                 params = file_params
@@ -339,7 +383,7 @@ def build_score(lines: list[SourceLine]) -> ScoreModel:
                     )
                 systems[-1].append(line)
         if header is not None:
-            partes.append(_build_pars(header, systems, params, symbol_maps, warnings))
+            partes.append(_build_pars(header, systems, params, symbol_maps, values, warnings))
     finally:
         lines.clear()
     return ScoreModel(partes, warnings)
@@ -383,6 +427,7 @@ def _build_pars(
     systems: list[list[SourceLine]],
     params: Parameters,
     symbol_maps: dict[str, dict[str, tuple[int, int]]],
+    values: dict[Sonum, Sonum],
     warnings: list[str],
 ) -> ParsModel:
     name = header.tokens[1]
@@ -405,10 +450,10 @@ def _build_pars(
             column=column,
         )
 
-    shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: one per PARS
+    shared: dict[int, dict[str, Sonum]] = {}  # by ypos, then grip text: the PARS's fast path
     pars = ParsModel(name, [], params.table_name, [], params.duratio_cadens)
     for k, (tempus, *lines) in enumerate(systems):
         systems[k] = None  # the system's lines go once it is built
-        build_system(tempus, lines, pars, shared, symbol_map, params, warnings)
+        build_system(tempus, lines, pars, shared, values, symbol_map, params, warnings)
     compute_summa(pars.columns)
     return pars

@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import ScanError
 
@@ -243,12 +243,17 @@ def scan_text(text: str) -> list[SourceLine]:
 
     A line that holds no token, blank or comment-only, is not returned.
     One dict for the call shares equal token texts across lines (see
-    ``tokenize_columns``). ``model.build_score`` empties the list
-    it builds from, so to build twice, scan twice.
+    ``tokenize_columns``), and each raw line is dropped once it is
+    scanned. ``model.build_score`` empties the list it builds from, so to
+    build twice, scan twice.
     """
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
+    # Last line first, so that each line leaves the list as it is read (the
+    # pops run in C, in the loop's ``map``): the raw lines and the tokens
+    # made of them are never both held whole.
+    raw_lines.reverse()
     # One test of the whole text; its line is worked out only on a hit.
     bad = _first_refused_char(text)
     bad_line = text.count("\n", 0, bad.start()) + 1 if bad else 0
@@ -257,7 +262,7 @@ def scan_text(text: str) -> list[SourceLine]:
     kind = LineKind.BLANK
     shared: dict[str, str] = {}  # one string per token text
     lines: list[SourceLine] = []
-    for idx, raw in enumerate(raw_lines, start=1):
+    for idx, raw in enumerate(map(raw_lines.pop, repeat(-1, len(raw_lines))), start=1):
         if raw.endswith("\r"):
             raw = raw[:-1]
         if idx == bad_line:

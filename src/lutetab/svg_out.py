@@ -31,7 +31,10 @@ apply too). It is a ``namedtuple``, so a built config cannot change, and
 its constructor, ``_make`` and ``_replace`` all apply the rule. Finite
 lengths can still sum to a coordinate that is not: ``_fmt`` refuses one
 with an ``EmitError`` in the header and in each band's y strings, and so
-does the header for int lengths whose sum a float cannot hold. Column
+does the header for int lengths whose sum a float cannot hold. The band
+check is not covered by the header's: a height can be finite while
+``band_height + row_spacing`` is not, and band 0's base is then
+``0 * inf``, nan. Column
 j's x is formatted once per render, into ``xs[j]``, which the beam pass
 and both walks of every band read (about 64 bytes per column of the
 widest band); only the rare offsets from an x are formatted inline. No x
@@ -108,8 +111,10 @@ def _escape_text(value: str) -> str:
 def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     """Return the control graphic of ``pars`` as one SVG document, drawn with
     ``config`` (by default ``RenderConfig()``); raise ``EmitError`` for a
-    column with no grip and for a coordinate that is not finite."""
+    model that ``model.duration_rows`` refuses and for a coordinate that is
+    not finite."""
     cfg = config or RenderConfig()
+    rows = duration_rows(pars)  # first: it checks the model whole
     columns = pars.columns
     sona = chain.from_iterable(map(attrgetter("sona"), columns))
     max_ypos = max(map(attrgetter("ypos"), sona), default=1)  # in C: no Python line per grip
@@ -136,7 +141,6 @@ def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
         f"' font-size='{_fmt(cfg.font_size * 0.75)}' text-anchor='middle' fill='#555555'>"
     )
     labels = Memo(lambda sonum: _escape_text(sonum.source + PROLONGATE_SUFFIX * sonum.prolongate))
-    rows = duration_rows(pars)
     margin, spacing = cfg.margin, cfg.column_spacing
     row_spacing, stem_height = cfg.row_spacing, cfg.stem_height
     # Every band's x strings: column j stands at margin + j * spacing, formatted once.

@@ -13,10 +13,11 @@ A ``DurationToken`` is a value: what a spelling means, not where it
 stands. Each of the 35 spellings other than the carry is parsed once, at
 import; a T line finds each of its symbols among them with one dict
 lookup, and every column that holds a spelling shares its one record. A
-symbol that misses is a carry or an error: ``parse_tempus_line`` makes a
-record for each carry, with the value of the duration before it, so each
-carry column holds its own. ``model.build_system`` seeds the chain with
-the last column of its PARS, so a carry may open a later system. The
+symbol that misses is a carry or an error. A carry takes the value of the
+duration before it, and there is one carry record per value, made the
+first time a carry of that value is met and shared by every carry column
+of that value after it. ``model.build_system`` seeds the chain with the
+last column of its PARS, so a carry may open a later system. The
 column (``model.Columna``) keeps the position. A T line's symbols are the
 texts of its ``SourceLine``, their positions its ``columns``, and errors
 take their line number from the same line.
@@ -45,9 +46,7 @@ DurationToken = namedtuple("DurationToken", [
     "beam_end",
     "value",  # in ticks of 1/64 whole note
 ])
-DurationToken.__doc__ = (
-    "The meaning of one T-line symbol; columns with the same spelling but ``-`` share one."
-)
+DurationToken.__doc__ = "One T-line symbol's meaning: one per spelling, one per carry value."
 
 
 # Every spelling but the carry, parsed once: a stem letter with an optional
@@ -67,6 +66,7 @@ _SPELLINGS = {
         ),
     ]
 }
+_CARRIES = {}  # by value: each carry's one record, made on first use, never changed
 
 
 def parse_tempus_line(
@@ -97,7 +97,12 @@ def parse_tempus_line(
             elif prev is None:
                 message = "carry token '-' has no preceding duration to repeat"
             else:
-                out.append(DurationToken(text, KLASS_CARRY, 0, False, False, prev.value))
+                carry = _CARRIES.get(prev.value)
+                if carry is None:
+                    carry = _CARRIES[prev.value] = DurationToken(
+                        text, KLASS_CARRY, 0, False, False, prev.value
+                    )
+                out.append(carry)
                 continue
             raise ParseError(message, line=line.line_number, column=column)
         out.append(token)

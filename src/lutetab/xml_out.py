@@ -28,9 +28,10 @@ The model owns every position bound: ``build_score`` rejects more than
 ``MAX_POSITION`` voices and tables beyond 13×13, and a duration ypos stays
 below the voice count, so no compiled model reaches ``EmitError``. The
 CLI relies on that rule: ``--check`` ends at the model and emits nothing,
-yet reports every error ``--xml`` would. ``_check_position`` and
-``model.duration_rows`` stay deliberately as the library's guard for
-models built or changed by hand; their errors name a column by its index.
+yet reports every error ``--xml`` would. ``model.duration_rows`` checks a
+model built or changed by hand whole, its duration rows too, before a line
+is written, and ``_check_position`` each distinct grip's positions; their
+errors name a system or a column by its index.
 
 The document type mixes graphical and temporal properties (ypos next to
 exact time positions) and is meant as an intermediate model for
@@ -126,8 +127,6 @@ def emit_pars(pars: ParsModel) -> str:
             doc += "".join(part)  # in place while ``doc`` is the str's only reference (CPython)
             part.clear()
         for numerus, (col, ypos) in islice(items, _BLOCK):
-            if not 0 <= ypos <= MAX_POSITION:
-                _check_position(ypos, "duration ypos", numerus)
             duration = col.duration
             trabes = _BEAM_BEGIN if duration.beam_begin else _BEAM_END if duration.beam_end else ""
             summa, value = col.summa_praecedentium, duration.value

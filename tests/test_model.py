@@ -367,6 +367,55 @@ def test_grips_of_one_text_and_row_share_one_sonum_across_systems():
     assert a1.annotations == ()
 
 
+def test_a_score_holds_one_sonum_per_distinct_value():
+    """Twin grips share one record across the whole score, not only within
+    their PARS: many small PARS over two tables that map the same symbols
+    to other positions hold one ``Sonum`` object per distinct value."""
+    grips = "1 a f 2 b g 2+ b+".split()
+    body = ["t = ( (1 a f) (2 b g) )", "u = ( (a 1 g) (b 2 f) )"]
+    for k in range(40):
+        body += [f"PARS p{k}", f"bünde = {'tu'[k % 2]}"]
+        for system in range(2):
+            picks = [grips[(k + system + j) % len(grips)] for j in range(4)]
+            body += system_lines(["I"] * 4, dict(enumerate(picks)),
+                                 dict(enumerate(reversed(picks))))
+    score = compile_source("\n".join(body) + "\n")
+    sona = [sonum for pars in score.partes for col in pars.columns for sonum in col.sona]
+    assert len(sona) == 40 * 2 * 4 * 2 and len(set(sona)) < 40
+    assert len({id(sonum) for sonum in sona}) == len(set(sona))
+
+
+def test_annotated_twins_keep_their_own_records():
+    """Two PARS of the same lines hold equal annotated grips, each its own
+    record, while their plain twins are one record."""
+    cols = grid_cols(2)
+    lines = system_lines(["I", "I"], {0: "a", 1: "a"})
+    lines.append(lay("    edit", [(cols[1], '"lectio dubia"')]))
+    body = "\n".join(lines)
+    p, q = compile_source(
+        f"tbl = ( (1 a f) )\nbünde = tbl\nPARS p\n{body}\nPARS q\n{body}\n"
+    ).partes
+    plain, annotated = (col.sona[0] for col in p.columns)
+    assert annotated.annotations and not plain.annotations
+    assert q.columns[1].sona[0] == annotated and q.columns[1].sona[0] is not annotated
+    assert q.columns[0].sona[0] is plain
+
+
+def test_carries_of_one_value_are_one_value_across_systems_and_pars():
+    first = system_lines(["F", "-", "I", "-"], dict.fromkeys(range(4), "a"))
+    second = system_lines(["-", "F", "-"], dict.fromkeys(range(3), "a"))
+    body = "\n".join(first + second)
+    head = "tbl = ( (1 a f) )\nbünde = tbl\nduratioManet = est\n"
+    score = compile_source(f"{head}PARS p\n{body}\nPARS q\n{body}\n")
+    carries = [col.duration for pars in score.partes for col in pars.columns
+               if col.duration.klass == KLASS_CARRY]
+    per_pars = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 4), Fraction(1, 16)]
+    assert [as_fraction(carry.value) for carry in carries] == per_pars * 2
+    by_value = {}
+    assert all(by_value.setdefault(carry.value, carry) is carry for carry in carries)
+    assert len(by_value) == 2
+
+
 def test_annotation_attaches_to_matching_column():
     cols = grid_cols(2)
     lines = system_lines(["I", "I"], {0: "1", 1: "a"})
@@ -426,7 +475,9 @@ def test_carry_may_open_a_later_system():
         carry = pars.columns[n].duration
         assert carry.klass == KLASS_CARRY
         assert as_fraction(carry.value) == Fraction(1, 16)
-        assert pars.columns[n - 1].duration is not carry  # each carry column holds its own
+        # every carry of one value is that value, in either system
+        carries = [col.duration for col in pars.columns if col.duration.klass == KLASS_CARRY]
+        assert carries == [carry] * (durations.count("-") + 1)
 
 
 def test_beam_groups_do_not_span_systems():

@@ -7,6 +7,7 @@ per-element reference writers in ``helpers``. An error locates the token
 it names on that token's own line."""
 
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,10 @@ from lutetab import (
     format_diagnostic,
     render_pars,
 )
-from lutetab.model import duration_rows
+from lutetab.model import Columna, ParsModel, Sonum, duration_rows
 from lutetab.prelude import MAX_POSITION
-from lutetab.tempus import KLASS_CARRY
+from lutetab.tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS, DurationToken
+from lutetab.vox import EDIT_TRACK, Annotation
 
 import dtd_validator
 import helpers
@@ -72,11 +74,13 @@ def _compile_or_locate(text: str) -> list:
 @example("schlick", [], 11)
 def test_twins_share_one_value_and_a_replaced_twin_changes_its_own_lines(name, mutations, at):
     for pars in _compile_or_locate(helpers.mutate(SOURCES[name], mutations)):
-        grips, spellings = {}, {}
+        grips, spellings, carries = {}, {}, {}
         for col in pars.columns:
             duration = col.duration
             if duration.klass != KLASS_CARRY:
                 assert spellings.setdefault(duration.source_text, duration) is duration
+            else:
+                assert carries.setdefault(duration.value, duration) is duration
             for sonum in col.sona:
                 if not sonum.annotations:
                     assert grips.setdefault(sonum, sonum) is sonum
@@ -183,13 +187,163 @@ def test_writers_match_the_reference_writers(name, mutations, config):
 )
 def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
     # rows a compiled model never holds: under duratioCadens a duration sits one
-    # row above its first grip, so moving that grip makes its row negative, or
-    # puts it below the column's other grips
+    # row above its first grip, so moving that grip puts it below the column's
+    # other grips, or puts its duration row outside 0..MAX_POSITION, which
+    # both writers refuse, naming the first such column
     pars = compile_source(SOURCES[name]).partes[0]._replace(duratio_cadens=True)
     for at, row in moves:
         col = pars.columns[at % len(pars.columns)]
         col.sona[0] = col.sona[0]._replace(ypos=row)
-    _assert_render_matches_reference(pars, config)
+    rows = [col.sona[0].ypos - 1 for col in pars.columns]
+    outside = [j for j, row in enumerate(rows) if not 0 <= row <= MAX_POSITION]
+    if not outside:
+        _assert_render_matches_reference(pars, config)
+        return
+    j = outside[0]
+    for write in (emit_pars, lambda pars: render_pars(pars, config)):
+        with pytest.raises(EmitError) as exc:
+            write(pars)
+        assert exc.value.message == (
+            f"duration ypos {rows[j]} of column {j} is outside 0..{MAX_POSITION}"
+        )
+
+
+def _grip_row_source(n: int, cadens: str = "nonEst") -> str:
+    lines = helpers.system_lines(["I"] * n, dict.fromkeys(range(n), "a"))
+    return f"tbl = ( (1 a) )\nduratioCadens = {cadens}\nPARS p\nbünde = tbl\n" + "\n".join(lines)
+
+
+def _assert_both_writers_refuse(pars, message):
+    for write in (emit_pars, render_pars):
+        with pytest.raises(EmitError) as exc:
+            write(pars)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, None, None)
+
+
+@pytest.mark.parametrize("ranges, system, span", [
+    ([(0, -1)], 0, "[0, -1)"),
+    ([(0, 2), (1, 3)], 1, "[1, 3)"),
+    ([(0, 6)], 0, "[0, 6)"),
+    ([(-2, 4)], 0, "[-2, 4)"),
+    ([(0, 1), (1, 1), (1, 3)], 1, "[1, 1)"),
+    ([(1, 3)], 0, "[1, 3)"),
+    ([(0, 2)], 0, "[0, 2)"),
+    ([(0, 1), (2, 3)], 1, "[2, 3)"),
+    ([(0, 3.0)], 0, "[0, 3.0)"),
+    ([], None, None),
+], ids=str)
+def test_system_ranges_that_do_not_tile_the_columns_are_refused(ranges, system, span):
+    """A hand-built ``system_ranges`` must cover ``[0, len(columns))`` in
+    order, each system at least one column: the XML writer, which does not
+    read them, refuses them as the renderer does, with or without
+    ``duratio_cadens``, on plain columns and on a hand-built beam group."""
+    plain = compile_source(_grip_row_source(3)).partes[0]
+    lines = helpers.system_lines(["T_", "I", "_T"], dict.fromkeys(range(3), "a"))
+    beamed = compile_source("tbl = ( (1 a) )\nPARS p\nbünde = tbl\n" + "\n".join(lines)).partes[0]
+    beamed.columns[1].duration = beamed.columns[2].duration  # T_ _T _T, as built by hand
+    assert plain.system_ranges == beamed.system_ranges == [(0, 3)]
+    message = (f"system {system} spans columns {span}, but the systems must tile [0, 3) "
+               "in order, each holding a column" if ranges else "no system holds the 3 columns")
+    for pars in (plain, beamed):
+        for cadens in (False, True):
+            _assert_both_writers_refuse(
+                pars._replace(system_ranges=ranges, duratio_cadens=cadens), message
+            )
+
+
+@pytest.mark.parametrize("ypos, row", [(0, -1), (MAX_POSITION + 2, MAX_POSITION + 1)])
+def test_a_duration_row_outside_the_positions_is_refused_by_both_writers(ypos, row):
+    """Under ``duratioCadens`` a column's duration stands one row above its
+    first grip: a grip moved by hand to row 0 or 14 puts it at -1 or 13,
+    which both writers refuse."""
+    pars = compile_source(_grip_row_source(3, "est")).partes[0]
+    assert duration_rows(pars) == [0, 0, 0]
+    pars.columns[1].sona[0] = pars.columns[1].sona[0]._replace(ypos=ypos)
+    _assert_both_writers_refuse(
+        pars, f"duration ypos {row} of column 1 is outside 0..{MAX_POSITION}"
+    )
+    if ypos == 0:  # a grip at row 0 is writable where its duration stays at row 0
+        flat = pars._replace(duratio_cadens=False)
+        assert emit_pars(flat) and render_pars(flat)
+
+
+_POSITION = st.integers(0, MAX_POSITION)
+_SONUM = st.builds(
+    Sonum, st.sampled_from(["a", "1", "<&'\""]), _POSITION, _POSITION, st.booleans(), _POSITION,
+    st.lists(st.builds(Annotation, st.sampled_from([EDIT_TRACK, "fg"]),
+                       st.sampled_from(["x", "a<b & 'c'"]), st.integers(0, 40)),
+             max_size=2).map(tuple),
+)
+_DURATION = st.builds(
+    DurationToken, st.sampled_from(["I", "T_", "_F.", ".", "-"]),
+    st.sampled_from([*STEM_FLAGS, KLASS_DOTS, KLASS_CARRY]), st.integers(0, 3), st.booleans(),
+    st.booleans(), st.integers(0, 100),
+)
+
+
+@st.composite
+def _hand_built_pars(draw) -> ParsModel:
+    """A model a caller could build by hand from the records: a grip at or
+    past a position bound, a column with no grip, any duration and sum,
+    and system ranges that tile the columns or do not."""
+    n = draw(st.integers(0, 6))
+    columns = [
+        Columna(draw(_DURATION), draw(st.integers(0, 200)),
+                draw(st.lists(_SONUM, min_size=1, max_size=3)))
+        for _ in range(n)
+    ]
+    if columns and draw(st.booleans()):  # one column emptied, or a grip moved to an edge
+        col = columns[draw(st.integers(0, n - 1))]
+        field = draw(st.sampled_from(["string", "fret", "ypos", None]))
+        if field is None:
+            col.sona.clear()
+        else:
+            edge = draw(st.sampled_from([-1, 0, MAX_POSITION, MAX_POSITION + 1]))
+            col.sona[0] = col.sona[0]._replace(**{field: edge})
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) if n > 1 else [])
+    tiling = list(zip([0, *cuts], [*cuts, n])) if n else []
+    ranges = draw(st.one_of(
+        st.just(tiling),
+        st.lists(st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)), max_size=3),
+    ))
+    return ParsModel("p", columns, "tbl", ranges, draw(st.booleans()))
+
+
+def _writable(pars, positions: bool) -> bool:
+    """The writers' contract, stated independently of ``duration_rows``."""
+    n, end = len(pars.columns), 0
+    for start, stop in pars.system_ranges:
+        if not start == end < stop:
+            return False
+        end = stop
+    if end != n or not all(col.sona for col in pars.columns):
+        return False
+    in_range = range(MAX_POSITION + 1)
+    if pars.duratio_cadens and any(col.sona[0].ypos - 1 not in in_range for col in pars.columns):
+        return False
+    return not positions or all(
+        {sonum.string, sonum.fret, sonum.ypos} <= set(in_range)
+        for col in pars.columns for sonum in col.sona
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hand_built_pars())
+def test_a_hand_built_model_is_written_exactly_when_it_keeps_the_contract(pars):
+    """Each writer returns a document, valid against the DTD (XML) or well
+    formed (SVG), exactly when the model keeps the writers' contract, and
+    raises ``EmitError`` with no location otherwise."""
+    for write, positions in ((emit_pars, True), (render_pars, False)):
+        if _writable(pars, positions):
+            doc = write(pars)
+            if write is emit_pars:
+                assert dtd_validator.validate(doc, DTD) == []
+            else:
+                ET.fromstring(doc)
+        else:
+            with pytest.raises(EmitError) as exc:
+                write(pars)
+            assert (exc.value.line, exc.value.column) == (None, None)
 
 
 _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"

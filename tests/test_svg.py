@@ -279,6 +279,27 @@ def test_int_lengths_summing_past_the_float_range_are_refused(newsidler_score, c
     assert exc.value.message == "render geometry too large: an SVG coordinate would be inf"
 
 
+def test_a_band_y_that_is_not_finite_is_refused_where_the_header_passes():
+    """The header bounds every x, but not every y: band 0's base is
+    ``margin + 0 * (band_height + row_spacing) + stem_height``, and at a row
+    spacing of 6.5e307 the height (about 1.3e308) is finite while
+    ``band_height + row_spacing`` is not, so the base is ``0 * inf``, nan.
+    Only the check of each band's y strings refuses it; at 5.99e307 the sum
+    stays finite and the graphic renders."""
+    lines = helpers.system_lines(["I", "F"], {0: "a", 1: "a"})
+    pars = compile_source("tbl = ( (1 a) )\nPARS p\nbünde = tbl\n" + "\n".join(lines)).partes[0]
+    refused = RenderConfig(row_spacing=6.5e307)
+    header = helpers.reference_render_pars(pars, refused).split("\n")[0]
+    assert "height='1.3e+308'" in header and not helpers.holds_non_finite_number(header)
+    with pytest.raises(EmitError) as exc:
+        render_pars(pars, refused)
+    assert exc.value.message == "render geometry too large: an SVG coordinate would be nan"
+    near = RenderConfig(row_spacing=5.99e307)
+    svg = render_pars(pars, near)
+    assert not helpers.holds_non_finite_number(svg)
+    assert svg == helpers.reference_render_pars(pars, near)
+
+
 def test_each_y_keeps_its_float_association_where_one_ulp_shows():
     """At a stem height near 2**56, a y rounds to a multiple of 8 (its ulp),
     and the stem tops of band 0 show that rounding whole (23 + h - h = 24).
