@@ -9,8 +9,6 @@ The writers' names (``RenderConfig``, ``render_pars``, ``emit_pars``,
 ``emit_dtd``) load their module, ``svg_out`` or ``xml_out``, on first use.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .errors import (

@@ -33,8 +33,6 @@ no SVG; it relies on ``xml_out``'s rule that no compiled model reaches
 reference cycles, yet the collector would walk all its objects in vain.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import os

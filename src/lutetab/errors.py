@@ -12,8 +12,6 @@ Diagnostics are safe to print to a terminal: ``visible`` shows each control
 character in them as one printable scalar, so the caret stays in place.
 """
 
-from __future__ import annotations
-
 import re
 
 

@@ -64,8 +64,6 @@ built.
 use and then shared; it lives here because both writers import the model.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import attrgetter
 

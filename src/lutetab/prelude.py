@@ -34,8 +34,6 @@ about a value points at the value: a flag's bad value, and a ``bünde``
 value naming no table (``Parameters`` keeps where it was set).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ModelError, ParseError
@@ -150,15 +148,13 @@ def _parse_table(
     """
     first_line = lines[idx].line_number
     value_column = value_columns[0]
-    # (line number, tokens, columns) per table line
-    collected = [(first_line, value_tokens, value_columns)]
+    depth = value_tokens.count("(") - value_tokens.count(")")
     j = idx + 1
     while j < len(lines) and lines[j].kind is LineKind.TABLE_CONTINUATION:
-        line = lines[j]
-        collected.append((line.line_number, line.tokens, line.columns))
+        tokens = lines[j].tokens
+        depth += tokens.count("(") - tokens.count(")")
         j += 1
-    atoms = [(atom, ln, col) for ln, texts, cols in collected for atom, col in zip(texts, cols)]
-    if sum((atom == "(") - (atom == ")") for atom, _, _ in atoms):
+    if depth:
         raise ParseError(
             f"unbalanced parentheses in table '{name}'", line=first_line, column=value_column
         )
@@ -168,56 +164,61 @@ def _parse_table(
     level = 0
     closed = False  # the outermost group has closed: nothing may follow
     current: list[str] = []  # the open row's symbols
-    for atom, a_line, a_col in atoms:
-        if atom == "(":
-            if closed:
-                raise ParseError(
-                    f"table '{name}' goes on after its closing ')'", line=a_line, column=a_col
-                )
-            level += 1
-            if level == 2:
-                if len(rows) > MAX_POSITION:
+    for k in range(idx, j):
+        line = lines[k]
+        texts, cols = (line.tokens, line.columns) if k > idx else (value_tokens, value_columns)
+        for atom, a_col in zip(texts, cols):
+            if atom == "(":
+                if closed:
+                    raise ParseError(
+                        f"table '{name}' goes on after its closing ')'",
+                        line=line.line_number,
+                        column=a_col,
+                    )
+                level += 1
+                if level == 2:
+                    if len(rows) > MAX_POSITION:
+                        raise ModelError(
+                            f"table '{name}' has more than {MAX_POSITION + 1} rows; "
+                            f"string indexes beyond {MAX_POSITION} are not encodable",
+                            line=name_line,
+                        )
+                    current = []
+                elif level > 2:
+                    raise ParseError(
+                        f"table '{name}' nests deeper than rows of symbols",
+                        line=line.line_number,
+                        column=a_col,
+                    )
+            elif atom == ")":
+                if level == 2:
+                    rows.append(current)
+                level -= 1
+                closed = level == 0
+            else:
+                if level != 2:
+                    raise ParseError(
+                        f"symbol '{atom}' outside a table row",
+                        line=line.line_number,
+                        column=a_col,
+                    )
+                if len(current) > MAX_POSITION:
                     raise ModelError(
-                        f"table '{name}' has more than {MAX_POSITION + 1} rows; "
-                        f"string indexes beyond {MAX_POSITION} are not encodable",
+                        f"table '{name}' row {len(rows) + 1} is longer than "
+                        f"{MAX_POSITION + 1} symbols; fret indexes beyond {MAX_POSITION} "
+                        "are not encodable",
                         line=name_line,
                     )
-                current = []
-            elif level > 2:
-                raise ParseError(
-                    f"table '{name}' nests deeper than rows of symbols",
-                    line=a_line,
-                    column=a_col,
-                )
-        elif atom == ")":
-            if level == 2:
-                rows.append(current)
-            level -= 1
-            closed = level == 0
-        else:
-            if level != 2:
-                raise ParseError(
-                    f"symbol '{atom}' outside a table row",
-                    line=a_line,
-                    column=a_col,
-                )
-            if len(current) > MAX_POSITION:
-                raise ModelError(
-                    f"table '{name}' row {len(rows) + 1} is longer than "
-                    f"{MAX_POSITION + 1} symbols; fret indexes beyond {MAX_POSITION} "
-                    "are not encodable",
-                    line=name_line,
-                )
-            if atom in seen:
-                f_line, f_col = seen[atom]
-                raise ParseError(
-                    f"grip symbol '{atom}' appears twice in table "
-                    f"'{name}' (first at line {f_line}, column {f_col + 1})",
-                    line=a_line,
-                    column=a_col,
-                )
-            seen[atom] = (a_line, a_col)
-            current.append(atom)
+                if atom in seen:
+                    f_line, f_col = seen[atom]
+                    raise ParseError(
+                        f"grip symbol '{atom}' appears twice in table "
+                        f"'{name}' (first at line {f_line}, column {f_col + 1})",
+                        line=line.line_number,
+                        column=a_col,
+                    )
+                seen[atom] = (line.line_number, a_col)
+                current.append(atom)
     if not rows:
         raise ParseError(f"table '{name}' has no rows", line=first_line, column=value_column)
     return GripTable(name, rows), j

@@ -40,8 +40,6 @@ only once; only the texts that an assignment line or a table line splits
 further are new.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from enum import Enum

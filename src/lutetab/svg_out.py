@@ -42,8 +42,6 @@ is checked on its own: the header's width bounds every x, rounding is
 monotone, and a small offset added to a finite x cannot overflow.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import chain, repeat

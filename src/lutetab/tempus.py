@@ -23,8 +23,6 @@ texts of its ``SourceLine``, their positions its ``columns``, and errors
 take their line number from the same line.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ModelError, ParseError

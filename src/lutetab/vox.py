@@ -24,8 +24,6 @@ spelling: the ``+`` rule (one ``+``, at the end, after a symbol),
 stripping it, and looking the symbol up in the PARS's table.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ParseError

@@ -40,8 +40,6 @@ on ``sonum`` is this program's documented extension for editorial
 remarks; the DTD below declares it.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 from math import gcd
 

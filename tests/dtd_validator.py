@@ -13,8 +13,6 @@ Supported subset: EMPTY/ANY and parenthesized content models with
 data-oriented DTDs; mixed content (#PCDATA) is rejected explicitly.
 """
 
-from __future__ import annotations
-
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field

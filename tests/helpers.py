@@ -2,8 +2,6 @@
 source mutation, and the one harness that counts and weighs the stages.
 The oracles here deliberately avoid the compiler's own code paths."""
 
-from __future__ import annotations
-
 import contextlib
 import gc
 import re
@@ -237,13 +235,11 @@ def stage_costs(text: str) -> dict[str, Cost]:
     ``peaks``, as ``held`` is an array.
 
     One function both counts and weighs, so its code has run before the
-    weighing starts. CPython keeps memory on a code object the first time
-    it runs it (3.10 keeps a frame for reuse) or the first time after
-    ``sys.settrace`` was switched (3.12 and 3.13 keep instrumentation data).
-    Weighed by a function of its own, the first call in a process read 64
-    to 480 bytes more in every peak than the calls after it. One such cost
-    is left on 3.10: a function gets its opcache at its 1024th call, and a
-    weighed run in which that falls reads the opcache too.
+    weighing starts. CPython 3.12 and 3.13 keep instrumentation data on a
+    code object the first time they run it after ``sys.settrace`` was
+    switched. Weighed by a function of its own, the first call in a process
+    read 72 (3.12) and 64 (3.13) bytes more in every peak than the calls
+    after it.
     """
     _run_stages(text, lambda name, run, arg: run(arg))
     events, peaks, held = {}, {}, array("q", bytes(8 * len(STAGES)))

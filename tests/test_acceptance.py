@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they execute; without ``-s`` pytest still shows them for failing tests.
 """
 
-from __future__ import annotations
-
 import random
 import time
 import xml.etree.ElementTree as ET

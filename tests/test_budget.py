@@ -27,8 +27,6 @@ record skips. To record the running version's figures, run
     PYTHONPATH=src python tests/test_budget.py
 """
 
-from __future__ import annotations
-
 import json
 import runpy
 import sys

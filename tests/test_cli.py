@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -203,7 +204,10 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "lutetab" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"lutetab {lutetab.__version__}\n"
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert lutetab.__version__ == project["version"]
 
 
 def test_misaligned_token_diagnostic(tmp_path, newsidler_text, capsys):

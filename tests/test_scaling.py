@@ -135,7 +135,7 @@ def test_emit_and_render_work_at_most_doubles_when_the_source_doubles(shape, n):
 def test_each_stage_data_peak_grows_linearly_with_the_source(shape, n):
     """Each peak grows at most 1.25 times as fast as the source text (2.5x when it
     doubles; ``many_tracks``' text grows about 3.8x). Linear code reads up to 1.043
-    here on CPython 3.10 to 3.13: ints below 257 are cached, not allocated, and
+    here on CPython 3.11 to 3.13: ints below 257 are cached, not allocated, and
     lists and dicts grow in steps. A peak that grows quadratically reads about 2."""
     growth, ratios = _ratios(shape, n, "peak_bytes")
     ratios = {stage: round(ratio / growth, 3) for stage, ratio in ratios.items()}
@@ -145,10 +145,8 @@ def test_each_stage_data_peak_grows_linearly_with_the_source(shape, n):
 def test_a_collector_callback_changes_no_figure():
     """hypothesis keeps a callback in ``gc.callbacks``, which every collection
     runs; one that allocates and keeps what it allocates must change no count,
-    peak or held figure. A first call is left out, for CPython 3.10's sake
-    (see the test below)."""
+    peak or held figure."""
     text, _, _ = many_systems(100)
-    stage_costs(text)
     alone = stage_costs(text)
     kept = []
 
@@ -172,10 +170,6 @@ print(json.dumps([stage_costs(text), stage_costs(text)]))
 """
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="CPython 3.10 gives a function its opcache at its 1024th call, in whichever run that is",
-)
 def test_the_first_call_in_a_process_reads_the_figures_of_the_second():
     """A fresh process calls ``stage_costs`` twice on one text: both calls read
     the same events, peaks and held bytes, so no figure depends on whether

@@ -28,8 +28,6 @@ The same kind of child also shows which writer modules a run loads: each
 is loaded only by a run that writes its output.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import subprocess

@@ -10,8 +10,6 @@ and checks each count against one taken independently from the golden
 XML of that fixture.
 """
 
-from __future__ import annotations
-
 import re
 import runpy
 from pathlib import Path
