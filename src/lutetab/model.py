@@ -145,6 +145,13 @@ ParsModel = namedtuple("ParsModel", [
 ], defaults=(False,))
 
 
+def check_position(value: int, what: str, index: int) -> None:
+    """The writers' one position bound: ``EmitError`` unless ``value``, the
+    ``what`` of column ``index``, is in 0..``MAX_POSITION``."""
+    if not 0 <= value <= MAX_POSITION:
+        raise EmitError(f"{what} {value} of column {index} is outside 0..{MAX_POSITION}")
+
+
 def duration_rows(pars: ParsModel) -> list[int]:
     """The row of each column's duration symbol: the top row (0) or, with
     ``duratioCadens = est``, the free row directly above its topmost grip,
@@ -181,10 +188,8 @@ def duration_rows(pars: ParsModel) -> list[int]:
         return [0] * n
     rows = [col.sona[0].ypos - 1 for col in columns]
     if not (0 <= min(rows, default=0) and max(rows, default=0) <= MAX_POSITION):
-        index = next(j for j, row in enumerate(rows) if not 0 <= row <= MAX_POSITION)
-        raise EmitError(
-            f"duration ypos {rows[index]} of column {index} is outside 0..{MAX_POSITION}"
-        )
+        for index, row in enumerate(rows):  # then the first one outside raises
+            check_position(row, "duration ypos", index)
     return rows
 
 

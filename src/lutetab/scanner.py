@@ -11,12 +11,17 @@ every code point that XML 1.0 cannot hold (C0 controls but TAB, LF and
 CR; surrogates; U+FFFE and U+FFFF), since the text reaches the XML and
 SVG documents.
 
-Each line is lexed once: ``tokenize_columns`` splits it with one
-``re.split``, which makes no ``Match`` object per token, and one call of
+Each line is lexed once, by ``tokenize_columns``, and one call of
 ``classify_line`` finishes it from those tokens: its kind and its final
-tokens. So a quoted token is one token whatever it contains: an ``=``
-inside quotes makes no assignment, and a parenthesis inside quotes opens
-or closes no table. ``//`` starts a comment everywhere, inside quotes
+tokens. A line with no ``"`` that encodes as Latin-1, which every T and
+VOX line of a usual source is, takes its texts from ``str.split()`` and
+its columns from a byte mask of its spaces, both in C; every other line
+is split by one ``re.split``, which makes no ``Match`` object per token.
+Both split at exactly the characters ``str.isspace`` accepts, so both
+give the same tokens and columns wherever both apply. A quoted token,
+which only the ``re.split`` meets, is one token whatever it contains: an
+``=`` inside quotes makes no assignment, and a parenthesis inside quotes
+opens or closes no table. ``//`` starts a comment everywhere, inside quotes
 too. An assignment line splits further at its first unquoted ``=``,
 found once, into its name tokens, a lone ``=`` token and its value
 tokens, so ``x=y``, ``x =y`` and ``x = y`` give the same tokens. In a
@@ -44,6 +49,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 from itertools import accumulate, repeat
+from operator import add
 
 from .errors import ScanError
 
@@ -78,6 +84,11 @@ def strip_comments(raw_line: str) -> str:
 # accepts. A token that opens with ``"`` and holds no second one is a quote
 # that never closes.
 _SPLIT = re.compile(r'("[^"]*"\S*|\S+)')
+# Per byte of a Latin-1 text: 0 where ``str.isspace`` accepts its character
+# (TAB to CR, U+001C to U+001F, SPACE, NEL U+0085 and NO-BREAK SPACE U+00A0),
+# 1 elsewhere. A constant expression, which the compiler folds: no import work.
+_MASK = (b"\1" * 9 + b"\0" * 5 + b"\1" * 14 + b"\0" * 5 + b"\1" * 100 + b"\0" + b"\1" * 26
+         + b"\0" + b"\1" * 95)
 
 
 def tokenize_columns(
@@ -93,9 +104,31 @@ def tokenize_columns(
 
     ``shared`` maps each token text met so far to its first copy, so the
     calls that pass one dict give one string for equal texts.
+
+    A line with no quote that encodes as Latin-1 skips the ``re.split``:
+    ``str.split()`` gives its texts, and its columns come from the encoded
+    line translated through ``_MASK``, 0 for a space, 1 for any other
+    character. With a 0 put in front, each ``0 1`` step marks the start of
+    one ``str.split()`` text, its 0 standing at that text's column: both
+    split at the characters ``str.isspace`` accepts, and in Latin-1 one
+    byte is one character, so the columns stay exact. Splitting at the
+    steps leaves pieces whose lengths, with 2 for each step, sum to the
+    columns.
     """
     if shared is None:
         shared = {}
+    if '"' not in text:
+        try:
+            steps = (b"\0" + text.encode("latin-1").translate(_MASK)).split(b"\0\1")
+        except UnicodeEncodeError:
+            pass
+        else:
+            texts = text.split()
+            n = len(texts)
+            columns = [0] * n  # filled in place, so that it holds exactly n slots
+            # Token k starts after the pieces up to k and the k steps between them.
+            columns[:] = map(add, accumulate(map(len, steps)), range(0, 2 * n, 2))
+            return list(map(shared.setdefault, texts, texts)), columns
     parts = _SPLIT.split(text)  # separator, token, separator, ..., separator
     texts = parts[1::2]
     tokens = list(map(shared.setdefault, texts, texts))

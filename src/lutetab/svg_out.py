@@ -48,7 +48,8 @@ from itertools import chain, repeat
 from operator import add, attrgetter, mul
 
 from .errors import EmitError
-from .model import PROLONGATE_SUFFIX, Memo, ParsModel, duration_rows
+from .model import PROLONGATE_SUFFIX, Memo, ParsModel, check_position, duration_rows
+from .prelude import MAX_POSITION
 from .tempus import KLASS_CARRY, KLASS_DOTS, STEM_FLAGS
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -57,6 +58,7 @@ SVG_NS = "http://www.w3.org/2000/svg"
 # beside the document, the writer holds at most one block's elements.
 _BLOCK = 256
 _NUM = ".12g"  # the one format of every SVG number
+_SONA, _YPOS = attrgetter("sona"), attrgetter("ypos")
 
 
 def positive_finite(value: float) -> bool:
@@ -109,13 +111,19 @@ def _escape_text(value: str) -> str:
 def render_pars(pars: ParsModel, config: RenderConfig | None = None) -> str:
     """Return the control graphic of ``pars`` as one SVG document, drawn with
     ``config`` (by default ``RenderConfig()``); raise ``EmitError`` for a
-    model that ``model.duration_rows`` refuses and for a coordinate that is
-    not finite."""
+    model that ``model.duration_rows`` refuses, for a grip whose row is
+    outside 0..``MAX_POSITION``, as ``emit_pars`` does, and for a coordinate
+    that is not finite."""
     cfg = config or RenderConfig()
     rows = duration_rows(pars)  # first: it checks the model whole
     columns = pars.columns
-    sona = chain.from_iterable(map(attrgetter("sona"), columns))
-    max_ypos = max(map(attrgetter("ypos"), sona), default=1)  # in C: no Python line per grip
+    # In C, no Python line per grip; the column is looked for only on a refusal.
+    max_ypos = max(map(_YPOS, chain.from_iterable(map(_SONA, columns))), default=1)
+    min_ypos = min(map(_YPOS, chain.from_iterable(map(_SONA, columns))), default=0)
+    if min_ypos < 0 or max_ypos > MAX_POSITION:  # then the first one outside raises
+        for index, col in enumerate(columns):
+            for sonum in col.sona:
+                check_position(sonum.ypos, "grip ypos", index)
     max_cols = max((b - a for a, b in pars.system_ranges), default=0)
     n_bands = len(pars.system_ranges)
 

@@ -30,8 +30,8 @@ below the voice count, so no compiled model reaches ``EmitError``. The
 CLI relies on that rule: ``--check`` ends at the model and emits nothing,
 yet reports every error ``--xml`` would. ``model.duration_rows`` checks a
 model built or changed by hand whole, its duration rows too, before a line
-is written, and ``_check_position`` each distinct grip's positions; their
-errors name a system or a column by its index.
+is written, and ``model.check_position`` each distinct grip's positions;
+their errors name a system or a column by its index.
 
 The document type mixes graphical and temporal properties (ypos next to
 exact time positions) and is meant as an intermediate model for
@@ -43,8 +43,9 @@ remarks; the DTD below declares it.
 from itertools import islice
 from math import gcd
 
-from .errors import EmitError
-from .model import TRABES_INITIALIS, TRABES_TERMINALIS, Memo, ParsModel, Sonum, duration_rows
+from .model import (
+    TRABES_INITIALIS, TRABES_TERMINALIS, Memo, ParsModel, Sonum, check_position, duration_rows,
+)
 from .prelude import MAX_POSITION
 from .tempus import TICKS_PER_WHOLE
 from .vox import EDIT_TRACK
@@ -107,11 +108,6 @@ def escape_attr(value: str) -> str:
     )
 
 
-def _check_position(value: int, what: str, index: int) -> None:
-    if not 0 <= value <= MAX_POSITION:
-        raise EmitError(f"{what} {value} of column {index} is outside 0..{MAX_POSITION}")
-
-
 def emit_pars(pars: ParsModel) -> str:
     """Serialize one PARS to a complete XML document string."""
     esc = Memo(escape_attr)
@@ -147,7 +143,7 @@ def emit_pars(pars: ParsModel) -> str:
                         for position, what in (
                             (fret, "fret"), (string, "string"), (ypos, "grip ypos")
                         ):
-                            _check_position(position, what, numerus)
+                            check_position(position, what, numerus)
                     edits = notes and [a.text for a in notes if a.track == EDIT_TRACK]
                     edit = f" edit='{esc['; '.join(edits)]}'" if edits else ""
                     prolongate = " prolongate='yes'" if prolongate else ""

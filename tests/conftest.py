@@ -1,10 +1,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from lutetab import compile_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# ``pytest --hypothesis-profile=ci``: 20 times the default examples, for a
+# run of chosen property tests longer than Tier-1's time budget allows.
+settings.register_profile("ci", max_examples=20 * settings.get_profile("default").max_examples)
 
 
 @pytest.fixture(scope="session")

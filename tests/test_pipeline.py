@@ -188,24 +188,27 @@ def test_writers_match_the_reference_writers(name, mutations, config):
 def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
     # rows a compiled model never holds: under duratioCadens a duration sits one
     # row above its first grip, so moving that grip puts it below the column's
-    # other grips, or puts its duration row outside 0..MAX_POSITION, which
-    # both writers refuse, naming the first such column
+    # other grips, or puts its duration row outside 0..MAX_POSITION, or the
+    # grip's own row, which both writers refuse, naming the first such column:
+    # a duration row before a grip row
     pars = compile_source(SOURCES[name]).partes[0]._replace(duratio_cadens=True)
     for at, row in moves:
         col = pars.columns[at % len(pars.columns)]
         col.sona[0] = col.sona[0]._replace(ypos=row)
     rows = [col.sona[0].ypos - 1 for col in pars.columns]
-    outside = [j for j, row in enumerate(rows) if not 0 <= row <= MAX_POSITION]
+    grip_rows = [[sonum.ypos for sonum in col.sona] for col in pars.columns]
+    outside = [(j, "duration", row) for j, row in enumerate(rows)
+               if not 0 <= row <= MAX_POSITION]
+    outside += [(j, "grip", row) for j, col_rows in enumerate(grip_rows) for row in col_rows
+                if not 0 <= row <= MAX_POSITION]
     if not outside:
         _assert_render_matches_reference(pars, config)
         return
-    j = outside[0]
+    j, what, row = outside[0]
     for write in (emit_pars, lambda pars: render_pars(pars, config)):
         with pytest.raises(EmitError) as exc:
             write(pars)
-        assert exc.value.message == (
-            f"duration ypos {rows[j]} of column {j} is outside 0..{MAX_POSITION}"
-        )
+        assert exc.value.message == f"{what} ypos {row} of column {j} is outside 0..{MAX_POSITION}"
 
 
 def _grip_row_source(n: int, cadens: str = "nonEst") -> str:
@@ -267,6 +270,21 @@ def test_a_duration_row_outside_the_positions_is_refused_by_both_writers(ypos, r
         assert emit_pars(flat) and render_pars(flat)
 
 
+@pytest.mark.parametrize("ypos", [-1, MAX_POSITION + 1])
+@pytest.mark.parametrize("column, grip", [(0, 0), (7, 1)])
+def test_a_grip_row_outside_the_positions_is_refused_by_both_writers(ypos, column, grip):
+    """A grip moved by hand to row -1 or 13, with its duration left at row
+    0: the renderer refuses it as the XML writer does, naming its column,
+    whichever of the column's grips it is."""
+    pars = compile_source(SOURCES["newsidler"]).partes[0]
+    assert not pars.duratio_cadens and len(pars.columns[column].sona) == grip + 1
+    sona = pars.columns[column].sona
+    sona[grip] = sona[grip]._replace(ypos=ypos)
+    _assert_both_writers_refuse(
+        pars, f"grip ypos {ypos} of column {column} is outside 0..{MAX_POSITION}"
+    )
+
+
 _POSITION = st.integers(0, MAX_POSITION)
 _SONUM = st.builds(
     Sonum, st.sampled_from(["a", "1", "<&'\""]), _POSITION, _POSITION, st.booleans(), _POSITION,
@@ -309,8 +327,9 @@ def _hand_built_pars(draw) -> ParsModel:
     return ParsModel("p", columns, "tbl", ranges, draw(st.booleans()))
 
 
-def _writable(pars, positions: bool) -> bool:
-    """The writers' contract, stated independently of ``duration_rows``."""
+def _writable(pars, positions: tuple[str, ...]) -> bool:
+    """The writers' contract, stated independently of ``duration_rows``:
+    ``positions`` names the grip fields that the writer bounds."""
     n, end = len(pars.columns), 0
     for start, stop in pars.system_ranges:
         if not start == end < stop:
@@ -321,9 +340,9 @@ def _writable(pars, positions: bool) -> bool:
     in_range = range(MAX_POSITION + 1)
     if pars.duratio_cadens and any(col.sona[0].ypos - 1 not in in_range for col in pars.columns):
         return False
-    return not positions or all(
-        {sonum.string, sonum.fret, sonum.ypos} <= set(in_range)
-        for col in pars.columns for sonum in col.sona
+    return all(
+        getattr(sonum, field) in in_range
+        for col in pars.columns for sonum in col.sona for field in positions
     )
 
 
@@ -333,7 +352,7 @@ def test_a_hand_built_model_is_written_exactly_when_it_keeps_the_contract(pars):
     """Each writer returns a document, valid against the DTD (XML) or well
     formed (SVG), exactly when the model keeps the writers' contract, and
     raises ``EmitError`` with no location otherwise."""
-    for write, positions in ((emit_pars, True), (render_pars, False)):
+    for write, positions in ((emit_pars, ("string", "fret", "ypos")), (render_pars, ("ypos",))):
         if _writable(pars, positions):
             doc = write(pars)
             if write is emit_pars:

@@ -1,3 +1,5 @@
+import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -308,6 +310,25 @@ def _tokenize_by_characters(text: str, line_number: int) -> tuple[list[str], lis
     return tokens, columns
 
 
+def test_pattern_whitespace_is_exactly_str_isspace():
+    """``\\s``, ``\\S`` and ``str.split()``, on which the two ways of
+    ``tokenize_columns`` rest, each part every code point as ``str.isspace`` does."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(filter(str.isspace, every))
+    assert "".join(re.findall(r"\s", every)) == "".join(re.split(r"\S+", every)) == spaces
+    assert every.split() == re.split(r"\s+", every)
+    assert len(spaces) == 29  # TAB to CR, U+001C to U+001F, SPACE, NEL, NBSP and 18 more
+
+
+def test_tokenize_matches_character_loop_on_every_one_byte_code_point():
+    """Each Latin-1 character as a separator and inside a token. A line with
+    no quote takes the byte mask, so a mask byte that disagrees with
+    ``str.isspace`` shows here; the quote itself takes ``re.split``."""
+    for c in map(chr, range(256)):
+        for text in (f"{c}a{c}b {c} cd{c}{c}e  {c}", f"  x{c}  {c}{c}yz{c}w", c, f"{c} {c}"):
+            _assert_matches_character_loop(text)
+
+
 # the format's own characters, quotes, and whitespace beyond ASCII space
 _SOURCE_CHARS = st.sampled_from(
     list('ITFE_.-+!=()\\/abcfgz019&C\u00fc"')
@@ -339,6 +360,10 @@ _LONG_LINES = st.builds(_long_line, st.lists(st.tuples(_GAPS, _WORDS), min_size=
 @given(st.one_of(st.text(alphabet=st.one_of(_SOURCE_CHARS, st.characters()), max_size=40),
                  _LONG_LINES))
 def test_tokenize_matches_character_loop(text):
+    _assert_matches_character_loop(text)
+
+
+def _assert_matches_character_loop(text: str) -> None:
     try:
         expected = _tokenize_by_characters(text, 5)
     except ScanError as err:
