@@ -31,6 +31,10 @@ no SVG; it relies on ``xml_out``'s rule that no compiled model reaches
 
 ``run`` pauses the cyclic garbage collector: the score model holds no
 reference cycles, yet the collector would walk all its objects in vain.
+
+The process ends once its streams are flushed, without interpreter
+teardown (``entry``, which the ``lutetab`` script and ``python -m
+lutetab.cli`` run), except under ``-X dev`` or after a failed flush.
 """
 
 import argparse
@@ -202,13 +206,6 @@ def run(args: argparse.Namespace) -> int:
             gc.enable()
 
 
-def _render_config(args: argparse.Namespace):
-    from .svg_out import RenderConfig
-
-    geometry = {name: getattr(args, name) for name in RenderConfig._fields}
-    return RenderConfig(**{k: v for k, v in geometry.items() if v is not None})
-
-
 def _run(args: argparse.Namespace) -> int:
     path = args.input
     try:
@@ -242,7 +239,10 @@ def _run(args: argparse.Namespace) -> int:
         if args.xml is not None:
             outputs.append((args.xml, ((f"{stem}.{p.name}.xml", emit_pars(p)) for p in partes)))
         if args.svg is not None:
-            config = _render_config(args)
+            from .svg_out import RenderConfig
+
+            geometry = {name: getattr(args, name) for name in RenderConfig._fields}
+            config = RenderConfig(**{k: v for k, v in geometry.items() if v is not None})
             outputs.append(
                 (args.svg, ((f"{stem}.{p.name}.svg", render_pars(p, config)) for p in partes))
             )
@@ -270,5 +270,31 @@ def main(argv: list[str] | None = None) -> int:
     return run(args)
 
 
+def entry():
+    """Run ``main`` as the whole process and end it; never returns.
+
+    Once ``main`` returns its code, each of ``sys.stdout`` and ``sys.stderr``
+    that exists is flushed (either is ``None`` when its descriptor was closed
+    at start-up), and ``os._exit`` ends the process without interpreter
+    teardown: nothing is left to release, and teardown is a large share of a
+    short run. Under ``-X dev``, or when a flush raises, ``sys.exit`` ends it
+    instead, so teardown runs as usual, with its ``ResourceWarning`` checks
+    and its own report of a stream that cannot be flushed. A ``SystemExit``
+    from the argument parser, and any other exception, propagates as from
+    ``main``.
+    """
+    code = main()
+    if not sys.flags.dev_mode:
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except Exception:  # teardown flushes again, and reports the failure as it always has
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

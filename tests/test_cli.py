@@ -509,6 +509,27 @@ def test_unmakeable_directory_is_reported_before_a_later_render_error(tmp_path, 
     assert not svg.exists()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["written", "render-error", "unmakeable-directory"])
+def test_a_run_leaves_no_descriptor_open(tmp_path, capsys, case):
+    """``_write_temp``'s raw ``os.open`` descriptors raise no ``ResourceWarning``
+    when left open, so count the process's descriptors around the run."""
+    path = tmp_path / "two.tab"
+    path.write_text(_WIDE_FIRST, encoding="utf-8")
+    xml, svg, code = tmp_path / "xml", tmp_path / "svg", 0
+    extra = ["--dtd"]
+    if case != "written":
+        extra, code = ["--col-spacing", "1e308"], 1
+    if case == "unmakeable-directory":
+        (tmp_path / "notadir").write_text("", encoding="utf-8")
+        xml, code = tmp_path / "notadir" / "xml", 2
+    argv = [str(path), "--xml", str(xml), "--svg", str(svg), *extra]
+    before = len(os.listdir("/proc/self/fd"))
+    assert main(argv) == code
+    assert len(os.listdir("/proc/self/fd")) == before
+    capsys.readouterr()
+
+
 def test_failed_second_temp_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "two.tab"
     path.write_text(_TWO_PARS, encoding="utf-8")
@@ -737,17 +758,150 @@ def test_oversized_table_diagnostic(tmp_path, capsys):
     )
 
 
+# The CLI as a user and the benchmark run it: ``python -m lutetab.cli`` in a
+# child without -X dev, so the process ends through ``cli.entry``'s flush and
+# os._exit, with no interpreter teardown. Each expected exit code, stream and
+# file is what the same run gave when it ended through sys.exit(main()).
+_ROOT = FIXTURES.parents[1]
+_posix_shell = pytest.mark.skipif(os.name != "posix", reason="redirects with sh")
+
+
+def _child(*argv: str, redirect: str = "") -> tuple[int, bytes, bytes]:
+    """Run ``python *argv`` from the checkout's root, under ``sh`` with ``redirect``
+    if one is given; return the exit code, stdout and stderr."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDEVMODE", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(lutetab.__file__).parents[1])
+    command = [sys.executable, *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$0" "$@" {redirect}', *command]
+    child = subprocess.run(command, cwd=_ROOT, env=env, capture_output=True)
+    return child.returncode, child.stdout, child.stderr
+
+
+def _cli_child(*args: str, redirect: str = "") -> tuple[int, bytes, bytes]:
+    return _child("-m", "lutetab.cli", *args, redirect=redirect)
+
+
 def test_readme_diagnostic_matches_golden():
     """``python -m lutetab.cli`` prints the README's example diagnostic byte for byte."""
-    root = FIXTURES.parents[1]
-    env = {**os.environ, "PYTHONPATH": str(Path(lutetab.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "lutetab.cli", "tests/fixtures/broken.tab", "--check"],
-        cwd=root, env=env, capture_output=True,
+    code, out, err = _cli_child("tests/fixtures/broken.tab", "--check")
+    assert (code, out) == (1, b"")
+    assert err == (FIXTURES / "broken.err").read_bytes()
+
+
+def test_the_process_writes_every_golden_output(tmp_path):
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli_child(
+        "tests/fixtures/newsidler.tab", "--xml", str(out), "--svg", str(out), "--dtd"
     )
-    assert result.returncode == 1
-    assert result.stdout == b""
-    assert result.stderr == (FIXTURES / "broken.err").read_bytes()
+    assert (code, stdout, stderr) == (0, b"", b"")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "newsidler.sola.svg", "newsidler.sola.xml", "tabulatura.dtd"
+    ]
+    for name, golden in (("newsidler.sola.xml", "newsidler.xml"),
+                         ("newsidler.sola.svg", "newsidler.svg"),
+                         ("tabulatura.dtd", "tabulatura.dtd")):
+        assert (out / name).read_bytes() == (FIXTURES / golden).read_bytes()
+
+
+def test_the_process_exits_2_on_an_unreadable_input(tmp_path):
+    path = tmp_path / "absent.tab"
+    assert _cli_child(str(path), "--check") == (2, b"", (
+        f"{path}: error: cannot read input: [Errno 2] No such file or directory: '{path}'\n"
+    ).encode())
+
+
+def test_the_process_ends_usage_errors_and_version_through_argparse():
+    code, out, err = _cli_child("tests/fixtures/newsidler.tab")
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"usage: lutetab ")
+    assert err.endswith(
+        b"lutetab: error: nothing to do: pass at least one of --xml, --svg, --dtd, --check\n"
+    )
+    assert _cli_child("--version") == (0, f"lutetab {lutetab.__version__}\n".encode(), b"")
+
+
+@_posix_shell
+@pytest.mark.parametrize("closed", ["1>&-", "2>&-"], ids=["stdout", "stderr"])
+def test_the_process_runs_with_a_standard_stream_closed(tmp_path, closed):
+    """A descriptor closed at start-up leaves its ``sys`` stream ``None``: exit 0, no traceback."""
+    out = tmp_path / "xml"
+    code, stdout, stderr = _cli_child(
+        "tests/fixtures/newsidler.tab", "--xml", str(out), redirect=closed
+    )
+    assert (code, stdout, stderr) == (0, b"", b"")
+    assert (out / "newsidler.sola.xml").read_bytes() == (FIXTURES / "newsidler.xml").read_bytes()
+
+
+@_posix_shell
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_the_process_exits_1_when_its_diagnostic_cannot_be_written():
+    """The diagnostic's write fails with ENOSPC; the error still ends the run with exit 1."""
+    code, out, _ = _cli_child("tests/fixtures/broken.tab", "--check", redirect="2>/dev/full")
+    assert (code, out) == (1, b"")
+
+
+@pytest.mark.parametrize("dev_mode", [False, True], ids=["fast", "dev"])
+def test_the_process_skips_teardown_except_under_dev_mode(dev_mode):
+    """An atexit hook shows teardown: ``entry`` skips it, unless -X dev asks for it."""
+    probe = (
+        "import atexit, sys; atexit.register(print, 'teardown'); import lutetab.cli; "
+        "sys.argv[1:] = ['tests/fixtures/newsidler.tab', '--check']; lutetab.cli.entry()"
+    )
+    flags = ["-X", "dev"] if dev_mode else []
+    assert _child(*flags, "-c", probe) == (0, b"teardown\n" if dev_mode else b"", b"")
+    pyproject = tomllib.loads((_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"]["lutetab"] == "lutetab.cli:entry"
+
+
+class _Stream:
+    def __init__(self, flushed: list, name: str, fails: bool = False):
+        self.flushed, self.name, self.fails = flushed, name, fails
+
+    def flush(self):
+        self.flushed.append(self.name)
+        if self.fails:
+            raise OSError(28, "No space left on device")
+
+
+class _Exited(BaseException):
+    pass
+
+
+@pytest.mark.parametrize(
+    "dev_mode,stdout,stderr,flushed,ends",
+    [
+        (False, "ok", "ok", ["stdout", "stderr"], "os._exit"),
+        (False, None, "ok", ["stderr"], "os._exit"),
+        (False, "ok", None, ["stdout"], "os._exit"),
+        (False, "fails", "ok", ["stdout"], "sys.exit"),
+        (False, "ok", "fails", ["stdout", "stderr"], "sys.exit"),
+        (True, "ok", "ok", [], "sys.exit"),
+    ],
+    ids=["flushed", "no-stdout", "no-stderr", "stdout-fails", "stderr-fails", "dev-mode"],
+)
+def test_entry_flushes_then_exits_without_teardown_else_through_sys_exit(
+    monkeypatch, dev_mode, stdout, stderr, flushed, ends
+):
+    seen = []
+    streams = {
+        name: None if kind is None else _Stream(seen, name, kind == "fails")
+        for name, kind in (("stdout", stdout), ("stderr", stderr))
+    }
+
+    def os_exit(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(cli.os, "_exit", os_exit)
+    monkeypatch.setattr(sys, "stdout", streams["stdout"])
+    monkeypatch.setattr(sys, "stderr", streams["stderr"])
+    monkeypatch.setattr(sys, "flags", type("Flags", (), {"dev_mode": dev_mode}))
+    with pytest.raises(_Exited if ends == "os._exit" else SystemExit) as exc:
+        cli.entry()
+    monkeypatch.undo()
+    assert exc.value.args == (1,)
+    assert seen == flushed
 
 
 @pytest.mark.parametrize(

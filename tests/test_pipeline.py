@@ -301,23 +301,25 @@ _DURATION = st.builds(
 
 @st.composite
 def _hand_built_pars(draw) -> ParsModel:
-    """A model a caller could build by hand from the records: a grip at or
-    past a position bound, a column with no grip, any duration and sum,
-    and system ranges that tile the columns or do not."""
+    """A model a caller could build by hand from the records: up to three
+    grips, any of any column, at or past a position bound, or columns with
+    no grip; any duration and sum; and system ranges that tile the columns
+    or do not."""
     n = draw(st.integers(0, 6))
     columns = [
         Columna(draw(_DURATION), draw(st.integers(0, 200)),
                 draw(st.lists(_SONUM, min_size=1, max_size=3)))
         for _ in range(n)
     ]
-    if columns and draw(st.booleans()):  # one column emptied, or a grip moved to an edge
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
         col = columns[draw(st.integers(0, n - 1))]
         field = draw(st.sampled_from(["string", "fret", "ypos", None]))
         if field is None:
             col.sona.clear()
-        else:
+        elif col.sona:  # an earlier draw may have emptied it
             edge = draw(st.sampled_from([-1, 0, MAX_POSITION, MAX_POSITION + 1]))
-            col.sona[0] = col.sona[0]._replace(**{field: edge})
+            at = draw(st.integers(0, len(col.sona) - 1))
+            col.sona[at] = col.sona[at]._replace(**{field: edge})
     cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) if n > 1 else [])
     tiling = list(zip([0, *cuts], [*cuts, n])) if n else []
     ranges = draw(st.one_of(
