@@ -56,9 +56,11 @@ the score's dict, and a record only for a value new to the score.
 A ``Columna`` holds only what the source states: its number is its
 index, ``duration_rows`` gives its duration's row, and its read-only
 ``trabes`` is taken from its duration's beam markers, which the writers
-read directly. It is a slotted class, compared field by field and
-unhashable, because ``compute_summa`` sets its time position after it is
-built.
+read directly. A compiled column's ``sona`` is one tuple of exactly its
+grips; the writers only iterate it, test it and read its first grip, so
+a column built by hand may hold its grips in any sequence. ``Columna``
+is a slotted class, compared field by field and unhashable, because
+``compute_summa`` sets its time position after it is built.
 
 ``Memo`` is the writers' table of formatted fragments, each built on first
 use and then shared; it lives here because both writers import the model.
@@ -113,7 +115,7 @@ class Columna:
     __slots__ = ("duration", "summa_praecedentium", "sona")
 
     def __init__(
-        self, duration: DurationToken, summa_praecedentium: int, sona: list[Sonum]
+        self, duration: DurationToken, summa_praecedentium: int, sona: tuple[Sonum, ...]
     ) -> None:
         self.duration = duration
         self.summa_praecedentium = summa_praecedentium  # in ticks of 1/64 whole note
@@ -300,19 +302,23 @@ def build_system(
         sona = sona_by_column[column]
         sona[index] = sona[index]._replace(annotations=tuple(note))
 
+    if not all(sona_by_column.values()):  # then the first column with no grip raises
+        for token, column in zip(durations, symbol_columns):
+            if not sona_by_column[column]:
+                raise ModelError(
+                    f"column of duration '{token.source_text}' has no grip event "
+                    "(every column needs at least one)",
+                    line=tempus.line_number,
+                    column=column,
+                )
+
+    # The system has passed its checks. Each column's grips become one tuple of
+    # exactly their number, made as their list leaves the dict, so a list and
+    # its tuple are never both held. Each sum is 0 until compute_summa sets it:
+    # ``bytes(n)`` is n zeros in n bytes, where a list of them takes 8 a column.
     start = len(columns)
-    made: list[Columna] = []
-    for token, column in zip(durations, symbol_columns):
-        sona = sona_by_column[column]
-        if not sona:
-            raise ModelError(
-                f"column of duration '{token.source_text}' has no grip event "
-                "(every column needs at least one)",
-                line=tempus.line_number,
-                column=column,
-            )
-        made.append(Columna(token, 0, sona))  # 0: the sum, set by compute_summa
-    columns.extend(made)
+    columns.extend(map(Columna, durations, bytes(len(durations)),
+                       map(tuple, map(sona_by_column.pop, symbol_columns))))
     pars.system_ranges.append((start, len(columns)))
 
 

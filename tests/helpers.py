@@ -37,6 +37,15 @@ def visible(text: str) -> str:
     return "".join(shown)
 
 
+def replace_grip(col, at: int, **fields):
+    """Change grip ``at`` of ``col`` by hand, as a caller must: a compiled
+    column's grips are one tuple, so ``col`` gets a new tuple holding the
+    new record in place of the old. Returns the new record."""
+    new = col.sona[at]._replace(**fields)
+    col.sona = (*col.sona[:at], new, *col.sona[at + 1:])
+    return new
+
+
 # The scanner's refusal as one regular expression over the whole text: the
 # code points outside XML 1.0's ``Char`` production but TAB, which has its
 # own refusal. The scanner clears a text with cheaper tests first.

@@ -439,9 +439,9 @@ def _break_beyond_the_first_block(pars, fault: str) -> str:
     return the error it gets."""
     at = 2 * _WIDER_BLOCK
     if fault == "no grip":
-        pars.columns[at].sona.clear()
+        pars.columns[at].sona = ()
         return f"column {at} holds no grip (every column needs at least one)"
-    pars.columns[at].sona[0] = pars.columns[at].sona[0]._replace(fret=MAX_POSITION + 1)
+    helpers.replace_grip(pars.columns[at], 0, fret=MAX_POSITION + 1)
     return f"fret {MAX_POSITION + 1} of column {at} is outside 0..{MAX_POSITION}"
 
 

@@ -228,6 +228,10 @@ def test_column_without_grips_rejected():
     with pytest.raises(ModelError, match="no grip event") as exc:
         compile_one(*system_lines(["I", "I"], {1: "1"}))
     assert exc.value.column == grid_cols(2)[0]
+    # of two columns with no grip, the first is named
+    with pytest.raises(ModelError, match="column of duration 'I' has no grip event") as exc:
+        compile_one(*system_lines(["F", "I", "F"], {0: "1"}))
+    assert exc.value.column == grid_cols(3)[1]
 
 
 def test_compute_summa_spec_sequence():

@@ -41,6 +41,13 @@ DTD = dtd_validator.parse_dtd(emit_dtd())
 _EDIT_QUOTE = SOURCES["newsidler"].index('"hardly')
 
 
+def _examples(n: int) -> int:
+    """``n`` examples, scaled as the loaded profile scales the default's: an
+    explicit ``max_examples`` overrides the profile, so without this
+    ``--hypothesis-profile=ci`` would not run 20 times as many."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
+
+
 def _line(text: str, number: int) -> str:
     line = text.split("\n")[number - 1]
     return line[:-1] if line.endswith("\r") else line
@@ -89,7 +96,7 @@ def test_twins_share_one_value_and_a_replaced_twin_changes_its_own_lines(name, m
         col, (band_start, _) = pars.columns[k], next(r for r in pars.system_ranges if k < r[1])
         old = col.sona[0]
         xml, svg = emit_pars(pars).split("\n"), render_pars(pars).split("\n")
-        col.sona[0] = new = old._replace(prolongate=not old.prolongate)
+        new = helpers.replace_grip(col, 0, prolongate=not old.prolongate)
         new_xml, new_svg = emit_pars(pars).split("\n"), render_pars(pars).split("\n")
 
         first_sonum = 2 + sum(3 + len(c.sona) for c in pars.columns[:k]) + 2
@@ -137,6 +144,7 @@ def _edge_sources(draw) -> str:
 def test_compiled_models_hold_every_emit_bound(text):
     for pars in _compile_or_locate(text):
         for col, row in zip(pars.columns, duration_rows(pars), strict=True):
+            assert type(col.sona) is tuple
             positions = [row]
             for sonum in col.sona:
                 positions += [sonum.string, sonum.fret, sonum.ypos]
@@ -179,7 +187,7 @@ def test_writers_match_the_reference_writers(name, mutations, config):
         _assert_render_matches_reference(pars)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=_examples(100), deadline=None)
 @given(
     st.sampled_from(sorted(SOURCES)),
     st.lists(st.tuples(st.integers(0, 200), st.integers(-3, 20)), min_size=1, max_size=6),
@@ -194,7 +202,7 @@ def test_renderer_matches_the_reference_on_hand_built_rows(name, moves, config):
     pars = compile_source(SOURCES[name]).partes[0]._replace(duratio_cadens=True)
     for at, row in moves:
         col = pars.columns[at % len(pars.columns)]
-        col.sona[0] = col.sona[0]._replace(ypos=row)
+        helpers.replace_grip(col, 0, ypos=row)
     rows = [col.sona[0].ypos - 1 for col in pars.columns]
     grip_rows = [[sonum.ypos for sonum in col.sona] for col in pars.columns]
     outside = [(j, "duration", row) for j, row in enumerate(rows)
@@ -261,7 +269,7 @@ def test_a_duration_row_outside_the_positions_is_refused_by_both_writers(ypos, r
     which both writers refuse."""
     pars = compile_source(_grip_row_source(3, "est")).partes[0]
     assert duration_rows(pars) == [0, 0, 0]
-    pars.columns[1].sona[0] = pars.columns[1].sona[0]._replace(ypos=ypos)
+    helpers.replace_grip(pars.columns[1], 0, ypos=ypos)
     _assert_both_writers_refuse(
         pars, f"duration ypos {row} of column 1 is outside 0..{MAX_POSITION}"
     )
@@ -278,8 +286,7 @@ def test_a_grip_row_outside_the_positions_is_refused_by_both_writers(ypos, colum
     whichever of the column's grips it is."""
     pars = compile_source(SOURCES["newsidler"]).partes[0]
     assert not pars.duratio_cadens and len(pars.columns[column].sona) == grip + 1
-    sona = pars.columns[column].sona
-    sona[grip] = sona[grip]._replace(ypos=ypos)
+    helpers.replace_grip(pars.columns[column], grip, ypos=ypos)
     _assert_both_writers_refuse(
         pars, f"grip ypos {ypos} of column {column} is outside 0..{MAX_POSITION}"
     )
@@ -301,32 +308,42 @@ _DURATION = st.builds(
 
 @st.composite
 def _hand_built_pars(draw) -> ParsModel:
-    """A model a caller could build by hand from the records: up to three
-    grips, any of any column, at or past a position bound, or columns with
-    no grip; any duration and sum; and system ranges that tile the columns
-    or do not."""
+    """A model a caller could build by hand from the records, each column's
+    grips in a list or a tuple: one to three grips, any of any column, at
+    or past a position bound; in about one draw in five, a column with no
+    grip; any duration and sum; and system ranges that tile the columns, as
+    about four draws in five do, or do not. A column with no grip or ranges
+    that do not tile hide every grip fault, so they are drawn seldom."""
     n = draw(st.integers(0, 6))
     columns = [
         Columna(draw(_DURATION), draw(st.integers(0, 200)),
-                draw(st.lists(_SONUM, min_size=1, max_size=3)))
+                tuple(draw(st.lists(_SONUM, min_size=1, max_size=3))))
         for _ in range(n)
     ]
-    for _ in range(draw(st.integers(0, 3)) if n else 0):
+    for _ in range(draw(st.integers(1, 3)) if n else 0):
         col = columns[draw(st.integers(0, n - 1))]
-        field = draw(st.sampled_from(["string", "fret", "ypos", None]))
-        if field is None:
-            col.sona.clear()
-        elif col.sona:  # an earlier draw may have emptied it
-            edge = draw(st.sampled_from([-1, 0, MAX_POSITION, MAX_POSITION + 1]))
-            at = draw(st.integers(0, len(col.sona) - 1))
-            col.sona[at] = col.sona[at]._replace(**{field: edge})
+        field = draw(st.sampled_from(["ypos", "string", "fret"]))
+        edge = draw(st.sampled_from([-1, MAX_POSITION + 1, 0, MAX_POSITION]))
+        helpers.replace_grip(col, draw(st.integers(0, len(col.sona) - 1)), **{field: edge})
+    if n and not draw(st.integers(0, 4)):
+        columns[draw(st.integers(0, n - 1))].sona = ()
+    sequence = draw(st.sampled_from([tuple, list]))
+    for col in columns:
+        col.sona = sequence(col.sona)
     cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) if n > 1 else [])
-    tiling = list(zip([0, *cuts], [*cuts, n])) if n else []
-    ranges = draw(st.one_of(
-        st.just(tiling),
-        st.lists(st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)), max_size=3),
-    ))
+    ranges = list(zip([0, *cuts], [*cuts, n])) if n else []
+    if not draw(st.integers(0, 4)):
+        ranges = draw(st.lists(st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)),
+                               max_size=3))
     return ParsModel("p", columns, "tbl", ranges, draw(st.booleans()))
+
+
+def _one_column_pars(*grip_rows: int) -> ParsModel:
+    """One column under ``duratio_cadens`` whose grips stand at ``grip_rows``:
+    its duration stands one row above the first."""
+    sona = tuple(Sonum("a", 0, 1, False, row) for row in grip_rows)
+    return ParsModel("p", [Columna(DurationToken("I", "I", 0, False, False, 32), 0, sona)],
+                     "tbl", [(0, 1)], True)
 
 
 def _writable(pars, positions: tuple[str, ...]) -> bool:
@@ -348,8 +365,11 @@ def _writable(pars, positions: tuple[str, ...]) -> bool:
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_examples(150), deadline=None)
 @given(_hand_built_pars())
+# a grip row outside 0..12 under a duration row inside it: only the grip-row check refuses it
+@example(_one_column_pars(1, -1))
+@example(_one_column_pars(1, MAX_POSITION + 1))
 def test_a_hand_built_model_is_written_exactly_when_it_keeps_the_contract(pars):
     """Each writer returns a document, valid against the DTD (XML) or well
     formed (SVG), exactly when the model keeps the writers' contract, and
@@ -365,6 +385,20 @@ def test_a_hand_built_model_is_written_exactly_when_it_keeps_the_contract(pars):
             with pytest.raises(EmitError) as exc:
                 write(pars)
             assert (exc.value.line, exc.value.column) == (None, None)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@pytest.mark.parametrize("cadens", [False, True], ids=["flat", "cadens"])
+def test_grips_in_lists_and_in_tuples_are_written_alike(name, cadens):
+    """A compiled column holds its grips as one tuple; a column built by hand
+    may hold them in a list, and both writers write it byte for byte alike."""
+    pars = compile_source(SOURCES[name]).partes[0]._replace(duratio_cadens=cadens)
+    assert all(type(col.sona) is tuple for col in pars.columns)
+    listed = pars._replace(columns=[
+        Columna(col.duration, col.summa_praecedentium, list(col.sona)) for col in pars.columns
+    ])
+    assert emit_pars(listed) == emit_pars(pars)
+    assert render_pars(listed) == render_pars(pars)
 
 
 _HEAD = "tbl = ( (1 a) )\nPARS p\nbünde = tbl\n"

@@ -144,7 +144,7 @@ def test_a_column_without_a_grip_is_refused(schlick_text, cadens):
     """Such a column has no duration row under ``duratioCadens``. The renderer
     refuses it either way, as the XML writer does, with an ``EmitError`` only."""
     pars = compile_source(schlick_text).partes[0]._replace(duratio_cadens=cadens)
-    pars.columns[-1].sona.clear()
+    pars.columns[-1].sona = ()
     message = f"column {len(pars.columns) - 1} holds no grip (every column needs at least one)"
     for render in (render_pars, helpers.reference_render_pars):
         with pytest.raises(EmitError) as exc:
@@ -223,7 +223,7 @@ def test_empty_pars_matches_the_reference():
 
 def test_a_column_without_a_grip_beyond_the_first_block_is_refused():
     pars = compile_source(helpers.block_source([2 * BLOCK + 1], BLOCK)).partes[0]
-    pars.columns[2 * BLOCK].sona.clear()
+    pars.columns[2 * BLOCK].sona = ()
     message = f"column {2 * BLOCK} holds no grip (every column needs at least one)"
     for render in (render_pars, helpers.reference_render_pars):
         with pytest.raises(EmitError) as exc:

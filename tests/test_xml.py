@@ -181,7 +181,7 @@ def test_time_pairs_equal_reduced_fraction_fold(tokens):
 def test_emit_rejects_ypos_out_of_range(newsidler_text):
     score = compile_source(newsidler_text)
     pars = score.partes[0]
-    pars.columns[0].sona[0] = pars.columns[0].sona[0]._replace(ypos=13)
+    helpers.replace_grip(pars.columns[0], 0, ypos=13)
     with pytest.raises(EmitError, match="ypos"):
         emit_pars(pars)
 
@@ -193,9 +193,9 @@ def test_identical_grips_differ_by_their_edit_alone():
     pars = compile_source(_TWIN_GRIPS).partes[0]
     first, second, third = (col.sona[0] for col in pars.columns)
     assert first is second is third  # one shared value; each column gets its own record below
-    pars.columns[1].sona[0] = second._replace(annotations=(Annotation(EDIT_TRACK, "x<y", 14),))
+    helpers.replace_grip(pars.columns[1], 0, annotations=(Annotation(EDIT_TRACK, "x<y", 14),))
     # not emitted: its line is the plain one
-    pars.columns[2].sona[0] = third._replace(annotations=(Annotation("fg", "p", 17),))
+    helpers.replace_grip(pars.columns[2], 0, annotations=(Annotation("fg", "p", 17),))
     lines = [ln for ln in emit_pars(pars).split("\n") if "<sonum" in ln]
     plain = "    <sonum source='a' fret='1' string='0' ypos='1' />"
     assert lines == [plain, plain[:-3] + " edit='x&lt;y' />", plain]
@@ -220,7 +220,7 @@ def test_out_of_range_twin_of_a_written_grip_raises_at_its_own_column(field, wha
     pars = compile_source(_TWIN_GRIPS).partes[0]
     # the first column's line is written, and kept for its twins, before the
     # third column, whose grip differs in one field only, is reached
-    pars.columns[2].sona[0] = pars.columns[2].sona[0]._replace(**{field: MAX_POSITION + 1})
+    helpers.replace_grip(pars.columns[2], 0, **{field: MAX_POSITION + 1})
     with pytest.raises(EmitError) as exc:
         emit_pars(pars)
     assert exc.value.message == f"{what} {MAX_POSITION + 1} of column 2 is outside 0..{MAX_POSITION}"
@@ -236,8 +236,8 @@ def test_a_column_without_a_grip_is_refused(schlick_text, cadens):
     """The DTD's ``columna (duratio, sonum+)`` refuses a column with no grip, so
     a model changed by hand to hold one is refused whole, before any line."""
     pars = compile_source(schlick_text).partes[0]._replace(duratio_cadens=cadens)
-    pars.columns[0].sona[0] = pars.columns[0].sona[0]._replace(fret=MAX_POSITION + 1)
-    pars.columns[3].sona.clear()
+    helpers.replace_grip(pars.columns[0], 0, fret=MAX_POSITION + 1)
+    pars.columns[3].sona = ()
     message = "column 3 holds no grip (every column needs at least one)"
     for emit in (emit_pars, helpers.reference_emit_pars):
         with pytest.raises(EmitError) as exc:
@@ -282,7 +282,7 @@ def _three_blocks():
 def test_a_bad_position_beyond_the_first_block_raises_at_its_column(field, what):
     pars = _three_blocks()
     at = BLOCK + 5
-    pars.columns[at].sona[0] = pars.columns[at].sona[0]._replace(**{field: MAX_POSITION + 1})
+    helpers.replace_grip(pars.columns[at], 0, **{field: MAX_POSITION + 1})
     message = f"{what} {MAX_POSITION + 1} of column {at} is outside 0..{MAX_POSITION}"
     for emit in (emit_pars, helpers.reference_emit_pars):
         with pytest.raises(EmitError) as exc:
@@ -292,7 +292,7 @@ def test_a_bad_position_beyond_the_first_block_raises_at_its_column(field, what)
 
 def test_a_column_without_a_grip_beyond_the_first_block_is_refused():
     pars = _three_blocks()
-    pars.columns[2 * BLOCK].sona.clear()
+    pars.columns[2 * BLOCK].sona = ()
     message = f"column {2 * BLOCK} holds no grip (every column needs at least one)"
     for emit in (emit_pars, helpers.reference_emit_pars):
         with pytest.raises(EmitError) as exc:
